@@ -60,6 +60,8 @@ def main(argv=None) -> int:
                 if args.prime is not None
                 else [int(tok) for tok in args.primes.split(",") if tok.strip()]
             )
+            if not primes:
+                raise ValueError("--primes lists no prime")
             selection = parse_selection(args.checks)
             reports = [
                 run_verification(
@@ -74,7 +76,11 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         payload = reports[0] if len(reports) == 1 else reports
-        text = emit_report(payload, args.format, args.output)
+        try:
+            text = emit_report(payload, args.format, args.output)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
         if args.output is None:
             sys.stdout.write(text)
         return 0 if all(r.overall == "pass" for r in reports) else 1

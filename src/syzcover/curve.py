@@ -437,7 +437,8 @@ def curve_cone_points(ctx: CurveContext, field: GF):
     """All nonzero (u0, v0, w0) in the field cube satisfying the equation.
 
     Enumerated with one precomputed table of e-th powers, so the cost is
-    O(|F|^2) instead of a cube scan.
+    O(|F|^2) instead of a cube scan.  Test-only: the reference enumeration
+    that the sampler is checked against; nothing in the pipeline calls it.
     """
     if field.order ** 2 > field.scan_cap:
         raise FieldTooLargeError(
@@ -463,10 +464,37 @@ def random_curve_points(ctx: CurveContext, field: GF, count: int, rng, units: bo
 
     With units=True only points with u0 != 0 and w0 != 0 are returned, so
     every monomial denominator u^a w^b can be evaluated at them.
+
+    Pairs (u0, v0) are drawn without repetition (a lazy Fisher-Yates
+    shuffle of the pair indices) and each is completed by one w0, chosen
+    by rng among the roots of w0^e = u0^e + v0^e in a table of e-th powers.
+    The cost is O(|F|) field powers for the table plus a few draws per
+    point: every pair has a root when x^e is the norm (e = p + 1 over
+    GF(p^2)), about 2/p of the pairs for e = (p + 1)/2.  Raises ValueError when
+    every pair has been drawn before count points are found.
     """
-    pool = curve_cone_points(ctx, field)
-    if units:
-        pool = [pt for pt in pool if not pt[0].is_zero() and not pt[2].is_zero()]
-    if count > len(pool):
-        raise ValueError(f"only {len(pool)} candidate points available, wanted {count}")
-    return rng.sample(pool, count)
+    order = field.order
+    elements = list(field.elements())  # index 0 is the zero element
+    powers = [x ** ctx.exponent for x in elements]
+    first = 1 if units else 0
+    roots: dict = {}
+    for x, power in zip(elements[first:], powers[first:]):
+        roots.setdefault(power.coeffs, []).append(x)
+    total = (order - first) * order
+    swapped: dict = {}
+    points = []
+    for drawn in range(total):
+        if len(points) == count:
+            break
+        pick = rng.randrange(drawn, total)
+        pair = swapped.get(pick, pick)
+        swapped[pick] = swapped.get(drawn, drawn)
+        ui, vi = first + pair // order, pair % order
+        candidates = roots.get((powers[ui] + powers[vi]).coeffs)
+        if not candidates or not (ui or vi):  # (0, 0) only completes to (0, 0, 0)
+            continue
+        w0 = candidates[rng.randrange(len(candidates))]
+        points.append((elements[ui], elements[vi], w0))
+    if len(points) < count:
+        raise ValueError(f"only {len(points)} curve points available, wanted {count}")
+    return points

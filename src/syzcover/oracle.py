@@ -73,12 +73,6 @@ class PointOracle:
             return any(not v.is_zero() for v in self._values(claim.obj))
         raise ValueError(f"unknown claim kind {claim.kind!r}")
 
-    def check_all(self, claims) -> tuple[bool, str]:
-        for claim in claims:
-            if not self.check(claim):
-                return False, f"oracle mismatch on {claim.name}"
-        return True, f"{len(claims)} identities re-checked at {len(self.points)} points"
-
 
 class OracleSuite:
     """Routes claims to a per-context oracle, creating them on demand."""

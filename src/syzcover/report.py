@@ -177,7 +177,7 @@ def run_verification(
     """Execute the selected check groups for one prime."""
     if not isinstance(p, int) or not is_prime(p) or p < 3:
         raise ValueError(f"prime must be an odd prime >= 3, got {p}")
-    selection = parse_selection(checks) if isinstance(checks, str) else tuple(checks)
+    selection = parse_selection(checks if isinstance(checks, str) else ",".join(checks))
 
     records: list[CheckRecord] = []
     oracles = OracleSuite(seed=seed, points=oracle_points)

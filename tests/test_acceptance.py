@@ -175,6 +175,34 @@ def test_criterion_4_mutation_sensitivity(p):
     _line(4, True, f"p={p}: {mutations} sign-flip mutations all detected")
 
 
+# At p = 3 flipping R2[1] leaves the syzygy claim y^3 (y^2 - x^2) on the conic
+# x^2 + y^2 = z^2, which vanishes at every GF(9)-point with x, z != 0: the
+# nonzero squares of GF(9) are the fourth roots of unity, and x^2 + y^2 is one
+# of them only when y = 0 or y^2 = x^2.  No sample over GF(p^2) can see that
+# flip; the symbolic check does.
+ORACLE_BLIND_FLIPS = {3: {"R2[1]"}}
+
+
+@pytest.mark.parametrize("p", (3, 5, 13))
+def test_criterion_4_oracle_mutation_sensitivity(p):
+    """The oracle alone rejects the claims of each sign-flipped catalog."""
+    catalog = build_catalog(p)
+    missed = set()
+    mutations = 0
+    for label in CATALOG_LABELS:
+        for idx in range(3):
+            if catalog[label].components[idx].is_zero():
+                continue
+            mutated = catalog.with_triple(catalog[label].flip_component(idx))
+            claims = [claim for chk in SYMBOLIC_CHECKS for claim in chk(mutated).claims]
+            ok, _ = OracleSuite(seed=0, points=20).check_all(claims)
+            if ok:
+                missed.add(f"{label}[{idx}]")
+            mutations += 1
+    assert missed == ORACLE_BLIND_FLIPS.get(p, set())
+    _line(4, True, f"p={p}: oracle rejects {mutations - len(missed)} of {mutations} flips")
+
+
 def test_criterion_5_hurwitz():
     """2 g_X - 2 = deg * (2 g_Y - 2) exactly for p in 3..13."""
     for p in PRIMES:

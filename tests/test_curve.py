@@ -283,3 +283,43 @@ def test_identity_matrix_det(quartic):
     one = quartic.fraction(1)
     zero = quartic.fraction(0)
     assert det(mat([[one, zero], [zero, one]])) == one
+
+
+@pytest.mark.parametrize("p", (13, 47))
+@pytest.mark.parametrize("half", (True, False), ids=("e=(p+1)/2", "e=p+1"))
+def test_random_curve_points_contract(p, half):
+    ctx = fermat_curve(p, (p + 1) // 2 if half else p + 1)
+    field = make_extension_field(p, 2)
+    pts = random_curve_points(ctx, field, 20, random.Random(7))
+    assert all(on_curve(ctx, pt) for pt in pts)
+    assert len({tuple(c.index for c in pt) for pt in pts}) == 20
+    assert all(not pt[0].is_zero() and not pt[2].is_zero() for pt in pts)
+    assert pts == random_curve_points(ctx, field, 20, random.Random(7))
+
+
+def test_random_curve_points_lie_in_reference_cone():
+    ctx = fermat_curve(13, 7)
+    field = make_extension_field(13, 2)
+    cone = {tuple(c.index for c in pt) for pt in curve_cone_points(ctx, field)}
+    pts = random_curve_points(ctx, field, 50, random.Random(1))
+    assert {tuple(c.index for c in pt) for pt in pts} <= cone
+
+
+def test_random_curve_points_exhausted_raises_plain_value_error(quartic):
+    # over GF(3) only (+-1, 0) complete to u^4 + v^4 = w^4 with u, w units
+    F3 = make_extension_field(3)
+    assert len(random_curve_points(quartic, F3, 2, random.Random(0))) == 2
+    with pytest.raises(ValueError) as info:
+        random_curve_points(quartic, F3, 3, random.Random(0))
+    assert type(info.value) is ValueError
+
+
+def test_random_curve_points_without_units_skip_origin(quartic):
+    # four pairs (u0, v0) have roots over GF(3): (0, +-1) and (+-1, 0)
+    F3 = make_extension_field(3)
+    for seed in range(10):
+        pts = random_curve_points(quartic, F3, 4, random.Random(seed), units=False)
+        assert all(on_curve(quartic, pt) for pt in pts)
+        assert all(any(not c.is_zero() for c in pt) for pt in pts)
+    with pytest.raises(ValueError):
+        random_curve_points(quartic, F3, 5, random.Random(0), units=False)

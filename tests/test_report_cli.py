@@ -192,3 +192,36 @@ def test_cli_max_field_size_forces_skip():
     data = json.loads(res.stdout)
     statuses = {c["name"]: c["status"] for c in data["checks"]}
     assert statuses["fiber_census"] == "skipped"
+
+
+def test_tuple_selection_rejects_unknown_group():
+    with pytest.raises(ValueError):
+        run_verification(3, checks=("lemma",))
+    assert [c.name for c in run_verification(3, checks=("lemmas",)).checks] == [
+        "catalog_syzygies",
+        "kernel_relation",
+        "alpha_isomorphism",
+        "generator_independence",
+    ]
+
+
+def test_cli_empty_primes_exit_two():
+    res = _run_cli("verify", "--primes", ",")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "error" in res.stderr
+
+
+def test_cli_output_into_missing_directory_exit_two(tmp_path):
+    dest = tmp_path / "missing" / "out.json"
+    res = _run_cli("verify", "--prime", "3", "--checks", "lemmas", "--output", str(dest))
+    assert res.returncode == 2
+    assert "error" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_prime_47_passes():
+    # smallest prime whose GF(p^2) cone, |F|^2 pairs, exceeds the default scan cap
+    res = _run_cli("verify", "--prime", "47", "--checks", "lemmas,cover")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["overall"] == "pass"
