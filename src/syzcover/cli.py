@@ -63,6 +63,8 @@ def main(argv=None) -> int:
             if not primes:
                 raise ValueError("--primes lists no prime")
             selection = parse_selection(args.checks)
+            if not selection:
+                raise ValueError("--checks selects no check group")
             reports = [
                 run_verification(
                     p,

@@ -34,10 +34,6 @@ class FormalPolynomial:
         raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
     @classmethod
-    def zero(cls, ctx, variables):
-        return cls(ctx, variables, {})
-
-    @classmethod
     def constant(cls, ctx, variables, value):
         return cls(ctx, variables, {(0,) * len(variables): value})
 
@@ -127,19 +123,6 @@ class FormalPolynomial:
             self.vars,
             {tuple(x * p for x in e): c.p_power() for e, c in self.terms.items()},
         )
-
-    def substitute(self, mapping: dict) -> FormalPolynomial:
-        """Replace each variable by a formal polynomial (all from one target ring)."""
-        images = [mapping[name] for name in self.vars]
-        target = images[0]
-        result = FormalPolynomial.zero(target.ctx, target.vars)
-        for exps, coeff in self.terms.items():
-            term = FormalPolynomial.constant(target.ctx, target.vars, coeff)
-            for img, e in zip(images, exps):
-                if e:
-                    term = term * (img ** e)
-            result = result + term
-        return result
 
     def formal_degrees(self) -> set[int]:
         return {sum(e) for e in self.terms}

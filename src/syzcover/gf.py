@@ -5,6 +5,10 @@ The modulus is chosen deterministically (first irreducible in a fixed
 counting order), so generators, solution sets of power equations and
 everything serialized from them are stable across runs and machines.
 
+Frobenius x -> x^p is F_p-linear, so it is applied as an m x m matrix over
+F_p, built and certified once per field; `linear_kernel` lists the F_p-kernel
+of any F_p-linear map on the field.
+
 Whole-field operations (generator search, power-equation scans) refuse
 fields above a configurable size cap instead of running for hours.
 """
@@ -153,7 +157,7 @@ class GF:
 
     __slots__ = (
         "p", "m", "order", "scan_cap", "modulus",
-        "_reduction", "_generator", "_unit_factors", "zero", "one",
+        "_reduction", "_frobenius", "_generator", "_unit_factors", "zero", "one",
     )
 
     def __init__(self, p: int, m: int = 1, scan_cap: int = DEFAULT_SCAN_CAP):
@@ -167,6 +171,7 @@ class GF:
         self.scan_cap = scan_cap
         self.modulus = _find_irreducible(p, m)
         self._reduction = self._reduction_rows()
+        self._frobenius = None
         self._generator = None
         self._unit_factors = None
         self.zero = FieldElement(self, (0,) * m)
@@ -187,6 +192,27 @@ class GF:
                 r = [(s + carry * b) % p for s, b in zip(r, base)]
             rows[k] = tuple(r)
         return rows
+
+    def frobenius_columns(self) -> tuple:
+        """Columns of the matrix of x -> x^p on the power basis, built on first use.
+
+        Column i holds the coefficients of (t^p)^i mod the modulus.  Frobenius
+        is F_p-linear, so checking each column against t^i ** p certifies the
+        matrix on every element.
+        """
+        if self._frobenius is None:
+            p, m, modulus = self.p, self.m, list(self.modulus)
+            tp = _ppowmod([0, 1], p, modulus, p)
+            cols, col = [], [1]
+            for _ in range(m):
+                cols.append(tuple(col + [0] * (m - len(col))))
+                col = _pmod(_pmul(col, tp, p), modulus, p)
+            for i, column in enumerate(cols):
+                basis = FieldElement(self, tuple(int(i == j) for j in range(m)))
+                if (basis ** p).coeffs != column:
+                    raise ArithmeticError(f"Frobenius column {i} of {self!r} is wrong")
+            self._frobenius = tuple(cols)
+        return self._frobenius
 
     def element(self, coeffs) -> FieldElement:
         cs = [c % self.p for c in coeffs]
@@ -258,7 +284,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements from different fields")
             return other
         if isinstance(other, int):
@@ -359,14 +385,22 @@ class FieldElement:
         return result
 
     def frobenius(self) -> FieldElement:
-        return self ** self.field.p
+        """self ** p, as the field's precomputed F_p-linear map."""
+        f = self.field
+        p = f.p
+        res = [0] * f.m
+        for a, column in zip(self.coeffs, f.frobenius_columns()):
+            if a:
+                for j, cj in enumerate(column):
+                    res[j] += a * cj
+        return FieldElement(f, tuple(c % p for c in res))
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.field(other)
         return (
             isinstance(other, FieldElement)
-            and self.field == other.field
+            and (other.field is self.field or self.field == other.field)
             and self.coeffs == other.coeffs
         )
 
@@ -410,6 +444,47 @@ def multiplicative_order(a: FieldElement) -> int:
         while n % ell == 0 and (a ** (n // ell)) == a.field.one:
             n //= ell
     return n
+
+
+def linear_kernel(field: GF, fn) -> tuple:
+    """Every x with fn(x) == 0, for an F_p-linear map fn on the field.
+
+    The matrix of fn on the power basis is brought to reduced row echelon
+    form over F_p; the kernel is every F_p-combination of its null basis,
+    so it has p**k elements for a k-dimensional kernel, zero included.
+    """
+    p, m = field.p, field.m
+    images = [fn(field.element([0] * i + [1])).coeffs for i in range(m)]
+    rows = [[images[col][row] for col in range(m)] for row in range(m)]
+    pivots = []  # pivot column of each reduced row, in row order
+    for col in range(m):
+        r = len(pivots)
+        pivot = next((i for i in range(r, m) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = [(v * inv) % p for v in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [(v - factor * w) % p for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in range(m):
+        if free in pivots:
+            continue
+        vec = [0] * m
+        vec[free] = 1
+        for r, col in enumerate(pivots):
+            vec[col] = (-rows[r][free]) % p
+        basis.append(vec)
+    return tuple(
+        FieldElement(field, tuple(
+            sum(a * vec[j] for a, vec in zip(combo, basis)) % p for j in range(m)
+        ))
+        for combo in itertools.product(range(p), repeat=len(basis))
+    )
 
 
 def find_generator(field: GF) -> FieldElement:

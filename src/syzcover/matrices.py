@@ -81,9 +81,5 @@ def mat_inverse(M):
     return tuple(tuple(dinv * a for a in row) for row in adjugate(M))
 
 
-def mat_scale(s, M):
-    return tuple(tuple(s * a for a in row) for row in M)
-
-
 def entrywise_p_power(M):
     return tuple(tuple(a.p_power() for a in row) for row in M)

@@ -109,6 +109,7 @@ def parse_selection(text: str) -> tuple[str, ...]:
 
 def _fiber_checks(p: int, cap: int):
     census = enumerate_fiber(p, cap)
+    ok = False
     records = []
     if census.skipped:
         records.append(CheckRecord("fiber_census", "skipped", census.reason))
@@ -129,7 +130,7 @@ def _fiber_checks(p: int, cap: int):
         records.append(CheckRecord("fiber_census", "pass" if ok else "fail", detail))
 
         classes = determinant_classes(census)
-        field = census.points[0].c.field
+        field = make_extension_field(p, census.field_degree, cap)
         degree = p * (p * p - 1)
         struct_ok = (
             len(classes) == p - 1
@@ -148,7 +149,8 @@ def _fiber_checks(p: int, cap: int):
             CheckRecord("component_structure", "pass" if struct_ok else "fail", detail)
         )
 
-    stats = component_stats(p, None if census.skipped else census)
+    # a census that failed is reported as such; only a passing one is cross-checked
+    stats = component_stats(p, census if ok else None)
     hur_ok = (
         hurwitz_consistent(stats)
         and stats.total_fiber % stats.component_count == 0

@@ -2,6 +2,7 @@ import pytest
 
 from syzcover.census import (
     CensusResult,
+    FiberPoint,
     component_stats,
     determinant_classes,
     enumerate_fiber,
@@ -10,7 +11,8 @@ from syzcover.census import (
     hurwitz_consistent,
     verify_fiber_point,
 )
-from syzcover.gf import make_extension_field, solve_power_equation
+from syzcover.gf import find_generator, make_extension_field, solve_power_equation
+from syzcover.report import run_verification
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -52,6 +54,47 @@ def test_census_total_matches_formula(p, total):
     assert census.total == total == (p * p - 1) * p * (p - 1)
 
 
+def _walk_census_points(p):
+    """The census by subgroup walk: c from solve_power_equation, ratios from
+    powers of a primitive (p^2-1)-th root of unity taken from find_generator."""
+    field = make_extension_field(p, fiber_field_degree(p))
+    n = p * p - 1
+    c_solutions = solve_power_equation(field, n, field(2))
+    root = find_generator(field) ** ((field.order - 1) // n)
+    ratios = [root ** k for k in range(n)]
+    admissible = [z for z in ratios if z ** (p - 1) != field.one]
+    return tuple(
+        FiberPoint(c, z * c)
+        for c in sorted(c_solutions, key=lambda e: e.index)
+        for z in sorted(admissible, key=lambda e: e.index)
+    )
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_census_equals_walk_reference(p):
+    assert enumerate_fiber(p).points == _walk_census_points(p)
+
+
+def test_corrupted_frobenius_matrix_fails_census():
+    """Every one-entry corruption of GF(3^4)'s cached Frobenius matrix is caught."""
+    field = make_extension_field(3, fiber_field_degree(3))
+    columns = field.frobenius_columns()
+    try:
+        for i in range(field.m):
+            for j in range(field.m):
+                bad = [list(col) for col in columns]
+                bad[i][j] = (bad[i][j] + 1) % 3
+                field._frobenius = tuple(tuple(col) for col in bad)
+                enumerate_fiber.cache_clear()
+                report = run_verification(3, checks=("fiber",))
+                assert report.checks[0].name == "fiber_census"
+                assert report.checks[0].status == "fail", (i, j)
+    finally:
+        field._frobenius = columns
+        enumerate_fiber.cache_clear()
+    assert run_verification(3, checks=("fiber",)).overall == "pass"
+
+
 def test_census_p3_matches_full_double_scan():
     census = enumerate_fiber(3)
     F = make_extension_field(3, 4)
@@ -79,8 +122,6 @@ def test_every_point_reverified(p):
 
 def test_reverification_rejects_bad_point():
     census = enumerate_fiber(3)
-    from syzcover.census import FiberPoint
-
     good = census.points[0]
     bad = FiberPoint(good.c, good.c)  # d/c = 1 violates the cross equation
     assert not verify_fiber_point(3, bad)

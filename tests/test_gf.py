@@ -5,6 +5,7 @@ from syzcover.gf import (
     FieldTooLargeError,
     find_generator,
     is_prime,
+    linear_kernel,
     make_extension_field,
     multiplicative_order,
     prime_factors,
@@ -51,6 +52,22 @@ def test_frobenius_fixed_field_of_gf25():
     F = make_extension_field(5, 2)
     fixed = [a for a in F.elements() if a ** 5 == a]
     assert len(fixed) == 5
+    assert linear_kernel(F, lambda x: x.frobenius() - x) == tuple(F(k) for k in range(5))
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 2), (7, 2)])
+def test_frobenius_matrix_equals_pow_on_every_element(p, m):
+    F = make_extension_field(p, m)
+    for a in F.elements():
+        assert a.frobenius() == a ** p
+
+
+@pytest.mark.parametrize("p,m", [(5, 8), (7, 6)])
+def test_frobenius_matrix_equals_pow_sampled(rng, p, m):
+    F = make_extension_field(p, m)
+    for _ in range(200):
+        a = F.random_element(rng)
+        assert a.frobenius() == a ** p
 
 
 @pytest.mark.parametrize(

@@ -212,6 +212,13 @@ def test_cli_empty_primes_exit_two():
     assert "error" in res.stderr
 
 
+def test_cli_empty_checks_exit_two():
+    res = _run_cli("verify", "--prime", "3", "--checks", ",")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "error: --checks selects no check group" in res.stderr
+
+
 def test_cli_output_into_missing_directory_exit_two(tmp_path):
     dest = tmp_path / "missing" / "out.json"
     res = _run_cli("verify", "--prime", "3", "--checks", "lemmas", "--output", str(dest))
