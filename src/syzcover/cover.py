@@ -8,7 +8,10 @@ matrix indeterminates to the p-th power.  Everything this module builds
 is exact: the transition matrix between the two frames, the two H
 matrices with their base-change certificates, the cocycle compatibility,
 the det-cleared chart relations, the gluing substitution, and the
-determinant computations that make the cover decompose.
+determinant computations that make the cover decompose.  Each check
+returns these identities as claims, plus any structural problems it finds
+(relation shapes, the w = 0 comparisons, the ideal-shift samples); the
+verdict is derived from those alone.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ class CoverData:
     T: tuple                 # transition matrix between the two frames
     H_U: tuple               # chart-U Frobenius comparison matrix
     H_W: tuple               # chart-W Frobenius comparison matrix
+    frob_adj_U: tuple        # F(A) * adj(A) for the chart-U indeterminates
+    frob_adj_W: tuple        # F(B) * adj(B) for the chart-W indeterminates
     relations_U: tuple       # four det-cleared chart-U relations (formal)
     relations_W: tuple       # four det-cleared chart-W relations (formal)
     substitution: dict       # chart-U indeterminates in terms of chart-W ones
@@ -73,8 +78,15 @@ def h_matrices(ctx: CurveContext):
     return h_u, h_w
 
 
-def _formal_vars(ctx, names):
-    return [FormalPolynomial.variable(ctx, names, n) for n in names]
+def _formal_matrix(ctx, names):
+    """The 2x2 matrix of formal indeterminates, names listed row by row."""
+    a11, a12, a21, a22 = (FormalPolynomial.variable(ctx, names, n) for n in names)
+    return mat([[a11, a12], [a21, a22]])
+
+
+def _frobenius_adjugate(A):
+    """F(A) * adj(A): the part of a chart's relations of degree p + 1."""
+    return mat_mul(entrywise_p_power(A), adjugate(A))
 
 
 def _lift(ctx, names, M):
@@ -84,11 +96,8 @@ def _lift(ctx, names, M):
     ])
 
 
-def _chart_relations(ctx, names, H, clear_u: int, clear_w: int):
+def _chart_relations(ctx, A, frob_adj, H, clear_u: int, clear_w: int):
     """Det-cleared entries of F(A)*adj(A) - det(A)*H, listed row by row."""
-    a11, a12, a21, a22 = _formal_vars(ctx, names)
-    A = mat([[a11, a12], [a21, a22]])
-    frob_adj = mat_mul(entrywise_p_power(A), adjugate(A))
     dA = det(A)
     rels = []
     for i in range(2):
@@ -109,10 +118,12 @@ def build_cover_data(p: int, catalog: GeneratorCatalog | None = None) -> CoverDa
     u, v, w = ctx.variables()
     T = transition_matrix(ctx)
     h_u, h_w = h_matrices(ctx)
-    relations_U = _chart_relations(ctx, U_VARS, h_u, p + 1, 0)
-    relations_W = _chart_relations(ctx, W_VARS, h_w, 0, p + 1)
+    A, B = _formal_matrix(ctx, U_VARS), _formal_matrix(ctx, W_VARS)
+    frob_adj_U, frob_adj_W = _frobenius_adjugate(A), _frobenius_adjugate(B)
+    relations_U = _chart_relations(ctx, A, frob_adj_U, h_u, p + 1, 0)
+    relations_W = _chart_relations(ctx, B, frob_adj_W, h_w, 0, p + 1)
 
-    alpha, beta, gamma, delta = _formal_vars(ctx, W_VARS)
+    (alpha, beta), (gamma, delta) = B
     f = ctx.fraction
     substitution = {
         "a": gamma.scale(f(-w, 1, 0)),
@@ -120,7 +131,7 @@ def build_cover_data(p: int, catalog: GeneratorCatalog | None = None) -> CoverDa
         "c": alpha.scale(f(u, 0, 1)) + gamma.scale(f(v * v, 1, 1)),
         "d": beta.scale(f(u, 0, 1)) + delta.scale(f(v * v, 1, 1)),
     }
-    return CoverData(ctx, catalog, T, h_u, h_w, relations_U, relations_W, substitution)
+    return CoverData(ctx, catalog, T, h_u, h_w, frob_adj_U, frob_adj_W, relations_U, relations_W, substitution)
 
 
 def _frame(triple, var_idx: int, denom_exp: int = 1):
@@ -150,7 +161,6 @@ def check_transition(cd: CoverData) -> CheckOutcome:
     cat = cd.catalog
     f = cd.ctx.fraction
     claims = []
-    ok = True
 
     s1_u = _frame(cat["s1"], 0)
     s2_u = _frame(cat["s2"], 0)
@@ -163,12 +173,9 @@ def check_transition(cd: CoverData) -> CheckOutcome:
         d2 = s3_w[i] - (t[1][1] * s2_u[i] + t[0][1] * s1_u[i])
         claims.append(zero_claim(f"transition frame e1[{i}]", d1))
         claims.append(zero_claim(f"transition frame e2[{i}]", d2))
-        ok = ok and d1.is_zero() and d2.is_zero()
 
-    dt = det(cd.T) - f(1)
-    claims.append(zero_claim("det T - 1", dt))
-    ok = ok and dt.is_zero()
-    return CheckOutcome(ok, "transition matrix certified against the frames" if ok else "transition matrix mismatch", claims)
+    claims.append(zero_claim("det T - 1", det(cd.T) - f(1)))
+    return CheckOutcome("transition matrix certified against the frames", "transition matrix mismatch", claims)
 
 
 def check_base_change(cd: CoverData) -> CheckOutcome:
@@ -181,7 +188,6 @@ def check_base_change(cd: CoverData) -> CheckOutcome:
     cat = cd.catalog
     f = cd.ctx.fraction
     claims = []
-    ok = True
 
     p_frames_u = (_p_frame(cat["s1"], 0), _p_frame(cat["s2"], 0))
     primed_u = (_frame(cat["s1'"], 0), _frame(cat["s2'"], 0))
@@ -196,26 +202,20 @@ def check_base_change(cd: CoverData) -> CheckOutcome:
             for i in range(3):
                 diff = primed[j][i] - (H[0][j] * p_frames[0][i] + H[1][j] * p_frames[1][i])
                 claims.append(zero_claim(f"base change {name} col{j}[{i}]", diff))
-                ok = ok and diff.is_zero()
 
     for name, H in (("H_U", cd.H_U), ("H_W", cd.H_W)):
-        diff = det(H) - f(-2)
-        claims.append(zero_claim(f"det {name} + 2", diff))
-        ok = ok and diff.is_zero()
-    return CheckOutcome(ok, "frame comparison matrices certified, det = -2" if ok else "base change mismatch", claims)
+        claims.append(zero_claim(f"det {name} + 2", det(H) - f(-2)))
+    return CheckOutcome("frame comparison matrices certified, det = -2", "base change mismatch", claims)
 
 
 def check_cocycle(cd: CoverData) -> CheckOutcome:
     """Compatibility on the overlap: H_U = T^(p) H_W T^(-1)."""
     rhs = mat_mul(mat_mul(entrywise_p_power(cd.T), cd.H_W), mat_inverse(cd.T))
     claims = []
-    ok = True
     for i in range(2):
         for j in range(2):
-            diff = cd.H_U[i][j] - rhs[i][j]
-            claims.append(zero_claim(f"cocycle [{i}][{j}]", diff))
-            ok = ok and diff.is_zero()
-    return CheckOutcome(ok, "cocycle compatibility holds" if ok else "cocycle violated", claims)
+            claims.append(zero_claim(f"cocycle [{i}][{j}]", cd.H_U[i][j] - rhs[i][j]))
+    return CheckOutcome("cocycle compatibility holds", "cocycle violated", claims)
 
 
 def check_relations(cd: CoverData) -> CheckOutcome:
@@ -226,32 +226,24 @@ def check_relations(cd: CoverData) -> CheckOutcome:
     clearing denominators leaves polynomial coefficients.
     """
     p = cd.ctx.p
-    ok = True
-    notes = []
-    for name, rels, names in (("u-chart", cd.relations_U, U_VARS), ("w-chart", cd.relations_W, W_VARS)):
+    problems = []
+    for name, rels, frob_adj in (
+        ("u-chart", cd.relations_U, cd.frob_adj_U),
+        ("w-chart", cd.relations_W, cd.frob_adj_W),
+    ):
         if len(rels) != 4:
-            ok = False
-            notes.append(f"{name}: expected 4 relations")
+            problems.append(f"{name}: expected 4 relations")
             continue
         for rel in rels:
             if not rel.formal_degrees() <= {p + 1, 2}:
-                ok = False
-                notes.append(f"{name}: unexpected formal degrees {rel.formal_degrees()}")
+                problems.append(f"{name}: unexpected formal degrees {rel.formal_degrees()}")
             for coeff in rel.terms.values():
                 if coeff.du or coeff.dw:
-                    ok = False
-                    notes.append(f"{name}: coefficient not cleared: {coeff}")
-        a11, a12, a21, a22 = _formal_vars(cd.ctx, names)
-        frob_adj = mat_mul(
-            entrywise_p_power(mat([[a11, a12], [a21, a22]])),
-            adjugate(mat([[a11, a12], [a21, a22]])),
-        )
+                    problems.append(f"{name}: coefficient not cleared: {coeff}")
         for entry in (frob_adj[0][0], frob_adj[0][1], frob_adj[1][0], frob_adj[1][1]):
             if entry.formal_degrees() != {p + 1}:
-                ok = False
-                notes.append(f"{name}: Frobenius-adjugate entry not homogeneous")
-    detail = "4 relations per chart, degrees p+1 and 2, cleared coefficients" if ok else "; ".join(notes)
-    return CheckOutcome(ok, detail, [])
+                problems.append(f"{name}: Frobenius-adjugate entry not homogeneous")
+    return CheckOutcome("4 relations per chart, degrees p+1 and 2, cleared coefficients", problems=problems)
 
 
 def check_gluing(cd: CoverData) -> CheckOutcome:
@@ -261,24 +253,16 @@ def check_gluing(cd: CoverData) -> CheckOutcome:
     the substitution, and det A = det T * det B = alpha*delta - beta*gamma.
     """
     ctx = cd.ctx
-    B = mat([
-        [FormalPolynomial.variable(ctx, W_VARS, "alpha"), FormalPolynomial.variable(ctx, W_VARS, "beta")],
-        [FormalPolynomial.variable(ctx, W_VARS, "gamma"), FormalPolynomial.variable(ctx, W_VARS, "delta")],
-    ])
+    B = _formal_matrix(ctx, W_VARS)
     TB = mat_mul(_lift(ctx, W_VARS, cd.T), B)
     claims = []
-    ok = True
     for (i, j), name in (((0, 0), "a"), ((0, 1), "b"), ((1, 0), "c"), ((1, 1), "d")):
-        diff = cd.substitution[name] - TB[i][j]
-        claims.append(zero_claim(f"gluing entry {name}", diff))
-        ok = ok and diff.is_zero()
+        claims.append(zero_claim(f"gluing entry {name}", cd.substitution[name] - TB[i][j]))
 
     s = cd.substitution
     det_subst = s["a"] * s["d"] - s["b"] * s["c"]
-    diff = det_subst - det(B)
-    claims.append(zero_claim("det under gluing", diff))
-    ok = ok and diff.is_zero()
-    return CheckOutcome(ok, "gluing substitution equals T*B and preserves det" if ok else "gluing mismatch", claims)
+    claims.append(zero_claim("det under gluing", det_subst - det(B)))
+    return CheckOutcome("gluing substitution equals T*B and preserves det", "gluing mismatch", claims)
 
 
 def check_section_ring(cd: CoverData) -> CheckOutcome:
@@ -291,7 +275,7 @@ def check_section_ring(cd: CoverData) -> CheckOutcome:
     ctx = cd.ctx
     u, v, w = ctx.variables()
     f = ctx.fraction
-    alpha, beta, gamma, delta = _formal_vars(ctx, W_VARS)
+    (alpha, beta), (gamma, delta) = _formal_matrix(ctx, W_VARS)
     w2 = f(w * w)
 
     def membership(first, second):
@@ -310,13 +294,9 @@ def check_section_ring(cd: CoverData) -> CheckOutcome:
         zero_claim("section ring membership 2", id2),
         nonzero_claim("section ring membership 2, u^2-variant", literal),
     ]
-    ok = id1.is_zero() and id2.is_zero() and not literal.is_zero()
-    detail = (
-        "memberships hold (u^2 w delta variant correctly nonzero)"
-        if ok
-        else "section ring membership failed"
+    return CheckOutcome(
+        "memberships hold (u^2 w delta variant correctly nonzero)", "section ring membership failed", claims
     )
-    return CheckOutcome(ok, detail, claims)
 
 
 def check_det_periodicity(cd: CoverData) -> CheckOutcome:
@@ -329,8 +309,7 @@ def check_det_periodicity(cd: CoverData) -> CheckOutcome:
     ctx = cd.ctx
     p = ctx.p
     f = ctx.fraction
-    a11, a12, a21, a22 = _formal_vars(ctx, U_VARS)
-    A = mat([[a11, a12], [a21, a22]])
+    A = _formal_matrix(ctx, U_VARS)
     dA = det(A)
     frob_det = det(entrywise_p_power(A))
     diff1 = frob_det - dA ** p
@@ -342,8 +321,7 @@ def check_det_periodicity(cd: CoverData) -> CheckOutcome:
         zero_claim("det multiplicative on H_U * A", diff2),
         zero_claim("det H_U + 2", diff3),
     ]
-    ok = diff1.is_zero() and diff2.is_zero() and diff3.is_zero()
-    return CheckOutcome(ok, "determinant periodicity ingredients verified" if ok else "determinant bookkeeping failed", claims)
+    return CheckOutcome("determinant periodicity ingredients verified", "determinant bookkeeping failed", claims)
 
 
 # -- specialization w = 0 (with u^(p+1) rewritten to -v^(p+1)) --------------
@@ -417,9 +395,8 @@ def check_w0_specialization(cd: CoverData) -> CheckOutcome:
     """
     ctx = cd.ctx
     p = ctx.p
-    a11, a12, a21, a22 = _formal_vars(ctx, U_VARS)
-    A = mat([[a11, a12], [a21, a22]])
-    frob_adj = mat_mul(entrywise_p_power(A), adjugate(A))
+    A = _formal_matrix(ctx, U_VARS)
+    (a11, a12), (a21, a22) = A
     expected_frob = (
         a11 ** p * a22 - a21 * a12 ** p,   # a^p d - c b^p
         a12 ** p * a11 - a11 ** p * a12,   # b^p a - a^p b
@@ -428,28 +405,24 @@ def check_w0_specialization(cd: CoverData) -> CheckOutcome:
     )
     expected_dcoeff = (0, -1, -2, 0)
 
-    ok = True
-    notes = []
-    flat = (frob_adj[0][0], frob_adj[0][1], frob_adj[1][0], frob_adj[1][1])
+    problems = []
+    flat = cd.frob_adj_U[0] + cd.frob_adj_U[1]
     h_entries = (cd.H_U[0][0], cd.H_U[0][1], cd.H_U[1][0], cd.H_U[1][1])
     for idx, (entry, target) in enumerate(zip(flat, expected_frob), start=1):
         if entry != target:
-            ok = False
-            notes.append(f"relation {idx}: Frobenius-adjugate part differs")
+            problems.append(f"relation {idx}: Frobenius-adjugate part differs")
     for idx, (h, const) in enumerate(zip(h_entries, expected_dcoeff), start=1):
         # relation = (F(A) adj A)_{ij} - D * H_{ij}; at w = 0 the H entry
         # must specialize to -const so the D coefficient becomes const
         if not _w0_equal_const(-h, const):
-            ok = False
-            notes.append(f"relation {idx}: D coefficient does not specialize to {const}")
+            problems.append(f"relation {idx}: D coefficient does not specialize to {const}")
 
     # numeric cross-check on curve points with w = 0
     for pt in _w0_points(ctx, 20):
         for idx, (h, const) in enumerate(zip(h_entries, expected_dcoeff), start=1):
             val = (-h).evaluate(pt)
             if val != pt[0].field(const):
-                ok = False
-                notes.append(f"relation {idx}: point evaluation at w = 0 disagrees")
+                problems.append(f"relation {idx}: point evaluation at w = 0 disagrees")
                 break
 
     # every specialized generator lies in the irrelevant ideal: the
@@ -458,15 +431,9 @@ def check_w0_specialization(cd: CoverData) -> CheckOutcome:
     for idx, (target, const) in enumerate(zip(expected_frob, expected_dcoeff), start=1):
         specialized = target + dA.scale(ctx.fraction(const))
         if any(sum(e) == 0 for e in specialized.terms):
-            ok = False
-            notes.append(f"relation {idx}: unexpected constant term")
+            problems.append(f"relation {idx}: unexpected constant term")
 
-    detail = (
-        "w = 0 collapse matches F1..F4 with D-coefficients (0, -1, -2, 0)"
-        if ok
-        else "; ".join(notes)
-    )
-    return CheckOutcome(ok, detail, [])
+    return CheckOutcome("w = 0 collapse matches F1..F4 with D-coefficients (0, -1, -2, 0)", problems=problems)
 
 
 def check_matrix_ideal_shift(
@@ -478,9 +445,10 @@ def check_matrix_ideal_shift(
       (A B^-1 - C) B = A - C B   and   (A - C B) B^-1 = A B^-1 - C.
     """
     checked = 0
+    problems = []
     for n in sizes:
         done = 0
-        while done < samples:
+        while done < samples and not problems:
             rand = lambda: mat(
                 [[field.random_element(rng) for _ in range(n)] for _ in range(n)]
             )
@@ -492,10 +460,8 @@ def check_matrix_ideal_shift(
             G = mat_sub(mat_mul(A, Binv), C)
             H = mat_sub(A, mat_mul(C, B))
             if not (mat_eq(mat_mul(G, B), H) and mat_eq(mat_mul(H, Binv), G)):
-                return CheckOutcome(
-                    False, f"ideal-shift identity failed at size {n}", []
-                )
+                problems.append(f"ideal-shift identity failed at size {n}")
             checked += 1
     return CheckOutcome(
-        True, f"ideal-shift identities hold on {checked} samples over {field!r}", []
+        f"ideal-shift identities hold on {checked} samples over {field!r}", problems=problems
     )

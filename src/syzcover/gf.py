@@ -196,9 +196,8 @@ class GF:
     def frobenius_columns(self) -> tuple:
         """Columns of the matrix of x -> x^p on the power basis, built on first use.
 
-        Column i holds the coefficients of (t^p)^i mod the modulus.  Frobenius
-        is F_p-linear, so checking each column against t^i ** p certifies the
-        matrix on every element.
+        Column i holds the coefficients of (t^p)^i mod the modulus; the
+        matrix is certified by frobenius_mismatches before it is cached.
         """
         if self._frobenius is None:
             p, m, modulus = self.p, self.m, list(self.modulus)
@@ -207,12 +206,26 @@ class GF:
             for _ in range(m):
                 cols.append(tuple(col + [0] * (m - len(col))))
                 col = _pmod(_pmul(col, tp, p), modulus, p)
-            for i, column in enumerate(cols):
-                basis = FieldElement(self, tuple(int(i == j) for j in range(m)))
-                if (basis ** p).coeffs != column:
-                    raise ArithmeticError(f"Frobenius column {i} of {self!r} is wrong")
+            bad = self.frobenius_mismatches(cols)
+            if bad:
+                raise ArithmeticError(f"Frobenius column {bad[0]} of {self!r} is wrong")
             self._frobenius = tuple(cols)
         return self._frobenius
+
+    def frobenius_mismatches(self, columns=None) -> list:
+        """Indices i where column i of the Frobenius matrix is not t^i ** p.
+
+        Frobenius is F_p-linear, so an empty list certifies the matrix on
+        every element.  Checks the cached matrix unless columns are given;
+        costs m pows.
+        """
+        columns = self.frobenius_columns() if columns is None else columns
+        bad = []
+        for i, column in enumerate(columns):
+            basis = FieldElement(self, tuple(int(i == j) for j in range(self.m)))
+            if (basis ** self.p).coeffs != tuple(column):
+                bad.append(i)
+        return bad
 
     def element(self, coeffs) -> FieldElement:
         cs = [c % self.p for c in coeffs]

@@ -1,8 +1,10 @@
-"""Point-evaluation oracle for symbolic identities.
+"""Claims, check verdicts and the point-evaluation oracle.
 
 Every identity the symbolic engine asserts (a polynomial, fraction or
-formal polynomial claimed to be zero, or claimed to be nonzero) can be
-re-checked numerically: evaluate at sampled curve points over a quadratic
+formal polynomial claimed to be zero, or claimed to be nonzero) is a
+Claim.  A check's verdict is derived from its claims and its structural
+problems alone.  A claim that holds symbolically can be re-checked
+numerically: evaluate at sampled curve points over a quadratic
 extension, with fresh random values for any matrix indeterminates.  The
 evaluation path shares nothing with the normal-form engine beyond raw
 field arithmetic, so agreement is a real cross-check.
@@ -26,6 +28,10 @@ class Claim:
     name: str
     obj: object
 
+    def holds(self) -> bool:
+        """The symbolic verdict: is obj zero exactly when the claim says so?"""
+        return self.obj.is_zero() == (self.kind == "zero")
+
 
 def zero_claim(name, obj):
     return Claim("zero", name, obj)
@@ -37,9 +43,28 @@ def nonzero_claim(name, obj):
 
 @dataclass
 class CheckOutcome:
-    ok: bool
-    detail: str
+    """A check's claims and structural problems, with its pass and fail texts.
+
+    It passes when every claim holds and no problem was found.  In the fail
+    text, {problems} stands for the problems joined by "; " and {failures}
+    for the failing claims' names and the problems, joined by ",".
+    """
+
+    passed: str
+    failed: str = "{problems}"
     claims: list = dfield(default_factory=list)
+    problems: list = dfield(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems and all(c.holds() for c in self.claims)
+
+    @property
+    def detail(self) -> str:
+        if self.ok:
+            return self.passed
+        failures = [c.name for c in self.claims if not c.holds()] + self.problems
+        return self.failed.format(problems="; ".join(self.problems), failures=",".join(failures))
 
 
 class PointOracle:

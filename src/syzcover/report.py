@@ -99,74 +99,71 @@ class CoverReport:
 
 def parse_selection(text: str) -> tuple[str, ...]:
     tokens = [t.strip() for t in text.split(",") if t.strip()]
+    for t in tokens:
+        if t != "all" and t not in SELECTIONS:
+            raise ValueError(f"unknown check group {t!r}; expected lemmas, cover, fiber or all")
     if "all" in tokens:
         return SELECTIONS
-    for t in tokens:
-        if t not in SELECTIONS:
-            raise ValueError(f"unknown check group {t!r}; expected lemmas, cover, fiber or all")
     return tuple(t for t in SELECTIONS if t in tokens)
 
 
+def _unmet(*conditions) -> list:
+    """The notes of the (note, holds) pairs whose condition does not hold."""
+    return [note for note, holds in conditions if not holds]
+
+
 def _fiber_checks(p: int, cap: int):
+    """Skipped records, then (name, outcome) pairs, then the component stats."""
     census = enumerate_fiber(p, cap)
-    ok = False
-    records = []
+    skipped, outcomes = [], []
+    census_ok = False
     if census.skipped:
-        records.append(CheckRecord("fiber_census", "skipped", census.reason))
-        records.append(
-            CheckRecord("component_structure", "skipped", "no census to tabulate")
-        )
+        skipped.append(CheckRecord("fiber_census", "skipped", census.reason))
+        skipped.append(CheckRecord("component_structure", "skipped", "no census to tabulate"))
     else:
-        formula = (p * p - 1) * p * (p - 1)
-        ok = census.total == formula and all(
-            verify_fiber_point(p, pt) for pt in census.points
-        )
-        detail = (
+        field = make_extension_field(p, census.field_degree, cap)
+        census_outcome = CheckOutcome(
             f"{census.total} fiber points enumerated in GF({p}^{census.field_degree}), "
-            f"equal to (p^2-1)p(p-1), every point re-verified"
-            if ok
-            else f"census total {census.total} or point re-verification failed"
+            f"equal to (p^2-1)p(p-1), every point re-verified",
+            f"census total {census.total} or point re-verification failed",
+            problems=_unmet(
+                ("Frobenius matrix not certified", not field.frobenius_mismatches()),
+                ("census total off the formula", census.total == (p * p - 1) * p * (p - 1)),
+                ("point re-verification failed",
+                 all(verify_fiber_point(p, pt) for pt in census.points)),
+            ),
         )
-        records.append(CheckRecord("fiber_census", "pass" if ok else "fail", detail))
+        census_ok = census_outcome.ok
+        outcomes.append(("fiber_census", census_outcome))
 
         classes = determinant_classes(census)
-        field = make_extension_field(p, census.field_degree, cap)
         degree = p * (p * p - 1)
-        struct_ok = (
-            len(classes) == p - 1
-            and all(len(v) == degree for v in classes.values())
-            and all(
-                field.element(k) ** (p - 1) == field(-2) for k in classes
-            )
-        )
-        detail = (
+        outcomes.append(("component_structure", CheckOutcome(
             f"ad-bc takes exactly {p - 1} values, each with (p-1)-th power -2, "
-            f"each on {degree} points"
-            if struct_ok
-            else "determinant class structure broken"
-        )
-        records.append(
-            CheckRecord("component_structure", "pass" if struct_ok else "fail", detail)
-        )
+            f"each on {degree} points",
+            "determinant class structure broken",
+            problems=_unmet(
+                ("wrong number of determinant values", len(classes) == p - 1),
+                ("class sizes differ from the degree",
+                 all(len(v) == degree for v in classes.values())),
+                ("a determinant value's (p-1)-th power is not -2",
+                 all(field.element(k) ** (p - 1) == field(-2) for k in classes)),
+            ),
+        )))
 
     # a census that failed is reported as such; only a passing one is cross-checked
-    stats = component_stats(p, census if ok else None)
-    hur_ok = (
-        hurwitz_consistent(stats)
-        and stats.total_fiber % stats.component_count == 0
-        and stats.total_fiber // stats.component_count == stats.degree_per_component
-    )
-    records.append(
-        CheckRecord(
-            "genus_hurwitz",
-            "pass" if hur_ok else "fail",
-            f"2g-2 = {stats.degree_per_component}*(2*{stats.genus_base}-2) gives genus "
-            f"{stats.genus_component}"
-            if hur_ok
-            else "Hurwitz bookkeeping failed",
-        )
-    )
-    return records, stats
+    stats = component_stats(p, census if census_ok else None)
+    outcomes.append(("genus_hurwitz", CheckOutcome(
+        f"2g-2 = {stats.degree_per_component}*(2*{stats.genus_base}-2) gives genus "
+        f"{stats.genus_component}",
+        "Hurwitz bookkeeping failed",
+        problems=_unmet(
+            ("unramified Hurwitz formula fails", hurwitz_consistent(stats)),
+            ("fiber does not split into equal components",
+             stats.total_fiber == stats.component_count * stats.degree_per_component),
+        ),
+    )))
+    return skipped, outcomes, stats
 
 
 def run_verification(
@@ -185,13 +182,11 @@ def run_verification(
     oracles = OracleSuite(seed=seed, points=oracle_points)
 
     def run(name: str, outcome: CheckOutcome):
+        """The symbolic verdict, then the oracle on the claims of a check that holds."""
         ok, detail = outcome.ok, outcome.detail
         if ok and outcome.claims:
-            oracle_ok, oracle_msg = oracles.check_all(outcome.claims)
-            if not oracle_ok:
-                ok, detail = False, f"{detail}; {oracle_msg}"
-            else:
-                detail = f"{detail}; {oracle_msg}"
+            ok, oracle_msg = oracles.check_all(outcome.claims)
+            detail = f"{detail}; {oracle_msg}"
         records.append(CheckRecord(name, "pass" if ok else "fail", detail))
 
     catalog = build_catalog(p)
@@ -218,8 +213,10 @@ def run_verification(
         )
 
     if "fiber" in selection:
-        fiber_records, stats = _fiber_checks(p, max_field_size)
-        records.extend(fiber_records)
+        skipped, outcomes, stats = _fiber_checks(p, max_field_size)
+        records.extend(skipped)
+        for name, outcome in outcomes:
+            run(name, outcome)
     else:
         stats = component_stats(p)
 

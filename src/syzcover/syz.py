@@ -10,9 +10,10 @@ Two curves are in play for a given odd prime p (write d = (p+1)/2):
 
 The catalog below holds every generating triple, the linear forms cutting
 out the kernels of the two presentations, and the images of the
-trivializing isomorphism.  All checks are exact identities in the
-normal-form ring; each one is also exported as a claim so the point
-oracle can re-check it numerically.
+trivializing isomorphism.  Each check returns its exact identities in
+the normal-form ring as claims, and the degree bookkeeping of each triple
+as structural problems; the verdict follows from those, and the point
+oracle re-checks the same claims numerically.
 """
 
 from __future__ import annotations
@@ -165,10 +166,8 @@ CATALOG_LABELS = (
 )
 
 
-def check_syzygy(triple: SyzygyTriple) -> bool:
-    """Membership plus degree bookkeeping for one triple."""
-    if not triple.combination().is_zero():
-        return False
+def degrees_consistent(triple: SyzygyTriple) -> bool:
+    """deg(a_i) + deg(f_i) equals the declared total degree for every nonzero a_i."""
     for a, f in zip(triple.components, triple.data):
         if a.is_zero():
             continue
@@ -178,21 +177,22 @@ def check_syzygy(triple: SyzygyTriple) -> bool:
     return True
 
 
+def check_syzygy(triple: SyzygyTriple) -> bool:
+    """Membership plus degree bookkeeping for one triple."""
+    return triple.combination().is_zero() and degrees_consistent(triple)
+
+
+def _degree_problems(triples) -> list:
+    return [f"degrees {t.label}" for t in triples if not degrees_consistent(t)]
+
+
 def check_catalog(cat: GeneratorCatalog) -> CheckOutcome:
-    claims = []
-    bad = []
-    for label in CATALOG_LABELS:
-        triple = cat[label]
-        if not check_syzygy(triple):
-            bad.append(label)
-        claims.append(zero_claim(f"syzygy {label}", triple.combination()))
-    ok = not bad
-    detail = (
-        f"{len(CATALOG_LABELS)} generating triples verified"
-        if ok
-        else "failed: " + ",".join(bad)
+    return CheckOutcome(
+        f"{len(CATALOG_LABELS)} generating triples verified",
+        "failed: {failures}",
+        [zero_claim(f"syzygy {label}", cat[label].combination()) for label in CATALOG_LABELS],
+        _degree_problems(cat[label] for label in CATALOG_LABELS),
     )
-    return CheckOutcome(ok, detail, claims)
 
 
 def _combine(form, triples):
@@ -224,14 +224,10 @@ def check_kernel_relation(cat: GeneratorCatalog) -> CheckOutcome:
         ("s'", quad_form, (cat["s1'"], cat["s2'"], cat["s3'"])),
     ]
     claims = []
-    ok = True
     for name, form, triples in families:
         for comp, poly in enumerate(_combine(form, triples)):
             claims.append(zero_claim(f"kernel relation {name}[{comp}]", poly))
-            if not poly.is_zero():
-                ok = False
-    detail = "single linear relation kills each generating family" if ok else "kernel relation violated"
-    return CheckOutcome(ok, detail, claims)
+    return CheckOutcome("single linear relation kills each generating family", "kernel relation violated", claims)
 
 
 def _swap(triple: SyzygyTriple, data, label) -> SyzygyTriple:
@@ -256,13 +252,12 @@ def check_alpha(cat: GeneratorCatalog) -> CheckOutcome:
     """
     x, y, z = cat.base.variables()
     claims = []
-    ok = True
+    syzygies = []  # triples whose degree bookkeeping is checked too
 
     for label in ("alpha1", "alpha2", "alpha3", "s1", "s2", "s3",
                   "phi1", "phi2", "phi3", "s1'", "s2'", "s3'"):
-        good = check_syzygy(cat[label])
+        syzygies.append(cat[label])
         claims.append(zero_claim(f"alpha step syzygy {label}", cat[label].combination()))
-        ok = ok and good
 
     # (iii) both defining relations vanish; exported by check_kernel_relation
     u, v, w = cat.quad.variables()
@@ -274,15 +269,13 @@ def check_alpha(cat: GeneratorCatalog) -> CheckOutcome:
         combo = _combine(form, tuple(cat[k] for k in keys))
         for comp, poly in enumerate(combo):
             claims.append(zero_claim(f"alpha relation {name}[{comp}]", poly))
-            ok = ok and poly.is_zero()
 
     # (iv) swap sends the Koszul generators to syzygies of (x, y, z)
     linear_data = (x, y, z)
-    for i, key in enumerate(("psi1", "psi2", "psi3"), start=1):
+    for key in ("psi1", "psi2", "psi3"):
         swapped = _swap(cat[key], linear_data, f"swap({key})")
-        good = check_syzygy(swapped)
+        syzygies.append(swapped)
         claims.append(zero_claim(f"swap {key}", swapped.combination()))
-        ok = ok and good
 
     # (v) substitution x -> u^2, y -> v^2, z -> w^2 matches the squared data
     pairs = [("phi1", "s1'"), ("phi2", "s2'"), ("phi3", "s3'"),
@@ -292,25 +285,24 @@ def check_alpha(cat: GeneratorCatalog) -> CheckOutcome:
             img = cat[src].components[comp].substitute_squares(cat.quad)
             diff = img - cat[dst].components[comp]
             claims.append(zero_claim(f"substitution {src}->{dst}[{comp}]", diff))
-            ok = ok and diff.is_zero()
 
-    detail = "isomorphism data verified on both curves" if ok else "isomorphism data inconsistent"
-    return CheckOutcome(ok, detail, claims)
+    return CheckOutcome(
+        "isomorphism data verified on both curves", "isomorphism data inconsistent", claims, _degree_problems(syzygies)
+    )
 
 
 def check_independence(cat: GeneratorCatalog) -> CheckOutcome:
-    """The 2x3 matrices of generator pairs have a nonvanishing 2x2 minor."""
+    """The 2x3 matrices of generator pairs have a nonvanishing 2x2 minor.
+
+    Each pair claims its first nonzero minor, or its first minor when all
+    three vanish, so that the claim fails.
+    """
     claims = []
-    ok = True
     for left, right in (("R0", "R1"), ("R2", "R3")):
         minors = _minors(cat[left], cat[right])
-        nonzero = [m for m in minors if not m.is_zero()]
-        if not nonzero:
-            ok = False
-        else:
-            claims.append(nonzero_claim(f"minor {left},{right}", nonzero[0]))
-    detail = "generator pairs independent" if ok else "dependent generator pair"
-    return CheckOutcome(ok, detail, claims)
+        witness = next((m for m in minors if not m.is_zero()), minors[0])
+        claims.append(nonzero_claim(f"minor {left},{right}", witness))
+    return CheckOutcome("generator pairs independent", "dependent generator pair", claims)
 
 
 def _minors(t1: SyzygyTriple, t2: SyzygyTriple):

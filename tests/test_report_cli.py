@@ -5,6 +5,8 @@ import sys
 import pytest
 
 import syzcover.cli as cli
+from syzcover import report
+from syzcover.oracle import OracleSuite, PointOracle
 from syzcover.report import (
     CheckRecord,
     CoverReport,
@@ -35,6 +37,8 @@ def test_selection_parsing():
     assert parse_selection("fiber,lemmas") == ("lemmas", "fiber")
     with pytest.raises(ValueError):
         parse_selection("lemmas,bogus")
+    with pytest.raises(ValueError):
+        parse_selection("all,bogus")
 
 
 def test_overall_pass_and_check_order(report_p3):
@@ -197,12 +201,63 @@ def test_cli_max_field_size_forces_skip():
 def test_tuple_selection_rejects_unknown_group():
     with pytest.raises(ValueError):
         run_verification(3, checks=("lemma",))
+    with pytest.raises(ValueError):
+        run_verification(3, checks=("all", "nope"))
     assert [c.name for c in run_verification(3, checks=("lemmas",)).checks] == [
         "catalog_syzygies",
         "kernel_relation",
         "alpha_isomorphism",
         "generator_independence",
     ]
+
+
+def test_cli_all_with_unknown_group_exit_two():
+    res = _run_cli("verify", "--prime", "3", "--checks", "all,bogus")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "unknown check group 'bogus'" in res.stderr
+
+
+def test_oracle_mismatch_fails_a_symbolically_passing_check(monkeypatch):
+    check = PointOracle.check
+    monkeypatch.setattr(
+        PointOracle, "check", lambda self, claim: claim.name != "det T - 1" and check(self, claim)
+    )
+    result = run_verification(3, checks=("cover",))
+    statuses = {c.name: c.status for c in result.checks}
+    transition = result.checks[0]
+    assert transition.name == "transition_matrix"
+    assert transition.status == "fail"
+    assert transition.detail == (
+        "transition matrix certified against the frames; oracle mismatch on det T - 1"
+    )
+    assert all(status == "pass" for name, status in statuses.items() if name != transition.name)
+    assert result.overall == "fail"
+
+
+def test_symbolic_failure_is_not_sent_to_the_oracle(monkeypatch):
+    catalog = report.build_catalog(3)
+    flipped = catalog.with_triple(catalog["R1"].flip_component(0))
+    monkeypatch.setattr(report, "build_catalog", lambda p: flipped)
+    consulted = []
+    check_all = OracleSuite.check_all
+
+    def recording_check_all(self, claims):
+        consulted.extend(claim.name for claim in claims)
+        return check_all(self, claims)
+
+    monkeypatch.setattr(OracleSuite, "check_all", recording_check_all)
+    result = run_verification(3, checks=("lemmas",))
+    assert [(c.name, c.status) for c in result.checks] == [
+        ("catalog_syzygies", "fail"),
+        ("kernel_relation", "pass"),
+        ("alpha_isomorphism", "pass"),
+        ("generator_independence", "pass"),
+    ]
+    assert result.checks[0].detail == "failed: syzygy R1"
+    assert result.overall == "fail"
+    assert consulted
+    assert not [name for name in consulted if name.startswith("syzygy ")]
 
 
 def test_cli_empty_primes_exit_two():
