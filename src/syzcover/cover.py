@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import CurveContext, LocalFraction
+from .curve import CurveContext, CurvePoint, LocalFraction, power_map
 from .formal import FormalPolynomial
 from .gf import GF, make_extension_field
 from .matrices import (
@@ -366,17 +366,21 @@ def _w0_equal_const(frac: LocalFraction, value: int) -> bool:
 
 
 def _w0_points(ctx, count=20):
-    """Curve points with w = 0 over GF(p^2): u^(p+1) = -v^(p+1), u != 0."""
+    """Up to count curve points with w = 0 over GF(p^2): u^e = -v^e, u != 0.
+
+    Found in index order of (u0, v0), each checked on the curve as it is
+    made; raises ValueError at the first point that is not.
+    """
     field = make_extension_field(ctx.p, 2)
-    e = ctx.exponent
+    power = power_map(ctx, field)
     pts = []
     for u0 in field.elements():
         if u0.is_zero():
             continue
-        target = -(u0 ** e)
+        target = -power(u0)
         for v0 in field.elements():
-            if v0 ** e == target:
-                pts.append((u0, v0, field.zero))
+            if power(v0) == target:
+                pts.append(CurvePoint(ctx, (u0, v0, field.zero)))
                 if len(pts) >= count:
                     return pts
     return pts
@@ -418,10 +422,18 @@ def check_w0_specialization(cd: CoverData) -> CheckOutcome:
             problems.append(f"relation {idx}: D coefficient does not specialize to {const}")
 
     # numeric cross-check on curve points with w = 0
-    for pt in _w0_points(ctx, 20):
+    try:
+        points = _w0_points(ctx, 20)
+    except ValueError as exc:
+        points = []
+        problems.append(f"w = 0 sample: {exc}")
+    else:
+        if len(points) < 20:
+            problems.append(f"only {len(points)} of 20 curve points with w = 0 found")
+    for pt in points:
         for idx, (h, const) in enumerate(zip(h_entries, expected_dcoeff), start=1):
             val = (-h).evaluate(pt)
-            if val != pt[0].field(const):
+            if val != val.field(const):
                 problems.append(f"relation {idx}: point evaluation at w = 0 disagrees")
                 break
 

@@ -183,12 +183,9 @@ class CurvePolynomial:
         )
 
     def evaluate(self, point) -> FieldElement:
-        u0, v0, w0 = point
+        """Value at a CurvePoint of this curve, or at a tuple, which is checked first."""
+        u0, v0, w0 = as_curve_point(self.ctx, point)
         field = u0.field
-        if field.p != self.ctx.p:
-            raise ValueError("evaluation field has wrong characteristic")
-        if not on_curve(self.ctx, point):
-            raise ValueError("point does not lie on the curve")
         acc = field.zero
         for (i, j, k), c in self.terms.items():
             acc = acc + field(c) * (u0 ** i) * (v0 ** j) * (w0 ** k)
@@ -389,6 +386,7 @@ class LocalFraction:
         return lhs == rhs
 
     def evaluate(self, point) -> FieldElement:
+        point = as_curve_point(self.ctx, point)
         u0, _, w0 = point
         if (self.du and u0.is_zero()) or (self.dw and w0.is_zero()):
             raise ZeroDivisionError("denominator vanishes at this point")
@@ -433,6 +431,51 @@ def on_curve(ctx: CurveContext, point) -> bool:
     return (u0 ** e) + (v0 ** e) == (w0 ** e)
 
 
+class CurvePoint:
+    """A point (u0, v0, w0) over a field of characteristic p, checked to lie on ctx.
+
+    The check runs once, here; evaluation at a CurvePoint of the same
+    context trusts it.  Raises ValueError for a wrong characteristic or a
+    point off the curve.
+    """
+
+    __slots__ = ("ctx", "coords")
+
+    def __init__(self, ctx: CurveContext, coords):
+        u0, v0, w0 = coords
+        if u0.field.p != ctx.p:
+            raise ValueError("evaluation field has wrong characteristic")
+        if not on_curve(ctx, coords):
+            nu, nv, nw = ctx.names
+            e = ctx.exponent
+            raise ValueError(
+                f"point ({u0!r}, {v0!r}, {w0!r}) does not lie on the curve "
+                f"{nu}^{e} + {nv}^{e} = {nw}^{e}"
+            )
+        self.ctx = ctx
+        self.coords = (u0, v0, w0)
+
+    def __iter__(self):
+        return iter(self.coords)
+
+
+def as_curve_point(ctx: CurveContext, point) -> CurvePoint:
+    """point itself if it was checked on ctx, else a newly checked CurvePoint."""
+    if isinstance(point, CurvePoint):
+        if point.ctx is not ctx and point.ctx != ctx:
+            raise ValueError("point was checked on a different curve")
+        return point
+    return CurvePoint(ctx, point)
+
+
+def power_map(ctx: CurveContext, field: GF):
+    """x -> x^e on the field; for e = q + 1 (q the characteristic) that is x * Frob(x)."""
+    e = ctx.exponent
+    if e == field.p + 1:
+        return lambda x: x * x.frobenius()
+    return lambda x: x ** e
+
+
 def curve_cone_points(ctx: CurveContext, field: GF):
     """All nonzero (u0, v0, w0) in the field cube satisfying the equation.
 
@@ -468,14 +511,16 @@ def random_curve_points(ctx: CurveContext, field: GF, count: int, rng, units: bo
     Pairs (u0, v0) are drawn without repetition (a lazy Fisher-Yates
     shuffle of the pair indices) and each is completed by one w0, chosen
     by rng among the roots of w0^e = u0^e + v0^e in a table of e-th powers.
-    The cost is O(|F|) field powers for the table plus a few draws per
-    point: every pair has a root when x^e is the norm (e = p + 1 over
-    GF(p^2)), about 2/p of the pairs for e = (p + 1)/2.  Raises ValueError when
-    every pair has been drawn before count points are found.
+    The cost is O(|F|) e-th powers for the table (each one mul and one
+    Frobenius when e = p + 1) plus a few draws per point: every pair has a
+    root when x^e is the norm (e = p + 1 over GF(p^2)), about 2/p of the
+    pairs for e = (p + 1)/2.  Raises ValueError when every pair has been
+    drawn before count points are found.  The points are plain tuples;
+    callers check them with CurvePoint.
     """
     order = field.order
     elements = list(field.elements())  # index 0 is the zero element
-    powers = [x ** ctx.exponent for x in elements]
+    powers = list(map(power_map(ctx, field), elements))
     first = 1 if units else 0
     roots: dict = {}
     for x, power in zip(elements[first:], powers[first:]):

@@ -9,7 +9,7 @@ coefficients pairwise rather than by dictionary identity.
 
 from __future__ import annotations
 
-from .curve import CurveContext, CurvePolynomial, LocalFraction
+from .curve import CurveContext, CurvePolynomial, LocalFraction, as_curve_point
 
 
 class FormalPolynomial:
@@ -131,7 +131,12 @@ class FormalPolynomial:
         return self.terms.get(tuple(exps), self.ctx.fraction(0))
 
     def evaluate(self, assignment: dict, point):
-        """Value at a curve point with field values assigned to the variables."""
+        """Value at a curve point with field values assigned to the variables.
+
+        A tuple is checked on the curve once, here, and the coefficients
+        are evaluated at the resulting CurvePoint without checking again.
+        """
+        point = as_curve_point(self.ctx, point)
         values = [assignment[name] for name in self.vars]
         field = values[0].field
         acc = field.zero

@@ -8,6 +8,10 @@ numerically: evaluate at sampled curve points over a quadratic
 extension, with fresh random values for any matrix indeterminates.  The
 evaluation path shares nothing with the normal-form engine beyond raw
 field arithmetic, so agreement is a real cross-check.
+
+Each sampled point is checked on the curve once, at oracle setup, and
+every evaluation trusts that check.  A point that fails it (or too few
+points) makes the check being served fail; it never aborts the run.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dfield
 
-from .curve import CurveContext, CurvePolynomial, LocalFraction, random_curve_points
+from .curve import CurveContext, CurvePoint, CurvePolynomial, LocalFraction, random_curve_points
 from .formal import FormalPolynomial
 from .gf import make_extension_field
 
@@ -68,14 +72,19 @@ class CheckOutcome:
 
 
 class PointOracle:
-    """Evaluates claims at sampled curve points over GF(p^2)."""
+    """Evaluates claims at sampled curve points over GF(p^2).
+
+    Raises ValueError when a sampled point is off the curve or too few
+    points exist.
+    """
 
     def __init__(self, ctx: CurveContext, seed: int = 0, points: int = 20):
         self.ctx = ctx
         self.field = make_extension_field(ctx.p, 2)
         rng = random.Random(seed * 1000003 + ctx.p * 101 + ctx.exponent)
         self.rng = rng
-        self.points = random_curve_points(ctx, self.field, points, rng, units=True)
+        sampled = random_curve_points(ctx, self.field, points, rng, units=True)
+        self.points = [CurvePoint(ctx, pt) for pt in sampled]
 
     def _values(self, obj):
         if isinstance(obj, (CurvePolynomial, LocalFraction)):
@@ -116,7 +125,11 @@ class OracleSuite:
     def check_all(self, claims) -> tuple[bool, str]:
         count = 0
         for claim in claims:
-            if not self.oracle_for(claim.obj.ctx).check(claim):
+            try:
+                oracle = self.oracle_for(claim.obj.ctx)
+            except ValueError as exc:
+                return False, f"oracle setup failed: {exc}"
+            if not oracle.check(claim):
                 return False, f"oracle mismatch on {claim.name}"
             count += 1
         return True, f"{count} identities re-checked at {self.points} points each"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from syzcover import cover
 from syzcover.cover import (
     U_VARS,
     W_VARS,
@@ -18,6 +19,7 @@ from syzcover.cover import (
     check_w0_specialization,
     transition_matrix,
 )
+from syzcover.curve import CurvePoint, fermat_curve, random_curve_points
 from syzcover.formal import FormalPolynomial
 from syzcover.gf import make_extension_field
 from syzcover.matrices import det, mat, mat_inverse, mat_mul, mat_sub, mat_eq
@@ -247,3 +249,64 @@ def test_oracle_confirms_cover_checks(covers, p):
 def test_transition_matrix_rebuild_matches(covers):
     cat = build_catalog(3)
     assert mat_eq(transition_matrix(cat.quad), covers[3].T)
+
+
+def _w0_points_by_pow(ctx, count=20):
+    """Reference for cover._w0_points: a scan of GF(p^2) with one pow per element."""
+    field = make_extension_field(ctx.p, 2)
+    e = ctx.exponent
+    pts = []
+    for u0 in field.elements():
+        if u0.is_zero():
+            continue
+        target = -(u0 ** e)
+        for v0 in field.elements():
+            if v0 ** e == target:
+                pts.append((u0, v0, field.zero))
+                if len(pts) >= count:
+                    return pts
+    return pts
+
+
+@pytest.mark.parametrize("p", (3, 5, 13, 101))
+def test_w0_points_match_pow_scan(p):
+    ctx = fermat_curve(p)
+    pts = cover._w0_points(ctx, 20)
+    assert all(isinstance(pt, CurvePoint) and pt.ctx == ctx for pt in pts)
+    assert [pt.coords for pt in pts] == _w0_points_by_pow(ctx, 20)
+    assert len(pts) == 20
+
+
+def test_w0_specialization_fails_on_too_few_points(covers, monkeypatch):
+    few = cover._w0_points(covers[5].ctx, 5)
+    monkeypatch.setattr(cover, "_w0_points", lambda ctx, count=20: few)
+    out = check_w0_specialization(covers[5])
+    assert not out.ok
+    assert out.detail == "only 5 of 20 curve points with w = 0 found"
+
+
+def test_w0_specialization_fails_on_off_curve_point(covers):
+    """A corrupted Frobenius matrix yields a w = 0 sample off the curve: a fail, not a crash."""
+    field = make_extension_field(13, 2)
+    columns = field.frobenius_columns()
+    try:
+        field._frobenius = ((columns[0][0] + 1, columns[0][1]), columns[1])
+        out = check_w0_specialization(covers[13])
+    finally:
+        field._frobenius = columns
+    assert not out.ok
+    assert out.detail.startswith("w = 0 sample: point (")
+    assert "does not lie on the curve u^14 + v^14 = w^14" in out.detail
+    assert check_w0_specialization(covers[13]).ok
+
+
+@pytest.mark.parametrize("p", (3, 13))
+def test_formal_evaluate_at_checked_point_equals_tuple(covers, p):
+    cd = covers[p]
+    field = make_extension_field(p, 2)
+    rng = random.Random(p)
+    for pt in random_curve_points(cd.ctx, field, 5, rng):
+        assignment = {name: field.random_element(rng) for name in U_VARS}
+        checked = CurvePoint(cd.ctx, pt)
+        for rel in cd.relations_U:
+            assert rel.evaluate(assignment, checked) == rel.evaluate(assignment, pt)

@@ -3,10 +3,12 @@ import random
 import pytest
 
 from syzcover.curve import (
+    CurvePoint,
     CurvePolynomial,
     curve_cone_points,
     fermat_curve,
     on_curve,
+    power_map,
     random_curve_points,
 )
 from syzcover.gf import make_extension_field
@@ -173,6 +175,13 @@ def test_evaluate_rejects_off_curve_point(quartic):
     F3 = make_extension_field(3)
     with pytest.raises(ValueError):
         quartic.one().evaluate((F3(1), F3(1), F3(1)))
+    with pytest.raises(ValueError):
+        quartic.fraction(quartic.one(), 1, 1).evaluate((F3(1), F3(1), F3(1)))
+    with pytest.raises(ValueError, match="does not lie on the curve u\\^4"):
+        CurvePoint(quartic, (F3(1), F3(1), F3(1)))
+    F5 = make_extension_field(5)
+    with pytest.raises(ValueError, match="characteristic"):
+        CurvePoint(quartic, (F5(1), F5(0), F5(1)))
 
 
 def test_evaluate_on_curve_point(quartic):
@@ -323,3 +332,37 @@ def test_random_curve_points_without_units_skip_origin(quartic):
         assert all(any(not c.is_zero() for c in pt) for pt in pts)
     with pytest.raises(ValueError):
         random_curve_points(quartic, F3, 5, random.Random(0), units=False)
+
+
+@pytest.mark.parametrize("p", (3, 13))
+def test_checked_point_evaluates_like_the_tuple(p):
+    ctx = fermat_curve(p)  # the quartic at p = 3
+    field = make_extension_field(p, 2)
+    rng = random.Random(p)
+    pts = random_curve_points(ctx, field, 10, rng)
+    for _ in range(10):
+        f = random_poly(ctx, rng)
+        frac = ctx.fraction(f, rng.randrange(3), rng.randrange(3))
+        for pt in pts:
+            checked = CurvePoint(ctx, pt)
+            assert f.evaluate(checked) == f.evaluate(pt)
+            assert frac.evaluate(checked) == frac.evaluate(pt)
+
+
+def test_checked_point_of_another_context_is_rejected(quartic):
+    F3 = make_extension_field(3)
+    point = CurvePoint(quartic, (F3(1), F3(0), F3(1)))
+    for other in (fermat_curve(3, 2), fermat_curve(3, names=("x", "y", "z"))):
+        assert on_curve(other, point.coords)
+        with pytest.raises(ValueError, match="different curve"):
+            other.one().evaluate(point)
+        with pytest.raises(ValueError, match="different curve"):
+            other.fraction(other.one(), 1, 0).evaluate(point)
+    assert quartic.one().evaluate(point) == F3.one
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 13))
+def test_norm_table_equals_pow(p):
+    field = make_extension_field(p, 2)
+    norm = power_map(fermat_curve(p), field)
+    assert all(norm(x) == x ** (p + 1) for x in field.elements())

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 import syzcover.cli as cli
-from syzcover import report
+from syzcover import curve, report
+from syzcover.gf import make_extension_field
 from syzcover.oracle import OracleSuite, PointOracle
 from syzcover.report import (
     CheckRecord,
@@ -287,3 +288,44 @@ def test_cli_prime_47_passes():
     res = _run_cli("verify", "--prime", "47", "--checks", "lemmas,cover")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["overall"] == "pass"
+
+
+def test_corrupted_frobenius_matrix_fails_oracle_run():
+    """Off-curve oracle points from a corrupted GF(13^2) Frobenius matrix fail the run."""
+    field = make_extension_field(13, 2)
+    columns = field.frobenius_columns()
+    try:
+        for i in range(2):
+            for j in range(2):
+                bad = [list(col) for col in columns]
+                bad[i][j] = (bad[i][j] + 1) % 13
+                field._frobenius = tuple(tuple(col) for col in bad)
+                result = run_verification(13, checks=("cover",))
+                assert result.overall == "fail", (i, j)
+                transition = result.checks[0]
+                assert transition.status == "fail", (i, j)
+                assert "oracle setup failed: point (" in transition.detail
+    finally:
+        field._frobenius = columns
+    assert run_verification(13, checks=("cover",)).overall == "pass"
+
+
+def test_too_few_oracle_points_fail_instead_of_raising():
+    result = run_verification(3, checks=("lemmas",), oracle_points=10_000)
+    assert result.overall == "fail"
+    assert all(c.status == "fail" for c in result.checks)
+    assert "oracle setup failed: only " in result.checks[0].detail
+
+
+def test_oracle_points_are_checked_once(monkeypatch):
+    calls = []
+    on_curve = curve.on_curve
+
+    def counted(ctx, point):
+        calls.append(ctx)
+        return on_curve(ctx, point)
+
+    monkeypatch.setattr(curve, "on_curve", counted)
+    assert run_verification(13, checks=("lemmas", "cover")).overall == "pass"
+    # 20 oracle points on each of the two curves and 20 w = 0 points
+    assert len(calls) <= 60
