@@ -4,7 +4,7 @@ bundle Syz(u^2, v^2, w^2)(3) on Fermat curves in odd characteristic."""
 __version__ = "0.1.0"
 
 from .census import component_stats, enumerate_fiber
-from .gf import make_extension_field, solve_power_equation
+from .gf import make_extension_field
 from .report import CoverReport, emit_report, run_verification
 from .syz import build_catalog
 
@@ -17,5 +17,4 @@ __all__ = [
     "enumerate_fiber",
     "make_extension_field",
     "run_verification",
-    "solve_power_equation",
 ]

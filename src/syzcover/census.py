@@ -10,9 +10,12 @@ Gaussian elimination over F_p: the c are ker(Frob^2 - 2) minus 0 and the
 ratios d/c are ker(Frob^2 - 1) minus ker(Frob - 1), that is GF(p^2) minus
 F_p.  The census re-verifies every point against the raw equations, with
 Frobenius as the same certified matrix, and reads off the component
-structure from the determinant values.  Formula-level invariants (counts,
-degrees, genera) are exposed separately so they stay available when the
-field is too large to enumerate.
+structure from the determinant values.  The enumeration runs only when the
+census field has at most CENSUS_CAP elements (p <= 7).
+
+component_stats gives the closed-form invariants (counts, degrees,
+genera) that a report carries as its stats at every prime; the fiber
+checks compare the census against the same formulas.
 """
 
 from __future__ import annotations
@@ -20,14 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf import (
-    DEFAULT_SCAN_CAP,
-    FieldElement,
-    find_generator,
-    is_prime,
-    linear_kernel,
-    make_extension_field,
-)
+from .gf import FieldElement, is_prime, linear_kernel, make_extension_field
+
+# Largest census field enumerated point by point: GF(5^8) and GF(7^6) fit,
+# GF(11^20) does not.
+CENSUS_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,14 @@ class CensusResult:
 
 
 @dataclass(frozen=True)
-class ComponentStats:
-    prime: int
-    component_count: int
+class ReportStats:
+    components: int
     total_fiber: int
-    degree_per_component: int
+    degree: int
     genus_base: int
     genus_component: int
     eta_field_degree: int
     fiber_field_degree: int
-    zeta: int  # generator of the prime field's unit group
 
 
 def _require_odd_prime(p: int):
@@ -106,7 +104,7 @@ def fiber_field_degree(p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def enumerate_fiber(p: int, cap: int = DEFAULT_SCAN_CAP) -> CensusResult:
+def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
     """All fiber points over (1 : 0 : 1), or a skip marker above the cap."""
     _require_odd_prime(p)
     m = fiber_field_degree(p)
@@ -115,7 +113,7 @@ def enumerate_fiber(p: int, cap: int = DEFAULT_SCAN_CAP) -> CensusResult:
             p, m, True, (), 0,
             f"census field GF({p}^{m}) has {p ** m} elements, above the cap {cap}",
         )
-    field = make_extension_field(p, m, cap)
+    field = make_extension_field(p, m)
     c_solutions = [
         c for c in linear_kernel(field, lambda x: x.frobenius().frobenius() - 2 * x) if c
     ]
@@ -131,7 +129,7 @@ def enumerate_fiber(p: int, cap: int = DEFAULT_SCAN_CAP) -> CensusResult:
     return CensusResult(p, m, False, points, len(points))
 
 
-def verify_fiber_point(p: int, pt: FiberPoint) -> bool:
+def verify_fiber_point(pt: FiberPoint) -> bool:
     """Re-check the three defining equations on the point itself.
 
     For a unit x, x^(p^2-1) = 2 is Frob^2(x) = 2x, and cross^(p-1) = -2 is
@@ -156,38 +154,22 @@ def determinant_classes(census: CensusResult) -> dict:
     return classes
 
 
-def component_stats(p: int, census: CensusResult | None = None) -> ComponentStats:
-    """Closed-form invariants, cross-checked against a census if supplied."""
+def component_stats(p: int) -> ReportStats:
+    """The closed-form invariants of the cover, as a report's stats."""
     _require_odd_prime(p)
-    components = p - 1
-    total = (p * p - 1) * p * (p - 1)
     degree = p * (p * p - 1)
     genus_base = p * (p - 1) // 2
-    genus_component = degree * (genus_base - 1) + 1
-    if census is not None and not census.skipped:
-        if census.total != total:
-            raise ArithmeticError(
-                f"census total {census.total} disagrees with formula {total}"
-            )
-        if census.total % components or census.total // components != degree:
-            raise ArithmeticError("census does not split into p - 1 equal components")
-    prime_field = make_extension_field(p)
-    zeta = find_generator(prime_field)
-    return ComponentStats(
-        prime=p,
-        component_count=components,
-        total_fiber=total,
-        degree_per_component=degree,
+    return ReportStats(
+        components=p - 1,
+        total_fiber=(p * p - 1) * p * (p - 1),
+        degree=degree,
         genus_base=genus_base,
-        genus_component=genus_component,
+        genus_component=degree * (genus_base - 1) + 1,
         eta_field_degree=eta_field_degree(p),
         fiber_field_degree=fiber_field_degree(p),
-        zeta=zeta.index,
     )
 
 
-def hurwitz_consistent(stats: ComponentStats) -> bool:
+def hurwitz_consistent(stats: ReportStats) -> bool:
     """2 g_X - 2 = deg * (2 g_Y - 2) for the unramified cover."""
-    return 2 * stats.genus_component - 2 == stats.degree_per_component * (
-        2 * stats.genus_base - 2
-    )
+    return 2 * stats.genus_component - 2 == stats.degree * (2 * stats.genus_base - 2)

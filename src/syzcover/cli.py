@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .gf import DEFAULT_SCAN_CAP
+from .census import CENSUS_CAP
 from .report import emit_report, parse_selection, run_verification
 
 
@@ -36,8 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--max-field-size",
         type=int,
-        default=DEFAULT_SCAN_CAP,
-        help=f"census fields above this size are skipped (default {DEFAULT_SCAN_CAP})",
+        default=CENSUS_CAP,
+        help="the fiber census is skipped when its field has more elements than this "
+        f"(at least 1; default {CENSUS_CAP}, which enumerates p <= 7)",
     )
     verify.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     verify.add_argument(

@@ -45,6 +45,8 @@ class CoverData:
     T: tuple                 # transition matrix between the two frames
     H_U: tuple               # chart-U Frobenius comparison matrix
     H_W: tuple               # chart-W Frobenius comparison matrix
+    A: tuple                 # chart-U indeterminates a, b; c, d
+    B: tuple                 # chart-W indeterminates alpha, beta; gamma, delta
     frob_adj_U: tuple        # F(A) * adj(A) for the chart-U indeterminates
     frob_adj_W: tuple        # F(B) * adj(B) for the chart-W indeterminates
     relations_U: tuple       # four det-cleared chart-U relations (formal)
@@ -131,7 +133,7 @@ def build_cover_data(p: int, catalog: GeneratorCatalog | None = None) -> CoverDa
         "c": alpha.scale(f(u, 0, 1)) + gamma.scale(f(v * v, 1, 1)),
         "d": beta.scale(f(u, 0, 1)) + delta.scale(f(v * v, 1, 1)),
     }
-    return CoverData(ctx, catalog, T, h_u, h_w, frob_adj_U, frob_adj_W, relations_U, relations_W, substitution)
+    return CoverData(ctx, catalog, T, h_u, h_w, A, B, frob_adj_U, frob_adj_W, relations_U, relations_W, substitution)
 
 
 def _frame(triple, var_idx: int, denom_exp: int = 1):
@@ -252,16 +254,14 @@ def check_gluing(cd: CoverData) -> CheckOutcome:
     Each chart-U indeterminate equals the matching entry of T * B after
     the substitution, and det A = det T * det B = alpha*delta - beta*gamma.
     """
-    ctx = cd.ctx
-    B = _formal_matrix(ctx, W_VARS)
-    TB = mat_mul(_lift(ctx, W_VARS, cd.T), B)
+    TB = mat_mul(_lift(cd.ctx, W_VARS, cd.T), cd.B)
     claims = []
     for (i, j), name in (((0, 0), "a"), ((0, 1), "b"), ((1, 0), "c"), ((1, 1), "d")):
         claims.append(zero_claim(f"gluing entry {name}", cd.substitution[name] - TB[i][j]))
 
     s = cd.substitution
     det_subst = s["a"] * s["d"] - s["b"] * s["c"]
-    claims.append(zero_claim("det under gluing", det_subst - det(B)))
+    claims.append(zero_claim("det under gluing", det_subst - det(cd.B)))
     return CheckOutcome("gluing substitution equals T*B and preserves det", "gluing mismatch", claims)
 
 
@@ -275,7 +275,7 @@ def check_section_ring(cd: CoverData) -> CheckOutcome:
     ctx = cd.ctx
     u, v, w = ctx.variables()
     f = ctx.fraction
-    (alpha, beta), (gamma, delta) = _formal_matrix(ctx, W_VARS)
+    (alpha, beta), (gamma, delta) = cd.B
     w2 = f(w * w)
 
     def membership(first, second):
@@ -306,10 +306,9 @@ def check_det_periodicity(cd: CoverData) -> CheckOutcome:
     det(H_U * A) = det H_U * det A; together with the chart relations
     these give (det A)^p = -2 det A.
     """
-    ctx = cd.ctx
+    ctx, A = cd.ctx, cd.A
     p = ctx.p
     f = ctx.fraction
-    A = _formal_matrix(ctx, U_VARS)
     dA = det(A)
     frob_det = det(entrywise_p_power(A))
     diff1 = frob_det - dA ** p
@@ -397,9 +396,8 @@ def check_w0_specialization(cd: CoverData) -> CheckOutcome:
     so after writing D = ad - bc every generator lies in (a, b, c, d),
     which is the contradiction forcing det A outside the ground field.
     """
-    ctx = cd.ctx
+    ctx, A = cd.ctx, cd.A
     p = ctx.p
-    A = _formal_matrix(ctx, U_VARS)
     (a11, a12), (a21, a22) = A
     expected_frob = (
         a11 ** p * a22 - a21 * a12 ** p,   # a^p d - c b^p
@@ -448,17 +446,15 @@ def check_w0_specialization(cd: CoverData) -> CheckOutcome:
     return CheckOutcome("w = 0 collapse matches F1..F4 with D-coefficients (0, -1, -2, 0)", problems=problems)
 
 
-def check_matrix_ideal_shift(
-    field: GF, rng, samples: int = 100, sizes=(2, 3)
-) -> CheckOutcome:
+def check_matrix_ideal_shift(field: GF, rng, samples: int = 100) -> CheckOutcome:
     """Multiplication identities behind the ideal shift (A B^-1 - C) ~ (A - C B).
 
-    For random square matrices with invertible B:
+    For random 2x2 and 3x3 matrices with invertible B:
       (A B^-1 - C) B = A - C B   and   (A - C B) B^-1 = A B^-1 - C.
     """
     checked = 0
     problems = []
-    for n in sizes:
+    for n in (2, 3):
         done = 0
         while done < samples and not problems:
             rand = lambda: mat(

@@ -6,6 +6,11 @@ the defining equation, i.e. on the monomial basis {u^i v^j w^k : k < e}.
 Fractions carry denominators u^a w^b only (the charts that ever get
 localized) and compare by cross multiplication, which is valid because
 u and w are nonzerodivisors in the (integral) coordinate ring.
+
+Points are made by random_curve_points, which draws them from a table of
+e-th powers, and are checked on the curve once, as CurvePoint.
+curve_cone_points enumerates every point of the affine cone; it is the
+reference the sampler is tested against, not part of the pipeline.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gf import GF, FieldElement, FieldTooLargeError, is_prime
+from .gf import GF, FieldElement, is_prime
 
 
 @dataclass(frozen=True)
@@ -480,13 +485,10 @@ def curve_cone_points(ctx: CurveContext, field: GF):
     """All nonzero (u0, v0, w0) in the field cube satisfying the equation.
 
     Enumerated with one precomputed table of e-th powers, so the cost is
-    O(|F|^2) instead of a cube scan.  Test-only: the reference enumeration
-    that the sampler is checked against; nothing in the pipeline calls it.
+    O(|F|^2) instead of a cube scan.  Nothing in the pipeline calls it: it
+    is the reference enumeration that the sampler is tested against, and
+    the benchmark's tracer binds it by name.
     """
-    if field.order ** 2 > field.scan_cap:
-        raise FieldTooLargeError(
-            f"cone enumeration over order-{field.order} field exceeds the cap"
-        )
     e = ctx.exponent
     power_to_elems: dict = {}
     for w0 in field.elements():
@@ -502,11 +504,10 @@ def curve_cone_points(ctx: CurveContext, field: GF):
     return points
 
 
-def random_curve_points(ctx: CurveContext, field: GF, count: int, rng, units: bool = True):
-    """count distinct curve points, sampled deterministically from rng.
-
-    With units=True only points with u0 != 0 and w0 != 0 are returned, so
-    every monomial denominator u^a w^b can be evaluated at them.
+def random_curve_points(ctx: CurveContext, field: GF, count: int, rng):
+    """count distinct curve points with u0 != 0 and w0 != 0, sampled
+    deterministically from rng; every monomial denominator u^a w^b can be
+    evaluated at them.
 
     Pairs (u0, v0) are drawn without repetition (a lazy Fisher-Yates
     shuffle of the pair indices) and each is completed by one w0, chosen
@@ -521,11 +522,10 @@ def random_curve_points(ctx: CurveContext, field: GF, count: int, rng, units: bo
     order = field.order
     elements = list(field.elements())  # index 0 is the zero element
     powers = list(map(power_map(ctx, field), elements))
-    first = 1 if units else 0
     roots: dict = {}
-    for x, power in zip(elements[first:], powers[first:]):
+    for x, power in zip(elements[1:], powers[1:]):
         roots.setdefault(power.coeffs, []).append(x)
-    total = (order - first) * order
+    total = (order - 1) * order
     swapped: dict = {}
     points = []
     for drawn in range(total):
@@ -534,9 +534,9 @@ def random_curve_points(ctx: CurveContext, field: GF, count: int, rng, units: bo
         pick = rng.randrange(drawn, total)
         pair = swapped.get(pick, pick)
         swapped[pick] = swapped.get(drawn, drawn)
-        ui, vi = first + pair // order, pair % order
+        ui, vi = 1 + pair // order, pair % order
         candidates = roots.get((powers[ui] + powers[vi]).coeffs)
-        if not candidates or not (ui or vi):  # (0, 0) only completes to (0, 0, 0)
+        if not candidates:
             continue
         w0 = candidates[rng.randrange(len(candidates))]
         points.append((elements[ui], elements[vi], w0))

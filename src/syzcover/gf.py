@@ -2,27 +2,22 @@
 
 Elements are polynomial residues modulo a monic irreducible polynomial.
 The modulus is chosen deterministically (first irreducible in a fixed
-counting order), so generators, solution sets of power equations and
-everything serialized from them are stable across runs and machines.
+counting order), so everything serialized from a field is stable across
+runs and machines.  make_extension_field memoizes one field per (p, m).
 
 Frobenius x -> x^p is F_p-linear, so it is applied as an m x m matrix over
 F_p, built and certified once per field; `linear_kernel` lists the F_p-kernel
 of any F_p-linear map on the field.
 
-Whole-field operations (generator search, power-equation scans) refuse
-fields above a configurable size cap instead of running for hours.
+find_generator and solve_power_equation scan the whole field.  The
+pipeline calls neither: they are references that the census tests and the
+benchmark's tracer use.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-
-DEFAULT_SCAN_CAP = 1 << 22
-
-
-class FieldTooLargeError(ValueError):
-    """A whole-field scan was requested on a field above the size cap."""
 
 
 def is_prime(n: int) -> bool:
@@ -156,11 +151,10 @@ class GF:
     """
 
     __slots__ = (
-        "p", "m", "order", "scan_cap", "modulus",
-        "_reduction", "_frobenius", "_generator", "_unit_factors", "zero", "one",
+        "p", "m", "order", "modulus", "_reduction", "_frobenius", "zero", "one",
     )
 
-    def __init__(self, p: int, m: int = 1, scan_cap: int = DEFAULT_SCAN_CAP):
+    def __init__(self, p: int, m: int = 1):
         if not is_prime(p) or p < 3:
             raise ValueError(f"characteristic must be an odd prime, got {p}")
         if m < 1:
@@ -168,12 +162,9 @@ class GF:
         self.p = p
         self.m = m
         self.order = p ** m
-        self.scan_cap = scan_cap
         self.modulus = _find_irreducible(p, m)
         self._reduction = self._reduction_rows()
         self._frobenius = None
-        self._generator = None
-        self._unit_factors = None
         self.zero = FieldElement(self, (0,) * m)
         self.one = FieldElement(self, (1,) + (0,) * (m - 1))
 
@@ -252,11 +243,6 @@ class GF:
 
     def random_element(self, rng) -> FieldElement:
         return self.from_index(rng.randrange(self.order))
-
-    def unit_group_factors(self) -> tuple[int, ...]:
-        if self._unit_factors is None:
-            self._unit_factors = prime_factors(self.order - 1)
-        return self._unit_factors
 
     def __eq__(self, other):
         return (
@@ -439,24 +425,12 @@ class FieldElement:
 _FIELDS: dict[tuple, GF] = {}
 
 
-def make_extension_field(p: int, m: int = 1, scan_cap: int = DEFAULT_SCAN_CAP) -> GF:
+def make_extension_field(p: int, m: int = 1) -> GF:
     """Construct (and memoize) the field GF(p^m) with its canonical modulus."""
-    key = (p, m, scan_cap)
-    field = _FIELDS.get(key)
+    field = _FIELDS.get((p, m))
     if field is None:
-        field = _FIELDS[key] = GF(p, m, scan_cap)
+        field = _FIELDS[(p, m)] = GF(p, m)
     return field
-
-
-def multiplicative_order(a: FieldElement) -> int:
-    """Least n >= 1 with a**n == 1; divides p^m - 1."""
-    if a.is_zero():
-        raise ValueError("zero has no multiplicative order")
-    n = a.field.order - 1
-    for ell in a.field.unit_group_factors():
-        while n % ell == 0 and (a ** (n // ell)) == a.field.one:
-            n //= ell
-    return n
 
 
 def linear_kernel(field: GF, fn) -> tuple:
@@ -502,18 +476,11 @@ def linear_kernel(field: GF, fn) -> tuple:
 
 def find_generator(field: GF) -> FieldElement:
     """Smallest (in canonical index order) generator of the unit group."""
-    if field._generator is not None:
-        return field._generator
-    if field.order > field.scan_cap:
-        raise FieldTooLargeError(
-            f"field of order {field.order} exceeds scan cap {field.scan_cap}"
-        )
     q1 = field.order - 1
-    factors = field.unit_group_factors()
+    factors = prime_factors(q1)
     for k in range(1, field.order):
         a = field.from_index(k)
         if all((a ** (q1 // ell)) != field.one for ell in factors):
-            field._generator = a
             return a
     raise RuntimeError("no generator found")  # unreachable: unit group is cyclic
 
@@ -530,10 +497,6 @@ def solve_power_equation(field: GF, n: int, a: FieldElement):
         raise ValueError("right-hand side must be nonzero")
     if n < 1:
         raise ValueError("exponent must be >= 1")
-    if field.order > field.scan_cap:
-        raise FieldTooLargeError(
-            f"field of order {field.order} exceeds scan cap {field.scan_cap}"
-        )
     q1 = field.order - 1
     g = math.gcd(n, q1)
     if (a ** (q1 // g)) != field.one:

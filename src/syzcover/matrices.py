@@ -1,7 +1,7 @@
 """Determinant, adjugate and products for small square matrices.
 
 Matrices are tuples of tuples of ring elements; n = 2 and n = 3 are the
-sizes that ever occur.  Entries only need +, -, * (and .inverse() on the
+only dimensions that occur.  Entries only need +, -, * (and .inverse() on the
 determinant for matrix inversion, .p_power() for entrywise Frobenius), so
 the same code serves field elements, localized curve fractions and formal
 polynomials.

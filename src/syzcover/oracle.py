@@ -83,7 +83,7 @@ class PointOracle:
         self.field = make_extension_field(ctx.p, 2)
         rng = random.Random(seed * 1000003 + ctx.p * 101 + ctx.exponent)
         self.rng = rng
-        sampled = random_curve_points(ctx, self.field, points, rng, units=True)
+        sampled = random_curve_points(ctx, self.field, points, rng)
         self.points = [CurvePoint(ctx, pt) for pt in sampled]
 
     def _values(self, obj):

@@ -4,6 +4,8 @@ run_verification executes the symbolic identity checks, the numeric
 oracle cross-checks and (when the census field fits under the cap) the
 fiber enumeration for one prime, and collects everything into a report
 that serializes byte-identically for a fixed (prime, seed, version).
+The report's stats are the closed-form values of census.component_stats;
+the fiber checks compare the census against the same formulas.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .census import (
+    CENSUS_CAP,
+    ReportStats,
     component_stats,
     determinant_classes,
     enumerate_fiber,
@@ -32,7 +36,7 @@ from .cover import (
     check_transition,
     check_w0_specialization,
 )
-from .gf import DEFAULT_SCAN_CAP, is_prime, make_extension_field
+from .gf import is_prime, make_extension_field
 from .oracle import CheckOutcome, OracleSuite
 from .syz import (
     build_catalog,
@@ -50,17 +54,6 @@ class CheckRecord:
     name: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str
-
-
-@dataclass(frozen=True)
-class ReportStats:
-    components: int
-    total_fiber: int
-    degree: int
-    genus_base: int
-    genus_component: int
-    eta_field_degree: int
-    fiber_field_degree: int
 
 
 @dataclass(frozen=True)
@@ -112,72 +105,67 @@ def _unmet(*conditions) -> list:
     return [note for note, holds in conditions if not holds]
 
 
-def _fiber_checks(p: int, cap: int):
-    """Skipped records, then (name, outcome) pairs, then the component stats."""
+def _fiber_checks(p: int, cap: int, stats: ReportStats):
+    """Skipped records, then (name, outcome) pairs; the census is held to stats."""
     census = enumerate_fiber(p, cap)
     skipped, outcomes = [], []
-    census_ok = False
     if census.skipped:
         skipped.append(CheckRecord("fiber_census", "skipped", census.reason))
         skipped.append(CheckRecord("component_structure", "skipped", "no census to tabulate"))
     else:
-        field = make_extension_field(p, census.field_degree, cap)
-        census_outcome = CheckOutcome(
+        field = make_extension_field(p, census.field_degree)
+        outcomes.append(("fiber_census", CheckOutcome(
             f"{census.total} fiber points enumerated in GF({p}^{census.field_degree}), "
             f"equal to (p^2-1)p(p-1), every point re-verified",
-            f"census total {census.total} or point re-verification failed",
             problems=_unmet(
                 ("Frobenius matrix not certified", not field.frobenius_mismatches()),
-                ("census total off the formula", census.total == (p * p - 1) * p * (p - 1)),
+                ("census total off the formula", census.total == stats.total_fiber),
                 ("point re-verification failed",
-                 all(verify_fiber_point(p, pt) for pt in census.points)),
+                 all(verify_fiber_point(pt) for pt in census.points)),
             ),
-        )
-        census_ok = census_outcome.ok
-        outcomes.append(("fiber_census", census_outcome))
+        )))
 
         classes = determinant_classes(census)
-        degree = p * (p * p - 1)
         outcomes.append(("component_structure", CheckOutcome(
-            f"ad-bc takes exactly {p - 1} values, each with (p-1)-th power -2, "
-            f"each on {degree} points",
-            "determinant class structure broken",
+            f"ad-bc takes exactly {stats.components} values, each with (p-1)-th power -2, "
+            f"each on {stats.degree} points",
             problems=_unmet(
-                ("wrong number of determinant values", len(classes) == p - 1),
-                ("class sizes differ from the degree",
-                 all(len(v) == degree for v in classes.values())),
+                ("wrong number of determinant values", len(classes) == stats.components),
+                ("a class size differs from the degree",
+                 all(len(v) == stats.degree for v in classes.values())),
                 ("a determinant value's (p-1)-th power is not -2",
                  all(field.element(k) ** (p - 1) == field(-2) for k in classes)),
             ),
         )))
 
-    # a census that failed is reported as such; only a passing one is cross-checked
-    stats = component_stats(p, census if census_ok else None)
     outcomes.append(("genus_hurwitz", CheckOutcome(
-        f"2g-2 = {stats.degree_per_component}*(2*{stats.genus_base}-2) gives genus "
+        f"2g-2 = {stats.degree}*(2*{stats.genus_base}-2) gives genus "
         f"{stats.genus_component}",
         "Hurwitz bookkeeping failed",
         problems=_unmet(
             ("unramified Hurwitz formula fails", hurwitz_consistent(stats)),
             ("fiber does not split into equal components",
-             stats.total_fiber == stats.component_count * stats.degree_per_component),
+             stats.total_fiber == stats.components * stats.degree),
         ),
     )))
-    return skipped, outcomes, stats
+    return skipped, outcomes
 
 
 def run_verification(
     p: int,
     checks: str | tuple = "all",
     seed: int = 0,
-    max_field_size: int = DEFAULT_SCAN_CAP,
+    max_field_size: int = CENSUS_CAP,
     oracle_points: int = 20,
 ) -> CoverReport:
     """Execute the selected check groups for one prime."""
     if not isinstance(p, int) or not is_prime(p) or p < 3:
         raise ValueError(f"prime must be an odd prime >= 3, got {p}")
+    if max_field_size < 1:
+        raise ValueError(f"max field size must be >= 1, got {max_field_size}")
     selection = parse_selection(checks if isinstance(checks, str) else ",".join(checks))
 
+    stats = component_stats(p)
     records: list[CheckRecord] = []
     oracles = OracleSuite(seed=seed, points=oracle_points)
 
@@ -213,27 +201,17 @@ def run_verification(
         )
 
     if "fiber" in selection:
-        skipped, outcomes, stats = _fiber_checks(p, max_field_size)
+        skipped, outcomes = _fiber_checks(p, max_field_size, stats)
         records.extend(skipped)
         for name, outcome in outcomes:
             run(name, outcome)
-    else:
-        stats = component_stats(p)
 
     overall = "pass" if all(r.status != "fail" for r in records) else "fail"
     return CoverReport(
         prime=p,
         overall=overall,
         checks=tuple(records),
-        stats=ReportStats(
-            components=stats.component_count,
-            total_fiber=stats.total_fiber,
-            degree=stats.degree_per_component,
-            genus_base=stats.genus_base,
-            genus_component=stats.genus_component,
-            eta_field_degree=stats.eta_field_degree,
-            fiber_field_degree=stats.fiber_field_degree,
-        ),
+        stats=stats,
         engine=EngineInfo(version=__version__, seed=seed),
     )
 

@@ -177,11 +177,6 @@ def degrees_consistent(triple: SyzygyTriple) -> bool:
     return True
 
 
-def check_syzygy(triple: SyzygyTriple) -> bool:
-    """Membership plus degree bookkeeping for one triple."""
-    return triple.combination().is_zero() and degrees_consistent(triple)
-
-
 def _degree_problems(triples) -> list:
     return [f"degrees {t.label}" for t in triples if not degrees_consistent(t)]
 

@@ -136,7 +136,7 @@ def test_criterion_2_census_equals_formula():
         assert expected == formula
         assert census.total == formula, (p, census.total, formula)
         for pt in census.points:
-            assert verify_fiber_point(p, pt)
+            assert verify_fiber_point(pt)
         details.append(f"p={p}: {census.total}")
     _line(2, True, "; ".join(details) + "; all points re-verified")
 
@@ -226,7 +226,7 @@ def test_criterion_5_hurwitz():
         stats = component_stats(p)
         assert hurwitz_consistent(stats), p
         assert stats.genus_base == p * (p - 1) // 2
-        assert 2 * stats.genus_component - 2 == stats.degree_per_component * (
+        assert 2 * stats.genus_component - 2 == stats.degree * (
             2 * stats.genus_base - 2
         )
     _line(5, True, f"exact for p in {PRIMES}")
@@ -235,7 +235,7 @@ def test_criterion_5_hurwitz():
 def test_criterion_6_matrix_ideal_shift():
     """Constructive ideal-shift identities on 100 samples over GF(7), n in {2, 3}."""
     field = make_extension_field(7)
-    out = check_matrix_ideal_shift(field, random.Random(0), samples=100, sizes=(2, 3))
+    out = check_matrix_ideal_shift(field, random.Random(0), samples=100)
     assert out.ok, out.detail
     _line(6, True, out.detail)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from syzcover import report
 from syzcover.census import (
     CensusResult,
     FiberPoint,
@@ -124,14 +125,14 @@ def test_census_p3_matches_full_double_scan():
 def test_every_point_reverified(p):
     census = enumerate_fiber(p)
     for pt in census.points:
-        assert verify_fiber_point(p, pt)
+        assert verify_fiber_point(pt)
 
 
 def test_reverification_rejects_bad_point():
     census = enumerate_fiber(3)
     good = census.points[0]
     bad = FiberPoint(good.c, good.c)  # d/c = 1 violates the cross equation
-    assert not verify_fiber_point(3, bad)
+    assert not verify_fiber_point(bad)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -178,6 +179,10 @@ def test_census_cap_override():
     assert small.skipped
 
 
+def test_census_field_is_one_object_per_field_whatever_the_cap():
+    assert enumerate_fiber(5, 1 << 24).points[0].c.field is make_extension_field(5, 8)
+
+
 @pytest.mark.parametrize(
     "p,expected",
     [
@@ -189,12 +194,11 @@ def test_census_cap_override():
     ],
 )
 def test_component_stats(p, expected):
-    census = enumerate_fiber(p)
-    stats = component_stats(p, census if not census.skipped else None)
+    stats = component_stats(p)
     got = (
-        stats.component_count,
+        stats.components,
         stats.total_fiber,
-        stats.degree_per_component,
+        stats.degree,
         stats.genus_base,
         stats.genus_component,
     )
@@ -205,20 +209,24 @@ def test_component_stats(p, expected):
 def test_hurwitz(p):
     stats = component_stats(p)
     assert hurwitz_consistent(stats)
-    assert stats.total_fiber % stats.component_count == 0
-    assert stats.total_fiber // stats.component_count == stats.degree_per_component
+    assert stats.total_fiber % stats.components == 0
+    assert stats.total_fiber // stats.components == stats.degree
 
 
-def test_stats_cross_check_rejects_bad_census():
+def test_census_one_point_short_fails_the_fiber_checks(monkeypatch):
+    """A census off the formula fails fiber_census and component_structure;
+    the report still carries the formula's stats and the run does not raise."""
     census = enumerate_fiber(3)
-    broken = CensusResult(3, 4, False, census.points[:-1], census.total - 1)
-    with pytest.raises(ArithmeticError):
-        component_stats(3, broken)
-
-
-@pytest.mark.parametrize("p,zeta", [(3, 2), (5, 2), (7, 3)])
-def test_zeta_is_prime_field_generator(p, zeta):
-    assert component_stats(p).zeta == zeta
+    short = CensusResult(3, 4, False, census.points[:-1], census.total - 1)
+    monkeypatch.setattr(report, "enumerate_fiber", lambda p, cap: short)
+    out = run_verification(3, checks=("fiber",))
+    status = {c.name: (c.status, c.detail) for c in out.checks}
+    assert status["fiber_census"][0] == "fail"
+    assert "census total off the formula" in status["fiber_census"][1]
+    assert status["component_structure"][0] == "fail"
+    assert out.overall == "fail"
+    assert out.stats == component_stats(3)
+    assert (out.stats.total_fiber, out.stats.components, out.stats.degree) == (48, 2, 24)
 
 
 def test_rejects_non_prime():

@@ -323,17 +323,6 @@ def test_random_curve_points_exhausted_raises_plain_value_error(quartic):
     assert type(info.value) is ValueError
 
 
-def test_random_curve_points_without_units_skip_origin(quartic):
-    # four pairs (u0, v0) have roots over GF(3): (0, +-1) and (+-1, 0)
-    F3 = make_extension_field(3)
-    for seed in range(10):
-        pts = random_curve_points(quartic, F3, 4, random.Random(seed), units=False)
-        assert all(on_curve(quartic, pt) for pt in pts)
-        assert all(any(not c.is_zero() for c in pt) for pt in pts)
-    with pytest.raises(ValueError):
-        random_curve_points(quartic, F3, 5, random.Random(0), units=False)
-
-
 @pytest.mark.parametrize("p", (3, 13))
 def test_checked_point_evaluates_like_the_tuple(p):
     ctx = fermat_curve(p)  # the quartic at p = 3

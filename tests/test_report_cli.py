@@ -199,6 +199,18 @@ def test_cli_max_field_size_forces_skip():
     assert statuses["fiber_census"] == "skipped"
 
 
+@pytest.mark.parametrize("size", (0, -5))
+def test_nonpositive_max_field_size_is_an_input_error(size):
+    with pytest.raises(ValueError, match="max field size"):
+        run_verification(3, checks=("fiber",), max_field_size=size)
+    res = _run_cli(
+        "verify", "--prime", "3", "--checks", "fiber", "--max-field-size", str(size)
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ")
+
+
 def test_tuple_selection_rejects_unknown_group():
     with pytest.raises(ValueError):
         run_verification(3, checks=("lemma",))
