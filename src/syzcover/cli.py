@@ -50,17 +50,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_primes(text: str) -> list[int]:
+    primes = []
+    for tok in filter(None, map(str.strip, text.split(","))):
+        try:
+            primes.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--primes: {tok!r} is not an integer") from None
+    return primes
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "verify":
         try:
-            primes = (
-                [args.prime]
-                if args.prime is not None
-                else [int(tok) for tok in args.primes.split(",") if tok.strip()]
-            )
+            primes = [args.prime] if args.prime is not None else _parse_primes(args.primes)
             if not primes:
                 raise ValueError("--primes lists no prime")
             selection = parse_selection(args.checks)

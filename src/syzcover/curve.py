@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gf import GF, FieldElement, is_prime
+from .gf import GF, FieldElement, is_prime, power
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class CurvePolynomial:
 
     def _coerce(self, other):
         if isinstance(other, CurvePolynomial):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("polynomials from different curve contexts")
             return other
         if isinstance(other, int):
@@ -144,14 +144,7 @@ class CurvePolynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.ctx.one())
 
     def p_power(self) -> CurvePolynomial:
         """f**p computed termwise; valid since coefficients sit in F_p."""
@@ -201,7 +194,7 @@ class CurvePolynomial:
             other = self.ctx.const(other)
         return (
             isinstance(other, CurvePolynomial)
-            and self.ctx == other.ctx
+            and (self.ctx is other.ctx or self.ctx == other.ctx)
             and self.terms == other.terms
         )
 
@@ -283,7 +276,7 @@ class LocalFraction:
     __slots__ = ("ctx", "num", "du", "dw")
 
     def __init__(self, ctx: CurveContext, num: CurvePolynomial, du: int = 0, dw: int = 0):
-        if num.ctx != ctx:
+        if num.ctx is not ctx and num.ctx != ctx:
             raise ValueError("numerator from a different context")
         if du < 0 or dw < 0:
             raise ValueError("denominator exponents must be >= 0")
@@ -312,7 +305,7 @@ class LocalFraction:
 
     def _coerce(self, other):
         if isinstance(other, LocalFraction):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("fractions from different curve contexts")
             return other
         if isinstance(other, (int, CurvePolynomial)):
@@ -325,8 +318,8 @@ class LocalFraction:
             return NotImplemented
         du = max(self.du, other.du)
         dw = max(self.dw, other.dw)
-        a = self.num * _monomial(self.ctx, du - self.du, dw - self.dw)
-        b = other.num * _monomial(self.ctx, du - other.du, dw - other.dw)
+        a = _times_monomial(self.num, du - self.du, dw - self.dw)
+        b = _times_monomial(other.num, du - other.du, dw - other.dw)
         return LocalFraction(self.ctx, a + b, du, dw)
 
     __radd__ = __add__
@@ -386,9 +379,9 @@ class LocalFraction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        lhs = self.num * _monomial(self.ctx, other.du, other.dw)
-        rhs = other.num * _monomial(self.ctx, self.du, self.dw)
-        return lhs == rhs
+        return _times_monomial(self.num, other.du, other.dw) == _times_monomial(
+            other.num, self.du, self.dw
+        )
 
     def evaluate(self, point) -> FieldElement:
         point = as_curve_point(self.ctx, point)
@@ -426,8 +419,11 @@ class LocalFraction:
     __repr__ = __str__
 
 
-def _monomial(ctx, du, dw):
-    return ctx.monomial(1, (du, 0, dw))
+def _times_monomial(num, du, dw):
+    """num * u^du * w^dw; num itself when both exponents are 0."""
+    if du or dw:
+        return num * num.ctx.monomial(1, (du, 0, dw))
+    return num
 
 
 def on_curve(ctx: CurveContext, point) -> bool:

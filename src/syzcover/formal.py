@@ -10,6 +10,7 @@ coefficients pairwise rather than by dictionary identity.
 from __future__ import annotations
 
 from .curve import CurveContext, CurvePolynomial, LocalFraction, as_curve_point
+from .gf import power
 
 
 class FormalPolynomial:
@@ -51,7 +52,8 @@ class FormalPolynomial:
 
     def _coerce(self, other):
         if isinstance(other, FormalPolynomial):
-            if other.ctx != self.ctx or other.vars != self.vars:
+            same_ctx = other.ctx is self.ctx or other.ctx == self.ctx
+            if not same_ctx or other.vars != self.vars:
                 raise ValueError("formal polynomials over different rings")
             return other
         if isinstance(other, (int, CurvePolynomial, LocalFraction)):
@@ -106,14 +108,7 @@ class FormalPolynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = FormalPolynomial.constant(self.ctx, self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, FormalPolynomial.constant(self.ctx, self.vars, 1))
 
     def p_power(self) -> FormalPolynomial:
         """Entrywise Frobenius: valid termwise in characteristic p."""

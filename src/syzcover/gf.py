@@ -94,14 +94,32 @@ def _pgcd(a, b, p):
     return a
 
 
+def power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, using only `*`.
+
+    Squares only while bits remain, so n costs bit_length(n) - 1 squarings
+    plus popcount(n) products; n = 0 gives one.
+    """
+    result = one
+    while True:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
+
+
 def _ppowmod(a, e, f, p):
+    # the loop of power() on coefficient lists, reduced modulo f
     result = [1]
     base = _pmod(a, f, p)
     while e:
         if e & 1:
             result = _pmod(_pmul(result, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
         e >>= 1
+        if e:
+            base = _pmod(_pmul(base, base, p), f, p)
     return result
 
 
@@ -373,15 +391,7 @@ class FieldElement:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
             return f.one if e == 0 else f.zero
-        q1 = f.order - 1
-        e %= q1
-        result, base = f.one, self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e % (f.order - 1), f.one)
 
     def frobenius(self) -> FieldElement:
         """self ** p, as the field's precomputed F_p-linear map."""

@@ -191,6 +191,36 @@ def test_frobenius_det_expansion_p3(covers):
     assert det_a ** 3 == a ** 3 * d ** 3 - b ** 3 * c ** 3
 
 
+@pytest.mark.parametrize("p", (3, 5))
+def test_formal_pow_equals_repeated_product(covers, p):
+    cd = covers[p]
+    ctx = cd.ctx
+    u, _, w = ctx.variables()
+    f = det(cd.A).scale(ctx.fraction(u, 0, 1)) + ctx.fraction(w, 1, 0)
+    for n in (0, 1, 2, 3, 4, 7, 8, p - 1, p, p + 1):
+        acc = FormalPolynomial.constant(ctx, U_VARS, 1)
+        for _ in range(n):
+            acc = acc * f
+        assert f ** n == acc
+    assert f ** 0 == FormalPolynomial.constant(ctx, U_VARS, 1)
+
+
+def test_det_power_squares_only_while_bits_remain(monkeypatch):
+    p = 101
+    dA = det(build_cover_data(p).A)
+    products = []
+    mul = FormalPolynomial.__mul__
+
+    def counted(self, other):
+        products.append(other is self)
+        return mul(self, other)
+
+    monkeypatch.setattr(FormalPolynomial, "__mul__", counted)
+    dA ** p
+    assert products.count(True) == p.bit_length() - 1
+    assert len(products) == p.bit_length() - 1 + bin(p).count("1")
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_w0_specialization(covers, p):
     out = check_w0_specialization(covers[p])

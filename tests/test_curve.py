@@ -5,12 +5,14 @@ import pytest
 from syzcover.curve import (
     CurvePoint,
     CurvePolynomial,
+    LocalFraction,
     curve_cone_points,
     fermat_curve,
     on_curve,
     power_map,
     random_curve_points,
 )
+from syzcover.formal import FormalPolynomial
 from syzcover.gf import make_extension_field
 from syzcover.matrices import adjugate, det, mat, mat_inverse, mat_mul
 
@@ -82,6 +84,19 @@ def test_p_power_reduces(quartic):
     u, v, w = quartic.variables()
     got = (w * w).p_power()  # w^6 = (u^4 + v^4) w^2
     assert got.terms == {(4, 0, 2): 1, (0, 4, 2): 1}
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_pow_equals_repeated_product(rng, p):
+    ctx = fermat_curve(p)
+    for _ in range(3):
+        f = random_poly(ctx, rng, nterms=3, maxexp=3)
+        for n in (0, 1, 2, 3, 4, 7, 8, p - 1, p, p + 1):
+            acc = ctx.one()
+            for _ in range(n):
+                acc = acc * f
+            assert (f ** n).terms == acc.terms
+    assert (ctx.zero() ** 0) == ctx.one()
 
 
 def test_p_power_agrees_with_repeated_multiplication(rng):
@@ -251,6 +266,66 @@ def test_context_mismatch_rejected():
     b = fermat_curve(5)
     with pytest.raises(ValueError):
         a.one() + b.one()
+    with pytest.raises(ValueError):
+        a.fraction(1, 1, 0) + b.fraction(1, 1, 0)
+    with pytest.raises(ValueError):
+        LocalFraction(a, b.one())
+    with pytest.raises(ValueError):
+        FormalPolynomial.variable(a, ("x",), "x") + FormalPolynomial.variable(b, ("x",), "x")
+    # equal contexts that are distinct objects still combine
+    a, b = fermat_curve(5), fermat_curve(5)
+    assert a is not b and a == b
+    assert a.one() + b.one() == a.const(2)
+    assert a.one() == b.one()
+    assert a.fraction(1, 1, 0) + b.fraction(1, 1, 0) == a.fraction(2, 1, 0)
+    assert LocalFraction(a, b.one()) == b.fraction(1)
+    x_a = FormalPolynomial.variable(a, ("x",), "x")
+    x_b = FormalPolynomial.variable(b, ("x",), "x")
+    assert x_a + x_b == FormalPolynomial.variable(a, ("x",), "x", 2)
+
+
+def _cleared_numerators(x, y):
+    """Both numerators over the common denominator u^(x.du + y.du) w^(x.dw + y.dw)."""
+    ctx = x.ctx
+    return (
+        x.num * ctx.monomial(1, (y.du, 0, y.dw)),
+        y.num * ctx.monomial(1, (x.du, 0, x.dw)),
+    )
+
+
+def _random_fraction(ctx, rng):
+    num = random_poly(ctx, rng, nterms=3, maxexp=6)
+    return ctx.fraction(num, rng.randrange(4), rng.randrange(4))
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_fraction_sum_and_equality_match_cross_multiplication(p):
+    ctx = fermat_curve(p)
+    rng = random.Random(p)
+    for trial in range(60):
+        x, y = _random_fraction(ctx, rng), _random_fraction(ctx, rng)
+        if trial % 4 == 0:
+            x = ctx.fraction(x.num)
+        if trial % 3 == 0:
+            y = ctx.fraction(y.num)
+        if trial % 5 == 0:  # an equal fraction written with a larger denominator
+            y = LocalFraction(ctx, x.num * ctx.monomial(1, (1, 0, 2)), x.du + 1, x.dw + 2)
+        left, right = _cleared_numerators(x, y)
+        assert (x == y) == (left == right)
+        total = x + y
+        reference = LocalFraction(ctx, left + right, x.du + y.du, x.dw + y.dw)
+        lhs, rhs = _cleared_numerators(total, reference)
+        assert lhs == rhs
+        # the stored form is the one over the least common denominator
+        du, dw = max(x.du, y.du), max(x.dw, y.dw)
+        lcd = LocalFraction(
+            ctx,
+            x.num * ctx.monomial(1, (du - x.du, 0, dw - x.dw))
+            + y.num * ctx.monomial(1, (du - y.du, 0, dw - y.dw)),
+            du,
+            dw,
+        )
+        assert (total.num.terms, total.du, total.dw) == (lcd.num.terms, lcd.du, lcd.dw)
 
 
 def test_matrix_adjugate_contract(rng, quartic):

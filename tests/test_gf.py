@@ -2,10 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from syzcover.gf import (
+    _pmod,
+    _pmul,
+    _ppowmod,
     find_generator,
     is_prime,
     linear_kernel,
     make_extension_field,
+    power,
     prime_factors,
     solve_power_equation,
 )
@@ -226,3 +230,39 @@ def test_gf625_power_laws(i, e):
     for _ in range(e):
         acc = acc * a
     assert a ** e == acc
+
+
+@pytest.mark.parametrize("p, m", ((3, 1), (3, 2), (5, 2), (7, 1)))
+def test_pow_equals_repeated_product(rng, p, m):
+    F = make_extension_field(p, m)
+    for x in (F.zero, F.one, *(F.from_index(rng.randrange(2, F.order)) for _ in range(3))):
+        for n in (0, 1, 2, 3, 4, 7, 8, p - 1, p, p + 1):
+            acc = F.one
+            for _ in range(n):
+                acc = acc * x
+            assert x ** n == acc
+
+
+class _Counted(int):
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(int(self) * int(other))
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 3, 7, 8, 100, 101, 255, 256))
+def test_power_squares_only_while_bits_remain(n):
+    _Counted.products = 0
+    assert power(_Counted(3), n, _Counted(1)) == 3 ** n
+    expected = 0 if n == 0 else n.bit_length() - 1 + bin(n).count("1")
+    assert _Counted.products == expected
+
+
+def test_ppowmod_equals_repeated_product():
+    p, f = 5, [2, 0, 0, 1]  # x^3 + 2 over F_5
+    a = [3, 1, 4]
+    acc = [1]
+    for e in range(12):
+        assert _ppowmod(a, e, f, p) == acc
+        acc = _pmod(_pmul(acc, a, p), f, p)

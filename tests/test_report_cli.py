@@ -280,6 +280,13 @@ def test_cli_empty_primes_exit_two():
     assert "error" in res.stderr
 
 
+def test_cli_non_integer_prime_names_flag_and_token():
+    res = _run_cli("verify", "--primes", "3,x")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: --primes: 'x' is not an integer\n"
+
+
 def test_cli_empty_checks_exit_two():
     res = _run_cli("verify", "--prime", "3", "--checks", ",")
     assert res.returncode == 2
