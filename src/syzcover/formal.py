@@ -5,6 +5,11 @@ the entries of a 2x2 matrix of indeterminates, coefficients live in the
 monomial localization of the curve ring.  Coefficients are not canonical
 (fractions compare by cross multiplication), so equality compares
 coefficients pairwise rather than by dictionary identity.
+
+A product multiplies and sums coefficients that are constants of F_p (as
+every coefficient of a power of det A is) as ints, and builds one fraction
+per output term; a pair with any other coefficient goes through
+LocalFraction, and the result is the same as if every pair had.
 """
 
 from __future__ import annotations
@@ -89,11 +94,15 @@ class FormalPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # Two F_p constants multiply as ints.  A term's sum stays an int until
+        # a fraction reaches it; LocalFraction then coerces the int.
+        theirs = [(e, c, _constant(c)) for e, c in other.terms.items()]
         out = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            k1 = _constant(c1)
+            for e2, c2, k2 in theirs:
                 e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
+                prod = c1 * c2 if k1 is None or k2 is None else k1 * k2
                 out[e] = out[e] + prod if e in out else prod
         return FormalPolynomial(self.ctx, self.vars, out)
 
@@ -179,3 +188,11 @@ class FormalPolynomial:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _constant(coeff: LocalFraction):
+    """The int a coefficient stands for when it is a constant of F_p, else None."""
+    terms = coeff.num.terms
+    if coeff.du or coeff.dw or len(terms) != 1:
+        return None
+    return terms.get((0, 0, 0))

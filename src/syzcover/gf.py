@@ -5,6 +5,10 @@ The modulus is chosen deterministically (first irreducible in a fixed
 counting order), so everything serialized from a field is stable across
 runs and machines.  make_extension_field memoizes one field per (p, m).
 
+An int operand of * scales the coefficient tuple mod p, and two elements
+of the same prime field (m = 1) add, subtract and multiply as one int mod
+p; every other operand takes the general path through _coerce.
+
 Frobenius x -> x^p is F_p-linear, so it is applied as an m x m matrix over
 F_p, built and certified once per field; `linear_kernel` lists the F_p-kernel
 of any F_p-linear map on the field.
@@ -97,21 +101,27 @@ def _pgcd(a, b, p):
 def power(base, n: int, one):
     """base ** n for n >= 0 by square-and-multiply, using only `*`.
 
-    Squares only while bits remain, so n costs bit_length(n) - 1 squarings
-    plus popcount(n) products; n = 0 gives one.
+    Starts from base at the lowest set bit and squares only while bits
+    remain, so n >= 1 costs bit_length(n) - 1 squarings plus popcount(n) - 1
+    products; n = 0 gives one.
     """
-    result = one
-    while True:
+    if not n:
+        return one
+    while not n & 1:
+        base = base * base
+        n >>= 1
+    result = base
+    n >>= 1
+    while n:
+        base = base * base
         if n & 1:
             result = result * base
         n >>= 1
-        if not n:
-            return result
-        base = base * base
+    return result
 
 
 def _ppowmod(a, e, f, p):
-    # the loop of power() on coefficient lists, reduced modulo f
+    # square-and-multiply on coefficient lists, reduced modulo f
     result = [1]
     base = _pmod(a, f, p)
     while e:
@@ -309,12 +319,15 @@ class FieldElement:
         return None
 
     def __add__(self, other):
+        f = self.field
+        if f.m == 1 and isinstance(other, FieldElement) and other.field is f:
+            return FieldElement(f, ((self.coeffs[0] + other.coeffs[0]) % f.p,))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p = self.field.p
+        p = f.p
         return FieldElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
+            f, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
         )
 
     __radd__ = __add__
@@ -324,12 +337,15 @@ class FieldElement:
         return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
 
     def __sub__(self, other):
+        f = self.field
+        if f.m == 1 and isinstance(other, FieldElement) and other.field is f:
+            return FieldElement(f, ((self.coeffs[0] - other.coeffs[0]) % f.p,))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p = self.field.p
+        p = f.p
         return FieldElement(
-            self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
+            f, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __rsub__(self, other):
@@ -339,13 +355,15 @@ class FieldElement:
         return other - self
 
     def __mul__(self, other):
+        f = self.field
+        p, m = f.p, f.m
+        if isinstance(other, int):
+            return FieldElement(f, tuple(c * other % p for c in self.coeffs))
+        if m == 1 and isinstance(other, FieldElement) and other.field is f:
+            return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % p,))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        f = self.field
-        p, m = f.p, f.m
-        if m == 1:
-            return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % p,))
         a, b = self.coeffs, other.coeffs
         conv = [0] * (2 * m - 1)
         for i, ai in enumerate(a):

@@ -12,7 +12,7 @@ from syzcover.census import (
     hurwitz_consistent,
     verify_fiber_point,
 )
-from syzcover.gf import find_generator, make_extension_field, solve_power_equation
+from syzcover.gf import GF, find_generator, make_extension_field, solve_power_equation
 from syzcover.report import run_verification
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -126,6 +126,21 @@ def test_every_point_reverified(p):
     census = enumerate_fiber(p)
     for pt in census.points:
         assert verify_fiber_point(pt)
+
+
+def test_reverification_embeds_no_int(monkeypatch):
+    # 2 * c and -2 * cross scale coefficients; they build no field(k)
+    pt = enumerate_fiber(5).points[0]
+    embedded = []
+    call = GF.__call__
+
+    def counted(self, value):
+        embedded.append(value)
+        return call(self, value)
+
+    monkeypatch.setattr(GF, "__call__", counted)
+    assert verify_fiber_point(pt)
+    assert embedded == []
 
 
 def test_reverification_rejects_bad_point():

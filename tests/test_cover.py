@@ -19,7 +19,7 @@ from syzcover.cover import (
     check_w0_specialization,
     transition_matrix,
 )
-from syzcover.curve import CurvePoint, fermat_curve, random_curve_points
+from syzcover.curve import CurvePoint, LocalFraction, fermat_curve, random_curve_points
 from syzcover.formal import FormalPolynomial
 from syzcover.gf import make_extension_field
 from syzcover.matrices import det, mat, mat_inverse, mat_mul, mat_sub, mat_eq
@@ -218,7 +218,93 @@ def test_det_power_squares_only_while_bits_remain(monkeypatch):
     monkeypatch.setattr(FormalPolynomial, "__mul__", counted)
     dA ** p
     assert products.count(True) == p.bit_length() - 1
-    assert len(products) == p.bit_length() - 1 + bin(p).count("1")
+    assert len(products) == p.bit_length() - 1 + bin(p).count("1") - 1 == 9
+
+
+def test_det_periodicity_multiplies_few_fractions(monkeypatch):
+    # every coefficient of (det A)^k is an F_p constant, multiplied as an int
+    cd = build_cover_data(101)
+    calls = []
+    mul = LocalFraction.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(LocalFraction, "__mul__", counted)
+    monkeypatch.setattr(LocalFraction, "__rmul__", counted)
+    assert check_det_periodicity(cd).ok
+    assert len(calls) <= 50
+
+
+def _pairwise_fraction_product(f, g):
+    """f * g with every coefficient pair multiplied and summed as LocalFractions."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            prod = c1 * c2
+            out[e] = out[e] + prod if e in out else prod
+    return FormalPolynomial(f.ctx, f.vars, out)
+
+
+def _layout(f):
+    """Terms in insertion order, each with its coefficient's representation."""
+    return [(e, c.num.terms, c.du, c.dw) for e, c in f.terms.items()]
+
+
+def _random_formal(ctx, rng):
+    """A few terms in U_VARS of degree <= 1 per variable, most of them with
+    F_p-constant coefficients (some written as reducible fractions)."""
+    u, v, w = ctx.variables()
+    terms = {}
+    for _ in range(rng.randrange(1, 6)):
+        exps = tuple(rng.randrange(2) for _ in U_VARS)
+        kind = rng.randrange(3)
+        if kind == 0:
+            terms[exps] = rng.randrange(ctx.p)
+        elif kind == 1:
+            du, dw = rng.randrange(3), rng.randrange(3)
+            terms[exps] = ctx.fraction(u ** du * w ** dw * rng.randrange(1, ctx.p), du, dw)
+        else:
+            num = ctx.zero()
+            for _ in range(rng.randrange(1, 4)):
+                c = rng.randrange(1, ctx.p)
+                i, j, k = rng.randrange(3), rng.randrange(3), rng.randrange(ctx.exponent + 2)
+                num = num + c * u ** i * v ** j * w ** k
+            terms[exps] = ctx.fraction(num, rng.randrange(3), rng.randrange(3))
+    return FormalPolynomial(ctx, U_VARS, terms)
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_formal_product_equals_pairwise_fraction_product(p):
+    ctx = fermat_curve(p)
+    cancelled = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        f, g = _random_formal(ctx, rng), _random_formal(ctx, rng)
+        product, reference = f * g, _pairwise_fraction_product(f, g)
+        assert _layout(product) == _layout(reference)
+        assert product == reference
+        sums = {tuple(a + b for a, b in zip(e1, e2)) for e1 in f.terms for e2 in g.terms}
+        cancelled += len(product.terms) < len(sums)
+    assert cancelled  # some seeds have a sum that cancels to zero
+
+
+def test_formal_product_cancels_constant_and_mixed_sums():
+    ctx = fermat_curve(5)
+    u, _, w = ctx.variables()
+    a, b, c, d = (FormalPolynomial.variable(ctx, U_VARS, n) for n in U_VARS)
+    F, F_inv = ctx.fraction(u, 0, 1), ctx.fraction(w, 1, 0)
+    cases = (
+        (2 * a + 3 * b, 2 * a - 3 * b),  # a*b cancels between two constant pairs
+        (a + b.scale(F), b - a.scale(F_inv)),  # a*b: constant 1 plus mixed -F*F^-1
+        (c.scale(F) + d, c.scale(F) - d),  # c*d cancels between two mixed pairs
+    )
+    for f, g in cases:
+        product, reference = f * g, _pairwise_fraction_product(f, g)
+        assert _layout(product) == _layout(reference)
+        assert len(product.terms) == 2
 
 
 @pytest.mark.parametrize("p", PRIMES)

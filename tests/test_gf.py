@@ -1,7 +1,10 @@
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
 from syzcover.gf import (
+    GF,
     _pmod,
     _pmul,
     _ppowmod,
@@ -255,7 +258,8 @@ class _Counted(int):
 def test_power_squares_only_while_bits_remain(n):
     _Counted.products = 0
     assert power(_Counted(3), n, _Counted(1)) == 3 ** n
-    expected = 0 if n == 0 else n.bit_length() - 1 + bin(n).count("1")
+    # squarings, plus one product per set bit above the lowest
+    expected = 0 if n == 0 else n.bit_length() - 1 + bin(n).count("1") - 1
     assert _Counted.products == expected
 
 
@@ -266,3 +270,36 @@ def test_ppowmod_equals_repeated_product():
     for e in range(12):
         assert _ppowmod(a, e, f, p) == acc
         acc = _pmod(_pmul(acc, a, p), f, p)
+
+
+@pytest.mark.parametrize("p, m", ((5, 8), (7, 6), (7, 1)))
+def test_int_scalar_equals_embedded_constant(rng, p, m):
+    F = make_extension_field(p, m)
+    for x in (F.zero, F.one, *(F.random_element(rng) for _ in range(5))):
+        for k in (0, 1, -1, -2, p, 2 * p + 3, True):
+            left, right, embedded = k * x, x * k, F(k) * x
+            assert left.field is right.field is F
+            assert left.coeffs == right.coeffs == embedded.coeffs
+
+
+@pytest.mark.parametrize("p", (3, 7))
+def test_prime_field_ops_match_generic_path(p):
+    F = make_extension_field(p)
+    twin = GF(p)  # equal to F but not F itself, so operands take the m-generic path
+    assert twin == F and twin is not F
+    for x in F.elements():
+        a = x.coeffs[0]
+        for y in F.elements():
+            b = y.coeffs[0]
+            y_twin = twin.element(y.coeffs)
+            for op in (operator.add, operator.sub, operator.mul):
+                fast = op(x, y)
+                assert fast.field is F
+                assert fast.coeffs == op(x, y_twin).coeffs == (op(a, b) % p,)
+
+
+def test_prime_fields_of_different_characteristic_do_not_mix():
+    x, y = make_extension_field(7)(3), make_extension_field(5)(2)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="different fields"):
+            op(x, y)

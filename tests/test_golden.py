@@ -4,11 +4,12 @@ Each pP_seedS.json file in tests/golden/ is the stdout of
 
     syzcover verify --prime P --seed S > tests/golden/pP_seedS.json
 
-with all checks.  symbolic_p101_seed0.json is the stdout of
+with all checks.  symbolic_pP_seed0.json, for P = 101 and 251, is the stdout of
 
-    PYTHONPATH=src python3 bench/symbolic_op.py 101 0
+    PYTHONPATH=src python3 bench/symbolic_op.py P 0
 
-the lemma and cover checks at a prime the oracle never sees.  A change that
+the lemma and cover checks at a prime the oracle never sees; at 251 the
+F_p-constant products of check_det_periodicity do the most work.  A change that
 alters any of these bytes for a fixed (prime, seed, version) must fail
 here; regenerate the files only when that change is intended.
 """
@@ -33,15 +34,16 @@ def test_report_matches_golden(p, seed):
     assert render_json(run_verification(p, seed=seed)) == expected
 
 
-def test_symbolic_checks_match_golden_at_p101():
+@pytest.mark.parametrize("p", (101, 251))
+def test_symbolic_checks_match_golden(p):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     res = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "symbolic_op.py"), "101", "0"],
+        [sys.executable, str(ROOT / "bench" / "symbolic_op.py"), str(p), "0"],
         capture_output=True,
         text=True,
         env=env,
     )
     assert res.returncode == 0, res.stderr
-    expected = (GOLDEN / "symbolic_p101_seed0.json").read_text(encoding="utf-8")
+    expected = (GOLDEN / f"symbolic_p{p}_seed0.json").read_text(encoding="utf-8")
     assert res.stdout == expected
