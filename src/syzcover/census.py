@@ -8,10 +8,10 @@ units with c and d both (p^2-1)-th roots of 2 and d/c outside the
 Frobenius is an F_p-linear map, so both solution sets are kernels found by
 Gaussian elimination over F_p: the c are ker(Frob^2 - 2) minus 0 and the
 ratios d/c are ker(Frob^2 - 1) minus ker(Frob - 1), that is GF(p^2) minus
-F_p.  The census re-verifies every point against the raw equations, with
-Frobenius as the same certified matrix, and reads off the component
-structure from the determinant values.  The enumeration runs only when the
-census field has at most CENSUS_CAP elements (p <= 7).
+F_p.  One pass re-verifies each point on the raw equations, with Frobenius
+as the same certified matrix, and files it under ad - bc, whose values give
+the component structure.  The enumeration runs only when the census field
+has at most CENSUS_CAP elements (p <= 7).
 
 component_stats gives the closed-form invariants (counts, degrees,
 genera) that a report carries as its stats at every prime; the fiber
@@ -121,37 +121,54 @@ def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
         z for z in linear_kernel(field, lambda x: x.frobenius().frobenius() - x)
         if z.frobenius() != z
     ]
+    admissible.sort(key=lambda e: e.index)
     points = tuple(
         FiberPoint(c, z * c)
         for c in sorted(c_solutions, key=lambda e: e.index)
-        for z in sorted(admissible, key=lambda e: e.index)
+        for z in admissible
     )
     return CensusResult(p, m, False, points, len(points))
 
 
-def verify_fiber_point(pt: FiberPoint) -> bool:
-    """Re-check the three defining equations on the point itself.
+def _c_image(c: FieldElement) -> tuple:
+    """(Frob(c), whether c^(p^2-1) = 2, that is c != 0 and Frob^2(c) = 2c)."""
+    cp = c.frobenius()
+    return cp, not c.is_zero() and cp.frobenius() == 2 * c
 
-    For a unit x, x^(p^2-1) = 2 is Frob^2(x) = 2x, and cross^(p-1) = -2 is
-    cross != 0 with Frob(cross) = -2 cross; Frobenius is the field's
-    certified matrix.
-    """
-    c, d = pt.c, pt.d
-    if c.is_zero() or d.is_zero():
-        return False
-    cp, dp = c.frobenius(), d.frobenius()
-    if cp.frobenius() != 2 * c or dp.frobenius() != 2 * d:
-        return False
-    cross = c * dp - cp * d
-    return not cross.is_zero() and cross.frobenius() == -2 * cross
+
+def _point_image(pt: FiberPoint, cp: FieldElement) -> tuple:
+    """(ad - bc, whether d^(p^2-1) = 2 and (ad - bc)^(p-1) = -2), given cp = Frob(c).
+
+    The second is ad - bc != 0 with Frob(ad - bc) = -2 (ad - bc)."""
+    d = pt.d
+    dp = d.frobenius()
+    det = cp * d - pt.c * dp
+    return det, (not d.is_zero() and dp.frobenius() == 2 * d
+                 and not det.is_zero() and det.frobenius() == -2 * det)
+
+
+def verify_fiber_point(pt: FiberPoint) -> bool:
+    """Re-check the three defining equations on the point itself."""
+    cp, c_ok = _c_image(pt.c)
+    return c_ok and _point_image(pt, cp)[1]
+
+
+def reverify_census(census: CensusResult) -> tuple:
+    """(every point verified, points grouped by ad - bc), in one pass."""
+    distinct = {pt.c.coeffs: pt.c for pt in census.points}
+    images = {key: _c_image(c) for key, c in distinct.items()}
+    ok = all(c_ok for _cp, c_ok in images.values())
+    classes: dict = {}
+    for pt in census.points:
+        det, d_ok = _point_image(pt, images[pt.c.coeffs][0])
+        ok = ok and d_ok
+        classes.setdefault(det.coeffs, []).append(pt)
+    return ok, classes
 
 
 def determinant_classes(census: CensusResult) -> dict:
     """Fiber points grouped by the value of ad - bc."""
-    classes: dict = {}
-    for pt in census.points:
-        classes.setdefault(pt.determinant().coeffs, []).append(pt)
-    return classes
+    return reverify_census(census)[1]
 
 
 def component_stats(p: int) -> ReportStats:

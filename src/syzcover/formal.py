@@ -14,6 +14,8 @@ LocalFraction, and the result is the same as if every pair had.
 
 from __future__ import annotations
 
+from operator import add
+
 from .curve import CurveContext, CurvePolynomial, LocalFraction, as_curve_point
 from .gf import power
 
@@ -101,7 +103,7 @@ class FormalPolynomial:
         for e1, c1 in self.terms.items():
             k1 = _constant(c1)
             for e2, c2, k2 in theirs:
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 prod = c1 * c2 if k1 is None or k2 is None else k1 * k2
                 out[e] = out[e] + prod if e in out else prod
         return FormalPolynomial(self.ctx, self.vars, out)

@@ -19,10 +19,9 @@ from .census import (
     CENSUS_CAP,
     ReportStats,
     component_stats,
-    determinant_classes,
     enumerate_fiber,
     hurwitz_consistent,
-    verify_fiber_point,
+    reverify_census,
 )
 from .cover import (
     build_cover_data,
@@ -114,18 +113,16 @@ def _fiber_checks(p: int, cap: int, stats: ReportStats):
         skipped.append(CheckRecord("component_structure", "skipped", "no census to tabulate"))
     else:
         field = make_extension_field(p, census.field_degree)
+        verified, classes = reverify_census(census)
         outcomes.append(("fiber_census", CheckOutcome(
             f"{census.total} fiber points enumerated in GF({p}^{census.field_degree}), "
             f"equal to (p^2-1)p(p-1), every point re-verified",
             problems=_unmet(
                 ("Frobenius matrix not certified", not field.frobenius_mismatches()),
                 ("census total off the formula", census.total == stats.total_fiber),
-                ("point re-verification failed",
-                 all(verify_fiber_point(pt) for pt in census.points)),
+                ("point re-verification failed", verified),
             ),
         )))
-
-        classes = determinant_classes(census)
         outcomes.append(("component_structure", CheckOutcome(
             f"ad-bc takes exactly {stats.components} values, each with (p-1)-th power -2, "
             f"each on {stats.degree} points",

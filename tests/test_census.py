@@ -10,9 +10,10 @@ from syzcover.census import (
     eta_field_degree,
     fiber_field_degree,
     hurwitz_consistent,
+    reverify_census,
     verify_fiber_point,
 )
-from syzcover.gf import GF, find_generator, make_extension_field, solve_power_equation
+from syzcover.gf import GF, FieldElement, find_generator, make_extension_field, solve_power_equation
 from syzcover.report import run_verification
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -179,6 +180,88 @@ def test_determinant_classes(p):
     for coeffs in classes:
         delta = F.element(coeffs)
         assert delta ** (p - 1) == F(-2)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_reverify_census_classes_and_verdict(p):
+    """The one pass groups points as FiberPoint.determinant does and agrees
+    with verify_fiber_point point by point."""
+    census = enumerate_fiber(p)
+    verified, classes = reverify_census(census)
+    expected = {}
+    for pt in census.points:
+        expected.setdefault(pt.determinant().coeffs, []).append(pt)
+    assert classes == expected
+    assert verified is all(verify_fiber_point(pt) for pt in census.points) is True
+
+
+def _fiber_census_status(monkeypatch, p, corrupt):
+    """The fiber_census record of a run on a census whose points corrupt() altered."""
+    census = enumerate_fiber(p)
+    bad = CensusResult(p, census.field_degree, False, tuple(corrupt(census.points)), census.total)
+    verified, classes = reverify_census(bad)
+    assert verified is all(verify_fiber_point(pt) for pt in bad.points) is False
+    assert sum(len(v) for v in classes.values()) == census.total
+    monkeypatch.setattr(report, "enumerate_fiber", lambda p, cap: bad)
+    out = run_verification(p, checks=("fiber",))
+    return {c.name: (c.status, c.detail) for c in out.checks}["fiber_census"]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_corrupted_shared_c_fails_census(monkeypatch, p):
+    """One c, shared by p^2 - p points, moved off its equation Frob^2(c) = 2c."""
+
+    def corrupt(points):
+        c = points[0].c
+        moved = c + 1  # Frob^2(c + 1) = 2c + 1, not 2c + 2
+        shared = [pt for pt in points if pt.c is c]
+        assert len(shared) == p * p - p
+        return [FiberPoint(moved, pt.d) if pt.c is c else pt for pt in points]
+
+    status, detail = _fiber_census_status(monkeypatch, p, corrupt)
+    assert status == "fail"
+    assert "point re-verification failed" in detail
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_corrupted_single_d_fails_census(monkeypatch, p):
+    def corrupt(points):
+        k = len(points) // 2
+        pt = points[k]
+        return points[:k] + (FiberPoint(pt.c, pt.d + 1),) + points[k + 1:]
+
+    status, detail = _fiber_census_status(monkeypatch, p, corrupt)
+    assert status == "fail"
+    assert "point re-verification failed" in detail
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_reverify_census_work(monkeypatch, p):
+    """At most 3 Frobenius applications and 2 field products per point, plus
+    2 Frobenius applications per distinct c; the scalings 2d and -2(ad - bc)
+    multiply coefficients by an int and are not field products."""
+    census = enumerate_fiber(p)
+    counts = {"frobenius": 0, "products": 0}
+    frobenius, mul = FieldElement.frobenius, FieldElement.__mul__
+
+    def counted_frobenius(self):
+        counts["frobenius"] += 1
+        return frobenius(self)
+
+    def counted_mul(self, other):
+        if isinstance(other, FieldElement):
+            counts["products"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "frobenius", counted_frobenius)
+    monkeypatch.setattr(FieldElement, "__mul__", counted_mul)
+    monkeypatch.setattr(FieldElement, "__rmul__", counted_mul)
+    verified, _classes = reverify_census(census)
+    assert verified
+    n, distinct_c = census.total, p * p - 1
+    assert len({pt.c.coeffs for pt in census.points}) == distinct_c
+    assert counts["frobenius"] <= 3 * n + 2 * distinct_c
+    assert counts["products"] <= 2 * n
 
 
 @pytest.mark.parametrize("p", (11, 13))
