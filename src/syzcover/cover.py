@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import CurveContext, CurvePoint, LocalFraction, power_map
+from .curve import CurveContext, CurvePoint, LocalFraction
 from .formal import FormalPolynomial
 from .gf import GF, make_extension_field
 from .matrices import (
@@ -26,7 +26,6 @@ from .matrices import (
     det,
     entrywise_p_power,
     mat,
-    mat_eq,
     mat_inverse,
     mat_mul,
     mat_sub,
@@ -365,21 +364,29 @@ def _w0_equal_const(frac: LocalFraction, value: int) -> bool:
 
 
 def _w0_points(ctx, count=20):
-    """Up to count curve points with w = 0 over GF(p^2): u^e = -v^e, u != 0.
+    """Up to count curve points with w = 0 over GF(p^2): u^(p+1) = -v^(p+1), u != 0.
 
-    Found in index order of (u0, v0), each checked on the curve as it is
-    made; raises ValueError at the first point that is not.
+    Found in index order of (u0, v0).  The norm x * Frob(x) of x = a + b*t
+    is computed on int pairs mod p from the field's Frobenius columns and
+    modulus; only hits become field elements, each checked on the curve
+    with plain ** as it is made; raises ValueError at the first that is not.
     """
-    field = make_extension_field(ctx.p, 2)
-    power = power_map(ctx, field)
+    p = ctx.p
+    field = make_extension_field(p, 2)
+    (f00, f01), (f10, f11) = field.frobenius_columns()
+    m0, m1 = field.modulus[:2]  # t^2 = -m1*t - m0
+
+    def norm(k):
+        a, b = k % p, k // p
+        c, d = a * f00 + b * f10, a * f01 + b * f11
+        return (a * c - m0 * b * d) % p, (a * d + b * c - m1 * b * d) % p
+
     pts = []
-    for u0 in field.elements():
-        if u0.is_zero():
-            continue
-        target = -power(u0)
-        for v0 in field.elements():
-            if power(v0) == target:
-                pts.append(CurvePoint(ctx, (u0, v0, field.zero)))
+    for ku in range(1, p * p):
+        target = tuple(-c % p for c in norm(ku))
+        for kv in range(p * p):
+            if norm(kv) == target:
+                pts.append(CurvePoint(ctx, (field.from_index(ku), field.from_index(kv), field.zero)))
                 if len(pts) >= count:
                     return pts
     return pts
@@ -449,25 +456,33 @@ def check_w0_specialization(cd: CoverData) -> CheckOutcome:
 def check_matrix_ideal_shift(field: GF, rng, samples: int = 100) -> CheckOutcome:
     """Multiplication identities behind the ideal shift (A B^-1 - C) ~ (A - C B).
 
-    For random 2x2 and 3x3 matrices with invertible B:
+    For random 2x2 and 3x3 matrices over the prime field with invertible B:
       (A B^-1 - C) B = A - C B   and   (A - C B) B^-1 = A B^-1 - C.
+    Entries are ints mod p drawn with rng.randrange(p), the draws of
+    field.random_element; B^-1 is adj(B) / det(B), and both sides are
+    reduced mod p before they are compared.
     """
+    if field.m != 1:
+        raise ValueError(f"ideal-shift samples need a prime field, got {field!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    p = field.p
+    mod = lambda M: mat([[x % p for x in row] for row in M])
     checked = 0
     problems = []
     for n in (2, 3):
         done = 0
         while done < samples and not problems:
-            rand = lambda: mat(
-                [[field.random_element(rng) for _ in range(n)] for _ in range(n)]
-            )
-            A, B, C = rand(), rand(), rand()
-            if det(B).is_zero():
+            A, B, C = ([[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in range(3))
+            d = det(B) % p
+            if not d:
                 continue
             done += 1
-            Binv = mat_inverse(B)
-            G = mat_sub(mat_mul(A, Binv), C)
-            H = mat_sub(A, mat_mul(C, B))
-            if not (mat_eq(mat_mul(G, B), H) and mat_eq(mat_mul(H, Binv), G)):
+            d_inv = pow(d, p - 2, p)
+            Binv = mod([[d_inv * x for x in row] for row in adjugate(B)])
+            G = mod(mat_sub(mat_mul(A, Binv), C))
+            H = mod(mat_sub(A, mat_mul(C, B)))
+            if not (mod(mat_mul(G, B)) == H and mod(mat_mul(H, Binv)) == G):
                 problems.append(f"ideal-shift identity failed at size {n}")
             checked += 1
     return CheckOutcome(

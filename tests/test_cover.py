@@ -22,7 +22,7 @@ from syzcover.cover import (
 from syzcover.curve import CurvePoint, LocalFraction, fermat_curve, random_curve_points
 from syzcover.formal import FormalPolynomial
 from syzcover.gf import make_extension_field
-from syzcover.matrices import det, mat, mat_inverse, mat_mul, mat_sub, mat_eq
+from syzcover.matrices import adjugate, det, mat, mat_inverse, mat_mul, mat_sub, mat_eq
 from syzcover.oracle import OracleSuite
 from syzcover.syz import build_catalog
 
@@ -352,6 +352,46 @@ def test_matrix_ideal_shift_random_samples():
     assert out.ok, out.detail
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_ideal_shift_draws_like_field_elements(seed):
+    """The int check makes the rng calls of drawing A, B, C row by row as GF(7) elements."""
+    F = make_extension_field(7)
+    rng, twin = random.Random(seed), random.Random(seed)
+    out = check_matrix_ideal_shift(F, rng, samples=100)
+    assert out.detail == "ideal-shift identities hold on 200 samples over GF(7)"
+    for n in (2, 3):
+        done = 0
+        while done < 100:
+            _, B, _ = (
+                mat([[F.random_element(twin) for _ in range(n)] for _ in range(n)]) for _ in range(3)
+            )
+            done += not det(B).is_zero()
+    assert rng.getstate() == twin.getstate()
+
+
+def test_matrix_ideal_shift_fails_on_wrong_adjugate(monkeypatch):
+    def off_by_one(M):
+        adj = [list(row) for row in adjugate(M)]
+        adj[0][0] += 1
+        return mat(adj)
+
+    monkeypatch.setattr(cover, "adjugate", off_by_one)
+    out = check_matrix_ideal_shift(make_extension_field(7), random.Random(0), samples=100)
+    assert not out.ok
+    assert out.detail == "ideal-shift identity failed at size 2"
+
+
+def test_matrix_ideal_shift_needs_prime_field():
+    with pytest.raises(ValueError, match="prime field"):
+        check_matrix_ideal_shift(make_extension_field(7, 2), random.Random(0))
+
+
+@pytest.mark.parametrize("samples", (0, -1))
+def test_matrix_ideal_shift_rejects_no_samples(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        check_matrix_ideal_shift(make_extension_field(7), random.Random(0), samples=samples)
+
+
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_oracle_confirms_cover_checks(covers, p):
     suite = OracleSuite(seed=2, points=20)
@@ -384,13 +424,23 @@ def _w0_points_by_pow(ctx, count=20):
     return pts
 
 
-@pytest.mark.parametrize("p", (3, 5, 13, 101))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 19, 101, 251))
 def test_w0_points_match_pow_scan(p):
     ctx = fermat_curve(p)
     pts = cover._w0_points(ctx, 20)
     assert all(isinstance(pt, CurvePoint) and pt.ctx == ctx for pt in pts)
     assert [pt.coords for pt in pts] == _w0_points_by_pow(ctx, 20)
     assert len(pts) == 20
+    # each u0 has p + 1 partners v0: below p = 19 the points span several u0,
+    # from p = 19 on u0 = 1 holds all 20, and at p = 19 exactly 20
+    u_values = {pt.coords[0] for pt in pts}
+    one = make_extension_field(p, 2).one
+    if p < 19:
+        assert len(u_values) > 1
+    else:
+        assert u_values == {one}
+    if p == 19:
+        assert cover._w0_points(ctx, 21)[20].coords[0] != one
 
 
 def test_w0_specialization_fails_on_too_few_points(covers, monkeypatch):
