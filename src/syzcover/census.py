@@ -20,7 +20,7 @@ checks compare the census against the same formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .gf import FieldElement, is_prime, linear_kernel, make_extension_field
@@ -30,37 +30,25 @@ from .gf import FieldElement, is_prime, linear_kernel, make_extension_field
 CENSUS_CAP = 1 << 22
 
 
-@dataclass(frozen=True)
-class FiberPoint:
+class FiberPoint(namedtuple("FiberPoint", "c d")):
     """A solution (c, d); the other two coordinates are a = c^p, b = d^p."""
 
-    c: FieldElement
-    d: FieldElement
+    __slots__ = ()
 
     def determinant(self) -> FieldElement:
         """ad - bc = c^p d - d^p c."""
         return self.c.frobenius() * self.d - self.d.frobenius() * self.c
 
 
-@dataclass(frozen=True)
-class CensusResult:
-    prime: int
-    field_degree: int
-    skipped: bool
-    points: tuple
-    total: int
-    reason: str = ""
+CensusResult = namedtuple(
+    "CensusResult", "prime field_degree skipped points total reason", defaults=("",)
+)
 
-
-@dataclass(frozen=True)
-class ReportStats:
-    components: int
-    total_fiber: int
-    degree: int
-    genus_base: int
-    genus_component: int
-    eta_field_degree: int
-    fiber_field_degree: int
+ReportStats = namedtuple(
+    "ReportStats",
+    "components total_fiber degree genus_base genus_component eta_field_degree "
+    "fiber_field_degree",
+)
 
 
 def _require_odd_prime(p: int):

@@ -16,7 +16,7 @@ verdict is derived from those alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .curve import CurveContext, CurvePoint, LocalFraction
 from .formal import FormalPolynomial
@@ -37,20 +37,18 @@ U_VARS = ("a", "b", "c", "d")
 W_VARS = ("alpha", "beta", "gamma", "delta")
 
 
-@dataclass(frozen=True)
-class CoverData:
-    ctx: CurveContext
-    catalog: GeneratorCatalog
-    T: tuple                 # transition matrix between the two frames
-    H_U: tuple               # chart-U Frobenius comparison matrix
-    H_W: tuple               # chart-W Frobenius comparison matrix
-    A: tuple                 # chart-U indeterminates a, b; c, d
-    B: tuple                 # chart-W indeterminates alpha, beta; gamma, delta
-    frob_adj_U: tuple        # F(A) * adj(A) for the chart-U indeterminates
-    frob_adj_W: tuple        # F(B) * adj(B) for the chart-W indeterminates
-    relations_U: tuple       # four det-cleared chart-U relations (formal)
-    relations_W: tuple       # four det-cleared chart-W relations (formal)
-    substitution: dict       # chart-U indeterminates in terms of chart-W ones
+# The cover's construction data for one prime:
+#   ctx, catalog     the degree-(p+1) curve and the generator catalog;
+#   T                transition matrix between the two frames;
+#   H_U, H_W         chart-U and chart-W Frobenius comparison matrices;
+#   A, B             chart-U indeterminates a, b; c, d and chart-W alpha, beta; gamma, delta;
+#   frob_adj_U/W     F(A) * adj(A) and F(B) * adj(B);
+#   relations_U/W    the four det-cleared relations of each chart (formal);
+#   substitution     chart-U indeterminates in terms of chart-W ones.
+CoverData = namedtuple(
+    "CoverData",
+    "ctx catalog T H_U H_W A B frob_adj_U frob_adj_W relations_U relations_W substitution",
+)
 
 
 def transition_matrix(ctx: CurveContext):

@@ -16,24 +16,22 @@ reference the sampler is tested against, not part of the pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .gf import GF, FieldElement, is_prime, power
 
 
-@dataclass(frozen=True)
-class CurveContext:
+class CurveContext(namedtuple("CurveContext", "p exponent names")):
     """A curve u^e + v^e = w^e over F_p, with display names for the variables."""
 
-    p: int
-    exponent: int
-    names: tuple[str, str, str] = ("u", "v", "w")
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p) or self.p < 3:
-            raise ValueError(f"characteristic must be an odd prime, got {self.p}")
-        if self.exponent < 2:
+    def __new__(cls, p: int, exponent: int, names=("u", "v", "w")):
+        if not is_prime(p) or p < 3:
+            raise ValueError(f"characteristic must be an odd prime, got {p}")
+        if exponent < 2:
             raise ValueError("curve degree must be at least 2")
+        return super().__new__(cls, p, exponent, names)
 
     @property
     def d(self) -> int:

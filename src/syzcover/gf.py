@@ -2,16 +2,18 @@
 
 Elements are polynomial residues modulo a monic irreducible polynomial.
 The modulus is chosen deterministically (first irreducible in a fixed
-counting order), so everything serialized from a field is stable across
-runs and machines.  make_extension_field memoizes one field per (p, m).
+counting order, by Ben-Or's test), so everything serialized from a field
+is stable across runs and machines.  make_extension_field memoizes one
+field per (p, m).
 
 An int operand of * scales the coefficient tuple mod p, and two elements
 of the same prime field (m = 1) add, subtract and multiply as one int mod
 p; every other operand takes the general path through _coerce.
 
 Frobenius x -> x^p is F_p-linear, so it is applied as an m x m matrix over
-F_p, built and certified once per field; `linear_kernel` lists the F_p-kernel
-of any F_p-linear map on the field.
+F_p, built and certified once per field.  Inverses use it too: x^-1 is the
+product of x's other conjugates over the norm of x, an int mod p.
+`linear_kernel` lists the F_p-kernel of any F_p-linear map on the field.
 
 find_generator and solve_power_equation scan the whole field.  The
 pipeline calls neither: they are references that the census tests and the
@@ -134,24 +136,19 @@ def _ppowmod(a, e, f, p):
 
 
 def _is_irreducible(f, p):
+    """Ben-Or's test (1981) for a monic f of degree m over F_p.
+
+    f is irreducible exactly when gcd(f, x^(p^i) - x) = 1 for every
+    i <= m/2; x^(p^i) mod f is built one p-th power at a time, and the
+    test stops at the first nontrivial gcd.
+    """
     m = len(f) - 1
-    if m == 1:
-        return True
-    x = [0, 1]
-    frob = {}  # k -> x^(p^k) mod f
-    t = x
-    for k in range(1, m + 1):
-        t = _ppowmod(t, p, f, p)
-        frob[k] = t
-    if _trim(list(frob[m])) != x:
-        return False
-    for ell in prime_factors(m):
-        diff = list(frob[m // ell])
-        while len(diff) < 2:
-            diff.append(0)
+    h = [0, 1]
+    for _ in range(m // 2):
+        h = _ppowmod(h, p, f, p)
+        diff = h + [0] * (2 - len(h))
         diff[1] = (diff[1] - 1) % p
-        g = _pgcd(f, _trim(diff), p)
-        if len(g) - 1 != 0:
+        if len(_pgcd(f, _trim(diff), p)) > 1:
             return False
     return True
 
@@ -385,9 +382,23 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> FieldElement:
+        """x^-1 = (x^p x^(p^2) ... x^(p^(m-1))) / N(x), where N(x) = x^((p^m-1)/(p-1)).
+
+        The conjugates come from the certified Frobenius matrix and the norm
+        N(x), which lies in F_p, is inverted as an int mod p.  Raises
+        ArithmeticError if the norm is not a nonzero constant.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return self ** (self.field.order - 2)
+        f = self.field
+        conj, rest = self, f.one
+        for _ in range(f.m - 1):
+            conj = conj.frobenius()
+            rest = rest * conj
+        norm = (self * rest).coeffs
+        if any(norm[1:]) or not norm[0]:
+            raise ArithmeticError(f"norm of {self!r} in {f!r} is not a nonzero constant")
+        return rest * pow(norm[0], f.p - 2, f.p)
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -7,7 +7,10 @@ problems alone.  A claim that holds symbolically can be re-checked
 numerically: evaluate at sampled curve points over a quadratic
 extension, with fresh random values for any matrix indeterminates.  The
 evaluation path shares nothing with the normal-form engine beyond raw
-field arithmetic, so agreement is a real cross-check.
+field arithmetic, but agreement is a narrow cross-check: a zero claim that
+holds arrives as the reduced zero normal form, which is zero at every
+point, so the oracle catches wrong inputs and re-checks the nonzero claims
+only.
 
 Each sampled point is checked on the curve once, at oracle setup, and
 every evaluation trusts that check.  A point that fails it (or too few
@@ -17,20 +20,17 @@ points) makes the check being served fail; it never aborts the run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dfield
+from collections import namedtuple
 
 from .curve import CurveContext, CurvePoint, CurvePolynomial, LocalFraction, random_curve_points
 from .formal import FormalPolynomial
 from .gf import make_extension_field
 
 
-@dataclass
-class Claim:
-    """One asserted identity: obj should vanish (or not) identically."""
+class Claim(namedtuple("Claim", "kind name obj")):
+    """One asserted identity: obj should vanish (kind "zero") or not ("nonzero")."""
 
-    kind: str  # "zero" or "nonzero"
-    name: str
-    obj: object
+    __slots__ = ()
 
     def holds(self) -> bool:
         """The symbolic verdict: is obj zero exactly when the claim says so?"""
@@ -45,7 +45,6 @@ def nonzero_claim(name, obj):
     return Claim("nonzero", name, obj)
 
 
-@dataclass
 class CheckOutcome:
     """A check's claims and structural problems, with its pass and fail texts.
 
@@ -54,10 +53,11 @@ class CheckOutcome:
     for the failing claims' names and the problems, joined by ",".
     """
 
-    passed: str
-    failed: str = "{problems}"
-    claims: list = dfield(default_factory=list)
-    problems: list = dfield(default_factory=list)
+    def __init__(self, passed: str, failed: str = "{problems}", claims=None, problems=None):
+        self.passed = passed
+        self.failed = failed
+        self.claims = [] if claims is None else claims
+        self.problems = [] if problems is None else problems
 
     @property
     def ok(self) -> bool:

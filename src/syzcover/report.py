@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from . import __version__
 from .census import (
@@ -48,34 +48,20 @@ from .syz import (
 SELECTIONS = ("lemmas", "cover", "fiber")
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    status: str  # "pass" | "fail" | "skipped"
-    detail: str
+CheckRecord = namedtuple("CheckRecord", "name status detail")  # status: pass, fail or skipped
+EngineInfo = namedtuple("EngineInfo", "version seed")
 
 
-@dataclass(frozen=True)
-class EngineInfo:
-    version: str
-    seed: int
-
-
-@dataclass(frozen=True)
-class CoverReport:
-    prime: int
-    overall: str
-    checks: tuple
-    stats: ReportStats
-    engine: EngineInfo
+class CoverReport(namedtuple("CoverReport", "prime overall checks stats engine")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
             "prime": self.prime,
             "overall": self.overall,
-            "checks": [asdict(c) for c in self.checks],
-            "stats": asdict(self.stats),
-            "engine": asdict(self.engine),
+            "checks": [c._asdict() for c in self.checks],
+            "stats": self.stats._asdict(),
+            "engine": self.engine._asdict(),
         }
 
     @classmethod

@@ -18,24 +18,20 @@ oracle re-checks the same claims numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .curve import CurveContext, CurvePolynomial, fermat_curve
+from .curve import CurvePolynomial, fermat_curve
 from .oracle import CheckOutcome, nonzero_claim, zero_claim
 
 
-@dataclass(frozen=True)
-class SyzygyTriple:
+class SyzygyTriple(namedtuple("SyzygyTriple", "label components data total_degree")):
     """Components (a1, a2, a3) with sum(a_i * f_i) = 0 for data (f1, f2, f3).
 
     total_degree is deg(a_i) + deg(f_i), which the degree bookkeeping
     requires to be independent of i.
     """
 
-    label: str
-    components: tuple[CurvePolynomial, CurvePolynomial, CurvePolynomial]
-    data: tuple[CurvePolynomial, CurvePolynomial, CurvePolynomial]
-    total_degree: int
+    __slots__ = ()
 
     def combination(self) -> CurvePolynomial:
         a1, a2, a3 = self.components
@@ -45,18 +41,20 @@ class SyzygyTriple:
     def flip_component(self, idx: int) -> SyzygyTriple:
         comps = list(self.components)
         comps[idx] = -comps[idx]
-        return SyzygyTriple(
-            f"{self.label}~flip{idx}", tuple(comps), self.data, self.total_degree
-        )
+        return self._replace(label=f"{self.label}~flip{idx}", components=tuple(comps))
 
 
-@dataclass(frozen=True)
-class GeneratorCatalog:
-    base: CurveContext   # degree-d curve in x, y, z
-    quad: CurveContext   # degree-(p+1) curve in u, v, w
-    triples: dict
-    kernel_form: tuple       # (z, -y, x): kernel of the pullback presentation
-    koszul_kernel_form: tuple  # (y, -x, z): kernel of the Koszul presentation
+class GeneratorCatalog(
+    namedtuple("GeneratorCatalog", "base quad triples kernel_form koszul_kernel_form")
+):
+    """The generating triples of one prime, indexed by label (catalog["R0"]).
+
+    base is the degree-d curve in x, y, z and quad the degree-(p+1) curve in
+    u, v, w; kernel_form (z, -y, x) and koszul_kernel_form (y, -x, z) cut out
+    the kernels of the pullback and Koszul presentations.
+    """
+
+    __slots__ = ()
 
     def __getitem__(self, label: str) -> SyzygyTriple:
         return self.triples[label]
@@ -65,9 +63,7 @@ class GeneratorCatalog:
         triples = dict(self.triples)
         key = triple.label.split("~")[0]
         triples[key] = triple
-        return GeneratorCatalog(
-            self.base, self.quad, triples, self.kernel_form, self.koszul_kernel_form
-        )
+        return self._replace(triples=triples)
 
 
 def build_catalog(p: int) -> GeneratorCatalog:

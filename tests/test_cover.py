@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -100,7 +99,7 @@ def test_cocycle(covers, p):
 def test_cocycle_detects_transpose(covers):
     cd = covers[3]
     transposed = tuple(tuple(cd.H_W[j][i] for j in range(2)) for i in range(2))
-    mutated = dataclasses.replace(cd, H_W=transposed)
+    mutated = cd._replace(H_W=transposed)
     assert not check_cocycle(mutated).ok
 
 
@@ -159,7 +158,7 @@ def test_gluing_det_is_target_det(covers):
 
 def test_gluing_detects_wrong_transition(covers):
     cd = covers[3]
-    mutated = dataclasses.replace(cd, T=mat_inverse(cd.T))
+    mutated = cd._replace(T=mat_inverse(cd.T))
     assert not check_gluing(mutated).ok
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from syzcover.curve import (
+    CurveContext,
     CurvePoint,
     CurvePolynomial,
     LocalFraction,
@@ -430,3 +431,20 @@ def test_norm_table_equals_pow(p):
     field = make_extension_field(p, 2)
     norm = power_map(fermat_curve(p), field)
     assert all(norm(x) == x ** (p + 1) for x in field.elements())
+
+
+def test_curve_context_is_a_validated_immutable_value():
+    ctx = CurveContext(5, 6)
+    assert ctx == fermat_curve(5) and hash(ctx) == hash(fermat_curve(5))
+    assert ctx != CurveContext(5, 6, ("x", "y", "z")) and ctx != CurveContext(5, 3)
+    assert repr(ctx) == "CurveContext(p=5, exponent=6, names=('u', 'v', 'w'))"
+    assert CurveContext(p=5, exponent=6, names=("u", "v", "w")) == ctx
+    assert {ctx: 1}[fermat_curve(5)] == 1
+    with pytest.raises(AttributeError):
+        ctx.p = 7
+    with pytest.raises(ValueError, match="odd prime, got 9"):
+        CurveContext(9, 10)
+    with pytest.raises(ValueError, match="odd prime, got 2"):
+        CurveContext(2, 3)
+    with pytest.raises(ValueError, match="at least 2"):
+        CurveContext(5, 1)

@@ -1,13 +1,18 @@
+import itertools
 import operator
 
 import pytest
 from hypothesis import given, strategies as st
 
+from syzcover import gf
 from syzcover.gf import (
     GF,
+    _is_irreducible,
+    _pgcd,
     _pmod,
     _pmul,
     _ppowmod,
+    _trim,
     find_generator,
     is_prime,
     linear_kernel,
@@ -303,3 +308,96 @@ def test_prime_fields_of_different_characteristic_do_not_mix():
     for op in (operator.add, operator.sub, operator.mul):
         with pytest.raises(ValueError, match="different fields"):
             op(x, y)
+
+
+def _is_irreducible_reference(f, p):
+    """The Rabin-style test gf used before Ben-Or's: x^(p^m) = x mod f, and
+    gcd(f, x^(p^(m/l)) - x) = 1 for each prime l dividing m, from all m
+    Frobenius powers of x built up front."""
+    m = len(f) - 1
+    if m == 1:
+        return True
+    x = [0, 1]
+    frob = {}  # k -> x^(p^k) mod f
+    t = x
+    for k in range(1, m + 1):
+        t = _ppowmod(t, p, f, p)
+        frob[k] = t
+    if _trim(list(frob[m])) != x:
+        return False
+    for ell in prime_factors(m):
+        diff = list(frob[m // ell])
+        while len(diff) < 2:
+            diff.append(0)
+        diff[1] = (diff[1] - 1) % p
+        g = _pgcd(f, _trim(diff), p)
+        if len(g) - 1 != 0:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p, degrees", ((3, range(2, 6)), (5, range(2, 5)), (7, range(2, 4))))
+def test_ben_or_agrees_with_reference_on_every_small_monic(p, degrees):
+    for m in degrees:
+        verdicts = []
+        for low in itertools.product(range(p), repeat=m):
+            f = list(low) + [1]
+            verdicts.append(_is_irreducible(f, p))
+            assert verdicts[-1] == _is_irreducible_reference(f, p), (p, f)
+        assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("p, m", ((3, 4), (5, 8), (7, 6), (11, 20), (13, 24), (251, 2)))
+def test_ben_or_finds_the_reference_first_irreducible(monkeypatch, p, m):
+    found = gf._find_irreducible(p, m)
+    monkeypatch.setattr(gf, "_is_irreducible", _is_irreducible_reference)
+    assert found == gf._find_irreducible(p, m)
+
+
+def _inverse_reference(x):
+    return x ** (x.field.order - 2)
+
+
+@pytest.mark.parametrize(
+    "p, m", [(p, 2) for p in (3, 5, 7, 11, 13)] + [(3, 4), (5, 4)] + [(p, 1) for p in (3, 13)]
+)
+def test_inverse_equals_pow_on_every_unit(p, m):
+    F = make_extension_field(p, m)
+    for k in range(1, F.order):
+        x = F.from_index(k)
+        inv = x.inverse()
+        assert inv == _inverse_reference(x), x
+        assert x * inv == F.one
+
+
+@pytest.mark.parametrize("p, m", ((251, 2), (5, 8), (7, 6)))
+def test_inverse_equals_pow_sampled(rng, p, m):
+    F = make_extension_field(p, m)
+    for _ in range(2000):
+        x = F.from_index(rng.randrange(1, F.order))
+        assert x.inverse() == _inverse_reference(x)
+
+
+@pytest.mark.parametrize("p, m", ((7, 1), (7, 2), (5, 8)))
+def test_inverse_of_zero_raises(p, m):
+    F = make_extension_field(p, m)
+    with pytest.raises(ZeroDivisionError):
+        F.zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        F.one / F.zero
+
+
+@pytest.mark.parametrize("entry", (0, 1))
+def test_inverse_rejects_a_norm_that_is_not_a_unit_of_the_prime_field(entry):
+    """A corrupted Frobenius column makes N(t) leave F_p (entry 0) or vanish
+    (entry 1: Frob(t) becomes 0); either raises instead of returning a value."""
+    F = make_extension_field(13, 2)
+    columns = F.frobenius_columns()
+    bad = list(columns[1])
+    bad[entry] = (bad[entry] + 1) % 13
+    try:
+        F._frobenius = (columns[0], tuple(bad))
+        with pytest.raises(ArithmeticError, match="not a nonzero constant"):
+            F.element((0, 1)).inverse()
+    finally:
+        F._frobenius = columns

@@ -1,10 +1,17 @@
 """Byte-for-byte report contract against committed golden reports.
 
-Each pP_seedS.json file in tests/golden/ is the stdout of
+Each pP_seedS.json file in tests/golden/ (P in 3, 5, 7, 11, 13 and S in 0-3)
+is the stdout of
 
     syzcover verify --prime P --seed S > tests/golden/pP_seedS.json
 
-with all checks.  symbolic_pP_seed0.json, for P = 101 and 251, is the stdout of
+with all checks.  p5_seed0.txt is the stdout of the same run for P = 5, S = 0
+with --format text, and p3-5_lemmas-cover_seed0.json the list payload of
+
+    syzcover verify --primes 3,5 --checks lemmas,cover
+
+symbolic_pP_seed0.json, for P = 101, 151 and 251 (the symbolic bench primes),
+is the stdout of
 
     PYTHONPATH=src python3 bench/symbolic_op.py P 0
 
@@ -21,29 +28,40 @@ from pathlib import Path
 
 import pytest
 
-from syzcover.report import render_json, run_verification
+from syzcover.report import render_json, render_text, run_verification
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
 
-@pytest.mark.parametrize("seed", (0, 3))
-@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
-def test_report_matches_golden(p, seed):
-    expected = (GOLDEN / f"p{p}_seed{seed}.json").read_text(encoding="utf-8")
-    assert render_json(run_verification(p, seed=seed)) == expected
-
-
-@pytest.mark.parametrize("p", (101, 251))
-def test_symbolic_checks_match_golden(p):
+def _stdout(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    res = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "symbolic_op.py"), str(p), "0"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    res = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
-    expected = (GOLDEN / f"symbolic_p{p}_seed0.json").read_text(encoding="utf-8")
-    assert res.stdout == expected
+    return res.stdout
+
+
+def _golden(name):
+    return (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2, 3))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+def test_report_matches_golden(p, seed):
+    assert render_json(run_verification(p, seed=seed)) == _golden(f"p{p}_seed{seed}.json")
+
+
+def test_text_report_matches_golden():
+    assert render_text(run_verification(5)) == _golden("p5_seed0.txt")
+
+
+def test_multi_prime_cli_report_matches_golden():
+    out = _stdout("-m", "syzcover", "verify", "--primes", "3,5", "--checks", "lemmas,cover")
+    assert out == _golden("p3-5_lemmas-cover_seed0.json")
+
+
+@pytest.mark.parametrize("p", (101, 151, 251))
+def test_symbolic_checks_match_golden(p):
+    out = _stdout(str(ROOT / "bench" / "symbolic_op.py"), str(p), "0")
+    assert out == _golden(f"symbolic_p{p}_seed0.json")

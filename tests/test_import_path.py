@@ -1,0 +1,28 @@
+"""The package import stays cheap: every `syzcover verify` process pays for it.
+
+`dataclasses` pulls in inspect, ast, dis and tokenize, and generates and
+execs each decorated class's methods at import; `typing` is a large import
+of its own.  The check runs `import syzcover.cli` in a fresh interpreter
+without `site`, so nothing but the package itself loads modules.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+
+def test_cli_import_loads_no_heavy_module():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = (
+        "import sys; import syzcover.cli; "
+        f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == []
