@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .curve import CurveContext, CurvePoint, LocalFraction
+from .curve import CurveContext, CurvePoint, LocalFraction, power_key
 from .formal import FormalPolynomial
 from .gf import GF, make_extension_field
 from .matrices import (
@@ -364,21 +364,14 @@ def _w0_equal_const(frac: LocalFraction, value: int) -> bool:
 def _w0_points(ctx, count=20):
     """Up to count curve points with w = 0 over GF(p^2): u^(p+1) = -v^(p+1), u != 0.
 
-    Found in index order of (u0, v0).  The norm x * Frob(x) of x = a + b*t
-    is computed on int pairs mod p from the field's Frobenius columns and
-    modulus; only hits become field elements, each checked on the curve
-    with plain ** as it is made; raises ValueError at the first that is not.
+    Found in index order of (u0, v0), with u^(p+1) and v^(p+1) from
+    curve.power_key on the indices (int pairs mod p, the norm); only hits
+    become field elements, each checked on the curve with plain ** as it
+    is made; raises ValueError at the first that is not.
     """
     p = ctx.p
     field = make_extension_field(p, 2)
-    (f00, f01), (f10, f11) = field.frobenius_columns()
-    m0, m1 = field.modulus[:2]  # t^2 = -m1*t - m0
-
-    def norm(k):
-        a, b = k % p, k // p
-        c, d = a * f00 + b * f10, a * f01 + b * f11
-        return (a * c - m0 * b * d) % p, (a * d + b * c - m1 * b * d) % p
-
+    norm = power_key(ctx, field)
     pts = []
     for ku in range(1, p * p):
         target = tuple(-c % p for c in norm(ku))

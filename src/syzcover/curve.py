@@ -8,7 +8,8 @@ localized) and compare by cross multiplication, which is valid because
 u and w are nonzerodivisors in the (integral) coordinate ring.
 
 Points are made by random_curve_points, which draws them from a table of
-e-th powers, and are checked on the curve once, as CurvePoint.
+power_key, the one x^e routine that cover's w = 0 search uses too, and
+are checked on the curve once, as CurvePoint.
 curve_cone_points enumerates every point of the affine cone; it is the
 reference the sampler is tested against, not part of the pipeline.
 """
@@ -32,10 +33,6 @@ class CurveContext(namedtuple("CurveContext", "p exponent names")):
         if exponent < 2:
             raise ValueError("curve degree must be at least 2")
         return super().__new__(cls, p, exponent, names)
-
-    @property
-    def d(self) -> int:
-        return (self.p + 1) // 2
 
     def zero(self) -> CurvePolynomial:
         return CurvePolynomial(self, {})
@@ -151,21 +148,12 @@ class CurvePolynomial:
             self.ctx, {(i * p, j * p, k * p): c for (i, j, k), c in self.terms.items()}
         )
 
-    def degree(self) -> int:
-        """Total degree (of the normal form); -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(i + j + k for (i, j, k) in self.terms)
-
     def homogeneous_degree(self) -> int | None:
         """The common total degree of all terms, or None if inhomogeneous."""
         degs = {i + j + k for (i, j, k) in self.terms}
         if len(degs) > 1:
             return None
         return degs.pop() if degs else -1
-
-    def is_homogeneous(self) -> bool:
-        return self.homogeneous_degree() is not None
 
     def substitute_squares(self, target: CurveContext) -> CurvePolynomial:
         """Image under the cover map doubling every exponent.
@@ -181,10 +169,9 @@ class CurvePolynomial:
     def evaluate(self, point) -> FieldElement:
         """Value at a CurvePoint of this curve, or at a tuple, which is checked first."""
         u0, v0, w0 = as_curve_point(self.ctx, point)
-        field = u0.field
-        acc = field.zero
+        acc = u0.field.zero
         for (i, j, k), c in self.terms.items():
-            acc = acc + field(c) * (u0 ** i) * (v0 ** j) * (w0 ** k)
+            acc = acc + (u0 ** i) * (v0 ** j) * (w0 ** k) * c
         return acc
 
     def __eq__(self, other):
@@ -467,12 +454,25 @@ def as_curve_point(ctx: CurveContext, point) -> CurvePoint:
     return CurvePoint(ctx, point)
 
 
-def power_map(ctx: CurveContext, field: GF):
-    """x -> x^e on the field; for e = q + 1 (q the characteristic) that is x * Frob(x)."""
-    e = ctx.exponent
-    if e == field.p + 1:
-        return lambda x: x * x.frobenius()
-    return lambda x: x ** e
+def power_key(ctx: CurveContext, field: GF):
+    """k -> the coefficient tuple of x^e, for x = field.from_index(k) and e the curve's degree.
+
+    For e = p + 1 over GF(p^2), x^e is the norm x * Frob(x), computed on
+    the int pair (a, b) of x = a + b*t from the field's Frobenius columns
+    and modulus, with no field element made; any other e takes one pow.
+    """
+    e, p = ctx.exponent, field.p
+    if field.m != 2 or e != p + 1:
+        return lambda k: (field.from_index(k) ** e).coeffs
+    (f00, f01), (f10, f11) = field.frobenius_columns()
+    m0, m1 = field.modulus[:2]  # t^2 = -m1*t - m0
+
+    def norm(k):
+        a, b = k % p, k // p
+        c, d = a * f00 + b * f10, a * f01 + b * f11
+        return (a * c - m0 * b * d) % p, (a * d + b * c - m1 * b * d) % p
+
+    return norm
 
 
 def curve_cone_points(ctx: CurveContext, field: GF):
@@ -505,20 +505,20 @@ def random_curve_points(ctx: CurveContext, field: GF, count: int, rng):
 
     Pairs (u0, v0) are drawn without repetition (a lazy Fisher-Yates
     shuffle of the pair indices) and each is completed by one w0, chosen
-    by rng among the roots of w0^e = u0^e + v0^e in a table of e-th powers.
-    The cost is O(|F|) e-th powers for the table (each one mul and one
-    Frobenius when e = p + 1) plus a few draws per point: every pair has a
-    root when x^e is the norm (e = p + 1 over GF(p^2)), about 2/p of the
-    pairs for e = (p + 1)/2.  Raises ValueError when every pair has been
-    drawn before count points are found.  The points are plain tuples;
-    callers check them with CurvePoint.
+    by rng among the roots of w0^e = u0^e + v0^e in a table of power_key
+    over the element indices.  The table holds indices and int keys, and
+    only the returned points become field elements.  The cost is |F| keys
+    (int arithmetic when e = p + 1 over GF(p^2), one pow each otherwise)
+    plus a few draws per point: every pair has a root when x^e is the norm,
+    about 2/p of the pairs for e = (p + 1)/2.  Raises ValueError when every
+    pair has been drawn before count points are found.  The points are
+    plain tuples; callers check them with CurvePoint.
     """
-    order = field.order
-    elements = list(field.elements())  # index 0 is the zero element
-    powers = list(map(power_map(ctx, field), elements))
+    p, order = field.p, field.order
+    keys = list(map(power_key(ctx, field), range(order)))  # index 0 is the zero element
     roots: dict = {}
-    for x, power in zip(elements[1:], powers[1:]):
-        roots.setdefault(power.coeffs, []).append(x)
+    for k in range(1, order):
+        roots.setdefault(keys[k], []).append(k)
     total = (order - 1) * order
     swapped: dict = {}
     points = []
@@ -529,11 +529,11 @@ def random_curve_points(ctx: CurveContext, field: GF, count: int, rng):
         pair = swapped.get(pick, pick)
         swapped[pick] = swapped.get(drawn, drawn)
         ui, vi = 1 + pair // order, pair % order
-        candidates = roots.get((powers[ui] + powers[vi]).coeffs)
+        candidates = roots.get(tuple((a + b) % p for a, b in zip(keys[ui], keys[vi])))
         if not candidates:
             continue
-        w0 = candidates[rng.randrange(len(candidates))]
-        points.append((elements[ui], elements[vi], w0))
+        wi = candidates[rng.randrange(len(candidates))]
+        points.append(tuple(map(field.from_index, (ui, vi, wi))))
     if len(points) < count:
         raise ValueError(f"only {len(points)} curve points available, wanted {count}")
     return points

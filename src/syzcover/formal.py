@@ -133,9 +133,6 @@ class FormalPolynomial:
     def formal_degrees(self) -> set[int]:
         return {sum(e) for e in self.terms}
 
-    def coefficient(self, exps) -> LocalFraction:
-        return self.terms.get(tuple(exps), self.ctx.fraction(0))
-
     def evaluate(self, assignment: dict, point):
         """Value at a curve point with field values assigned to the variables.
 

@@ -6,9 +6,9 @@ counting order, by Ben-Or's test), so everything serialized from a field
 is stable across runs and machines.  make_extension_field memoizes one
 field per (p, m).
 
-An int operand of * scales the coefficient tuple mod p, and two elements
-of the same prime field (m = 1) add, subtract and multiply as one int mod
-p; every other operand takes the general path through _coerce.
+An int operand of * scales the coefficient tuple mod p; every other
+operand, in a prime field (m = 1) too, is coerced to an element and takes
+the one general path, a coefficient tuple of length m.
 
 Frobenius x -> x^p is F_p-linear, so it is applied as an m x m matrix over
 F_p, built and certified once per field.  Inverses use it too: x^-1 is the
@@ -316,12 +316,10 @@ class FieldElement:
         return None
 
     def __add__(self, other):
-        f = self.field
-        if f.m == 1 and isinstance(other, FieldElement) and other.field is f:
-            return FieldElement(f, ((self.coeffs[0] + other.coeffs[0]) % f.p,))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        f = self.field
         p = f.p
         return FieldElement(
             f, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
@@ -334,12 +332,10 @@ class FieldElement:
         return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
 
     def __sub__(self, other):
-        f = self.field
-        if f.m == 1 and isinstance(other, FieldElement) and other.field is f:
-            return FieldElement(f, ((self.coeffs[0] - other.coeffs[0]) % f.p,))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        f = self.field
         p = f.p
         return FieldElement(
             f, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
@@ -356,8 +352,6 @@ class FieldElement:
         p, m = f.p, f.m
         if isinstance(other, int):
             return FieldElement(f, tuple(c * other % p for c in self.coeffs))
-        if m == 1 and isinstance(other, FieldElement) and other.field is f:
-            return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % p,))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -405,12 +399,6 @@ class FieldElement:
         if other is None:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     def __pow__(self, e: int):
         if not isinstance(e, int):

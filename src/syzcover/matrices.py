@@ -35,10 +35,6 @@ def mat_sub(A, B):
     )
 
 
-def mat_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
 def det(M):
     n = len(M)
     if n == 1:

@@ -26,6 +26,8 @@ from .curve import CurveContext, CurvePoint, CurvePolynomial, LocalFraction, ran
 from .formal import FormalPolynomial
 from .gf import make_extension_field
 
+ORACLE_POINTS = 20  # sampled curve points per oracle
+
 
 class Claim(namedtuple("Claim", "kind name obj")):
     """One asserted identity: obj should vanish (kind "zero") or not ("nonzero")."""
@@ -72,18 +74,18 @@ class CheckOutcome:
 
 
 class PointOracle:
-    """Evaluates claims at sampled curve points over GF(p^2).
+    """Evaluates claims at ORACLE_POINTS sampled curve points over GF(p^2).
 
     Raises ValueError when a sampled point is off the curve or too few
     points exist.
     """
 
-    def __init__(self, ctx: CurveContext, seed: int = 0, points: int = 20):
+    def __init__(self, ctx: CurveContext, seed: int = 0):
         self.ctx = ctx
         self.field = make_extension_field(ctx.p, 2)
         rng = random.Random(seed * 1000003 + ctx.p * 101 + ctx.exponent)
         self.rng = rng
-        sampled = random_curve_points(ctx, self.field, points, rng)
+        sampled = random_curve_points(ctx, self.field, ORACLE_POINTS, rng)
         self.points = [CurvePoint(ctx, pt) for pt in sampled]
 
     def _values(self, obj):
@@ -92,10 +94,7 @@ class PointOracle:
                 yield obj.evaluate(pt)
         elif isinstance(obj, FormalPolynomial):
             for pt in self.points:
-                assignment = {
-                    name: self.field.from_index(self.rng.randrange(self.field.order))
-                    for name in obj.vars
-                }
+                assignment = {name: self.field.random_element(self.rng) for name in obj.vars}
                 yield obj.evaluate(assignment, pt)
         else:
             raise TypeError(f"cannot evaluate {type(obj).__name__}")
@@ -111,15 +110,14 @@ class PointOracle:
 class OracleSuite:
     """Routes claims to a per-context oracle, creating them on demand."""
 
-    def __init__(self, seed: int = 0, points: int = 20):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.points = points
         self._oracles: dict[CurveContext, PointOracle] = {}
 
     def oracle_for(self, ctx: CurveContext) -> PointOracle:
         oracle = self._oracles.get(ctx)
         if oracle is None:
-            oracle = self._oracles[ctx] = PointOracle(ctx, self.seed, self.points)
+            oracle = self._oracles[ctx] = PointOracle(ctx, self.seed)
         return oracle
 
     def check_all(self, claims) -> tuple[bool, str]:
@@ -132,4 +130,4 @@ class OracleSuite:
             if not oracle.check(claim):
                 return False, f"oracle mismatch on {claim.name}"
             count += 1
-        return True, f"{count} identities re-checked at {self.points} points each"
+        return True, f"{count} identities re-checked at {ORACLE_POINTS} points each"

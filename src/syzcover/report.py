@@ -139,7 +139,6 @@ def run_verification(
     checks: str | tuple = "all",
     seed: int = 0,
     max_field_size: int = CENSUS_CAP,
-    oracle_points: int = 20,
 ) -> CoverReport:
     """Execute the selected check groups for one prime."""
     if not isinstance(p, int) or not is_prime(p) or p < 3:
@@ -150,7 +149,7 @@ def run_verification(
 
     stats = component_stats(p)
     records: list[CheckRecord] = []
-    oracles = OracleSuite(seed=seed, points=oracle_points)
+    oracles = OracleSuite(seed=seed)
 
     def run(name: str, outcome: CheckOutcome):
         """The symbolic verdict, then the oracle on the claims of a check that holds."""

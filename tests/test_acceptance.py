@@ -159,7 +159,7 @@ def test_criterion_3_symbolic_suite(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_criterion_4_oracle_cross_check(p):
     """Every symbolic zero evaluates to zero at >= 20 curve points."""
-    suite = OracleSuite(seed=0, points=20)
+    suite = OracleSuite(seed=0)
     catalog = build_catalog(p)
     cd = build_cover_data(p, catalog)
     total = 0
@@ -212,7 +212,7 @@ def test_criterion_4_oracle_mutation_sensitivity(p):
                 continue
             mutated = catalog.with_triple(catalog[label].flip_component(idx))
             claims = [claim for chk in SYMBOLIC_CHECKS for claim in chk(mutated).claims]
-            ok, _ = OracleSuite(seed=0, points=20).check_all(claims)
+            ok, _ = OracleSuite(seed=0).check_all(claims)
             if ok:
                 missed.add(f"{label}[{idx}]")
             mutations += 1

@@ -21,7 +21,7 @@ from syzcover.cover import (
 from syzcover.curve import CurvePoint, LocalFraction, fermat_curve, random_curve_points
 from syzcover.formal import FormalPolynomial
 from syzcover.gf import make_extension_field
-from syzcover.matrices import adjugate, det, mat, mat_inverse, mat_mul, mat_sub, mat_eq
+from syzcover.matrices import adjugate, det, mat, mat_inverse, mat_mul, mat_sub
 from syzcover.oracle import OracleSuite
 from syzcover.syz import build_catalog
 
@@ -342,7 +342,7 @@ def test_matrix_ideal_shift_trivial_cases():
     A2 = mat([[F.random_element(rng) for _ in range(n)] for _ in range(n)])
     G2 = mat_sub(mat_mul(A2, mat_inverse(eye)), C)
     H2 = mat_sub(A2, mat_mul(C, eye))
-    assert mat_eq(G2, H2)
+    assert G2 == H2
 
 
 def test_matrix_ideal_shift_random_samples():
@@ -393,7 +393,7 @@ def test_matrix_ideal_shift_rejects_no_samples(samples):
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_oracle_confirms_cover_checks(covers, p):
-    suite = OracleSuite(seed=2, points=20)
+    suite = OracleSuite(seed=2)
     for check in ALL_CHECKS:
         out = check(covers[p])
         assert out.ok, out.detail
@@ -403,7 +403,7 @@ def test_oracle_confirms_cover_checks(covers, p):
 
 def test_transition_matrix_rebuild_matches(covers):
     cat = build_catalog(3)
-    assert mat_eq(transition_matrix(cat.quad), covers[3].T)
+    assert transition_matrix(cat.quad) == covers[3].T
 
 
 def _w0_points_by_pow(ctx, count=20):

@@ -10,11 +10,11 @@ from syzcover.curve import (
     curve_cone_points,
     fermat_curve,
     on_curve,
-    power_map,
+    power_key,
     random_curve_points,
 )
 from syzcover.formal import FormalPolynomial
-from syzcover.gf import make_extension_field
+from syzcover.gf import GF, FieldElement, make_extension_field
 from syzcover.matrices import adjugate, det, mat, mat_inverse, mat_mul
 
 
@@ -120,7 +120,7 @@ def test_homogeneous_products(rng):
         prod = f * g
         if prod.is_zero():
             continue
-        assert prod.is_homogeneous()
+        assert prod.homogeneous_degree() is not None
         assert prod.homogeneous_degree() == d1 + d2
 
 
@@ -428,9 +428,82 @@ def test_checked_point_of_another_context_is_rejected(quartic):
 
 @pytest.mark.parametrize("p", (3, 5, 7, 13))
 def test_norm_table_equals_pow(p):
+    """Both branches: the int-pair norm (e = p + 1 over GF(p^2)) and the pow
+    (e = (p + 1)/2, and e = p + 1 over the prime field)."""
+    for m, e in ((2, p + 1), (2, (p + 1) // 2), (1, p + 1)):
+        field = make_extension_field(p, m)
+        key = power_key(fermat_curve(p, e), field)
+        for k, x in enumerate(field.elements()):
+            product = field.one
+            for _ in range(e):
+                product = product * x
+            assert key(k) == product.coeffs, (m, e, k)
+
+
+def _table_sampler_reference(ctx, field, count, rng):
+    """The sampler before power_key: a table of e-th powers of field elements,
+    each one mul and one Frobenius when e = p + 1, one pow otherwise."""
+    e = ctx.exponent
+    power = (lambda x: x * x.frobenius()) if e == field.p + 1 else (lambda x: x ** e)
+    order = field.order
+    elements = list(field.elements())
+    powers = list(map(power, elements))
+    roots = {}
+    for x, px in zip(elements[1:], powers[1:]):
+        roots.setdefault(px.coeffs, []).append(x)
+    total = (order - 1) * order
+    swapped = {}
+    points = []
+    for drawn in range(total):
+        if len(points) == count:
+            break
+        pick = rng.randrange(drawn, total)
+        pair = swapped.get(pick, pick)
+        swapped[pick] = swapped.get(drawn, drawn)
+        ui, vi = 1 + pair // order, pair % order
+        candidates = roots.get((powers[ui] + powers[vi]).coeffs)
+        if not candidates:
+            continue
+        w0 = candidates[rng.randrange(len(candidates))]
+        points.append((elements[ui], elements[vi], w0))
+    if len(points) < count:
+        raise ValueError(f"only {len(points)} curve points available, wanted {count}")
+    return points
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101))
+@pytest.mark.parametrize("half", (True, False), ids=("e=(p+1)/2", "e=p+1"))
+def test_sampler_matches_table_reference(p, half):
+    ctx = fermat_curve(p, (p + 1) // 2 if half else p + 1)
     field = make_extension_field(p, 2)
-    norm = power_map(fermat_curve(p), field)
-    assert all(norm(x) == x ** (p + 1) for x in field.elements())
+    for seed in range(4):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        pts = random_curve_points(ctx, field, 20, rng)
+        assert pts == _table_sampler_reference(ctx, field, 20, ref_rng), seed
+        assert rng.getstate() == ref_rng.getstate(), seed
+
+
+@pytest.mark.parametrize("p", (13, 101))
+def test_norm_sampler_makes_only_the_returned_elements(monkeypatch, p):
+    """For e = p + 1, 20 points cost at most 3 * 20 from_index calls and no
+    Frobenius application (the table sampler made p^2 of each)."""
+    counts = {"from_index": 0, "frobenius": 0}
+    from_index, frobenius = GF.from_index, FieldElement.frobenius
+
+    def counted_from_index(self, k):
+        counts["from_index"] += 1
+        return from_index(self, k)
+
+    def counted_frobenius(self):
+        counts["frobenius"] += 1
+        return frobenius(self)
+
+    monkeypatch.setattr(GF, "from_index", counted_from_index)
+    monkeypatch.setattr(FieldElement, "frobenius", counted_frobenius)
+    pts = random_curve_points(fermat_curve(p), make_extension_field(p, 2), 20, random.Random(0))
+    assert len(pts) == 20
+    assert counts["from_index"] <= 60
+    assert counts["frobenius"] == 0
 
 
 def test_curve_context_is_a_validated_immutable_value():

@@ -290,7 +290,7 @@ def test_int_scalar_equals_embedded_constant(rng, p, m):
 @pytest.mark.parametrize("p", (3, 7))
 def test_prime_field_ops_match_generic_path(p):
     F = make_extension_field(p)
-    twin = GF(p)  # equal to F but not F itself, so operands take the m-generic path
+    twin = GF(p)  # equal to F but not F itself, so _coerce compares the fields by value
     assert twin == F and twin is not F
     for x in F.elements():
         a = x.coeffs[0]

@@ -6,9 +6,16 @@ is the stdout of
     syzcover verify --prime P --seed S > tests/golden/pP_seedS.json
 
 with all checks.  p5_seed0.txt is the stdout of the same run for P = 5, S = 0
-with --format text, and p3-5_lemmas-cover_seed0.json the list payload of
+with --format text, p3-5_lemmas-cover_seed0.json the list payload of
 
     syzcover verify --primes 3,5 --checks lemmas,cover
+
+and p101_lemmas-cover_seed0.json the stdout of
+
+    syzcover verify --prime 101 --checks lemmas,cover
+
+the one golden that runs the oracle's point sampler above p = 13 (both of
+its curves over GF(101^2), 10 201 elements).
 
 symbolic_pP_seed0.json, for P = 101, 151 and 251 (the symbolic bench primes),
 is the stdout of
@@ -59,6 +66,11 @@ def test_text_report_matches_golden():
 def test_multi_prime_cli_report_matches_golden():
     out = _stdout("-m", "syzcover", "verify", "--primes", "3,5", "--checks", "lemmas,cover")
     assert out == _golden("p3-5_lemmas-cover_seed0.json")
+
+
+def test_p101_oracle_cli_report_matches_golden():
+    out = _stdout("-m", "syzcover", "verify", "--prime", "101", "--checks", "lemmas,cover")
+    assert out == _golden("p101_lemmas-cover_seed0.json")
 
 
 @pytest.mark.parametrize("p", (101, 151, 251))

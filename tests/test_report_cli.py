@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import syzcover.cli as cli
-from syzcover import curve, report
+from syzcover import curve, oracle, report
 from syzcover.gf import make_extension_field
 from syzcover.oracle import OracleSuite, PointOracle
 from syzcover.report import (
@@ -329,8 +329,9 @@ def test_corrupted_frobenius_matrix_fails_oracle_run():
     assert run_verification(13, checks=("cover",)).overall == "pass"
 
 
-def test_too_few_oracle_points_fail_instead_of_raising():
-    result = run_verification(3, checks=("lemmas",), oracle_points=10_000)
+def test_too_few_oracle_points_fail_instead_of_raising(monkeypatch):
+    monkeypatch.setattr(oracle, "ORACLE_POINTS", 10_000)
+    result = run_verification(3, checks=("lemmas",))
     assert result.overall == "fail"
     assert all(c.status == "fail" for c in result.checks)
     assert "oracle setup failed: only " in result.checks[0].detail

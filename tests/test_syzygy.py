@@ -154,7 +154,7 @@ def test_identical_rows_are_dependent(catalogs):
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_oracle_confirms_all_checks(catalogs, p):
-    suite = OracleSuite(seed=1, points=20)
+    suite = OracleSuite(seed=1)
     for check in (check_catalog, check_kernel_relation, check_alpha, check_independence):
         out = check(catalogs[p])
         assert out.ok
