@@ -8,10 +8,15 @@ units with c and d both (p^2-1)-th roots of 2 and d/c outside the
 Frobenius is an F_p-linear map, so both solution sets are kernels found by
 Gaussian elimination over F_p: the c are ker(Frob^2 - 2) minus 0 and the
 ratios d/c are ker(Frob^2 - 1) minus ker(Frob - 1), that is GF(p^2) minus
-F_p.  One pass re-verifies each point on the raw equations, with Frobenius
-as the same certified matrix, and files it under ad - bc, whose values give
-the component structure.  The enumeration runs only when the census field
-has at most CENSUS_CAP elements (p <= 7).
+F_p.  The products d = z*c and the re-verification of every point on the
+raw equations run in bulk, on packed rows (syzcover.packed): coordinate j
+of a batch of elements (all admissible z, or all d sharing one c) is
+packed into one int, a slot per element, so each F_p-linear map
+(Frobenius as the same certified matrix, multiplication by c,
+d -> ad - bc for a fixed c) costs m^2 int products whatever the batch
+size.  Each point is filed under ad - bc, whose values give the component
+structure.  The enumeration runs only when the census field has at most
+CENSUS_CAP elements (p <= 7).
 
 component_stats gives the closed-form invariants (counts, degrees,
 genera) that a report carries as its stats at every prime; the fiber
@@ -91,9 +96,23 @@ def fiber_field_degree(p: int) -> int:
     raise RuntimeError("no census field found")  # unreachable
 
 
+def _multiplication_columns(x: FieldElement) -> list:
+    """Columns of y -> x*y on the power basis: x t^j for j < m, one product with t each."""
+    t, columns = x.field.element([0, 1]), [x.coeffs]
+    for _ in range(x.field.m - 1):
+        x = x * t
+        columns.append(x.coeffs)
+    return columns
+
+
 @lru_cache(maxsize=None)
 def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
-    """All fiber points over (1 : 0 : 1), or a skip marker above the cap."""
+    """All fiber points over (1 : 0 : 1), or a skip marker above the cap.
+
+    Points come c by c in index order, and for each c the products d = z*c
+    over the admissible z in index order, as one multiplication-by-c map
+    applied to the packed z.
+    """
     _require_odd_prime(p)
     m = fiber_field_degree(p)
     if p ** m > cap:
@@ -101,6 +120,8 @@ def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
             p, m, True, (), 0,
             f"census field GF({p}^{m}) has {p ** m} elements, above the cap {cap}",
         )
+    from .packed import PackedRows  # loaded only by runs that reach a census
+
     field = make_extension_field(p, m)
     c_solutions = [
         c for c in linear_kernel(field, lambda x: x.frobenius().frobenius() - 2 * x) if c
@@ -110,48 +131,73 @@ def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
         if z.frobenius() != z
     ]
     admissible.sort(key=lambda e: e.index)
+    packed = PackedRows(p, m, len(admissible))
+    zs = packed.pack([z.coeffs for z in admissible])
     points = tuple(
-        FiberPoint(c, z * c)
+        FiberPoint(c, FieldElement(field, coeffs))
         for c in sorted(c_solutions, key=lambda e: e.index)
-        for z in admissible
+        for coeffs in packed.unpack(
+            packed.reduce(packed.apply(_multiplication_columns(c), zs)))
     )
     return CensusResult(p, m, False, points, len(points))
 
 
-def _c_image(c: FieldElement) -> tuple:
-    """(Frob(c), whether c^(p^2-1) = 2, that is c != 0 and Frob^2(c) = 2c)."""
-    cp = c.frobenius()
-    return cp, not c.is_zero() and cp.frobenius() == 2 * c
+def reverify_census(census: CensusResult) -> tuple:
+    """(every point verified, points grouped by ad - bc), in bulk per distinct c.
 
+    Points are grouped by c, wherever they sit.  Per group, Frob(c) and
+    c's own equation Frob^2(c) = 2c (c != 0) cost two Frobenius
+    applications, the F_p-linear map d -> Frob(c) d - c Frob(d) is built
+    from 2m - 2 field products, and the group's d are packed, so that d != 0,
+    Frob^2(d) = 2d, ad - bc != 0 and Frob(ad - bc) = -2 (ad - bc) are
+    checked on every slot, with the certified Frobenius matrix read on
+    each call.  Points are filed under the ad - bc they unpack to, in
+    point order.
+    """
+    points = census.points
+    if not points:
+        return True, {}
+    from .packed import PackedRows  # loaded only by runs that reach a census
 
-def _point_image(pt: FiberPoint, cp: FieldElement) -> tuple:
-    """(ad - bc, whether d^(p^2-1) = 2 and (ad - bc)^(p-1) = -2), given cp = Frob(c).
-
-    The second is ad - bc != 0 with Frob(ad - bc) = -2 (ad - bc)."""
-    d = pt.d
-    dp = d.frobenius()
-    det = cp * d - pt.c * dp
-    return det, (not d.is_zero() and dp.frobenius() == 2 * d
-                 and not det.is_zero() and det.frobenius() == -2 * det)
+    field = points[0].c.field
+    p, m = field.p, field.m
+    frobenius = field.frobenius_columns()
+    groups: dict = {}
+    for pt in points:
+        groups.setdefault(pt.c.coeffs, []).append(pt)
+    ok, keys, values = True, {}, {}
+    for group in groups.values():
+        c = group[0].c
+        cp = c.frobenius()
+        ok = ok and not c.is_zero() and cp.frobenius() == 2 * c
+        packed = PackedRows(p, m, len(group))
+        d = packed.pack([pt.d.coeffs for pt in group])
+        dp = packed.reduce(packed.apply(frobenius, d))
+        det = packed.reduce([a + b for a, b in zip(
+            packed.apply(_multiplication_columns(cp), d),
+            packed.apply(_multiplication_columns(-c), dp),
+        )])
+        ok = (
+            ok
+            and packed.none_zero(d)
+            and packed.all_zero(  # Frob^2(d) - 2d
+                [f + (p - 2) * x for f, x in zip(packed.apply(frobenius, dp), d)])
+            and packed.none_zero(det)
+            and packed.all_zero(  # Frob(det) + 2 det
+                [f + 2 * x for f, x in zip(packed.apply(frobenius, det), det)])
+        )
+        # the group's ad - bc in its point order, one tuple object per distinct value
+        keys[c.coeffs] = iter([values.setdefault(key, key) for key in packed.unpack(det)])
+    classes: dict = {}
+    for pt in points:
+        classes.setdefault(next(keys[pt.c.coeffs]), []).append(pt)
+    return ok, classes
 
 
 def verify_fiber_point(pt: FiberPoint) -> bool:
-    """Re-check the three defining equations on the point itself."""
-    cp, c_ok = _c_image(pt.c)
-    return c_ok and _point_image(pt, cp)[1]
-
-
-def reverify_census(census: CensusResult) -> tuple:
-    """(every point verified, points grouped by ad - bc), in one pass."""
-    distinct = {pt.c.coeffs: pt.c for pt in census.points}
-    images = {key: _c_image(c) for key, c in distinct.items()}
-    ok = all(c_ok for _cp, c_ok in images.values())
-    classes: dict = {}
-    for pt in census.points:
-        det, d_ok = _point_image(pt, images[pt.c.coeffs][0])
-        ok = ok and d_ok
-        classes.setdefault(det.coeffs, []).append(pt)
-    return ok, classes
+    """Re-check the three defining equations on the point itself, as a one-point census."""
+    field = pt.c.field
+    return reverify_census(CensusResult(field.p, field.m, False, (pt,), 1))[0]
 
 
 def determinant_classes(census: CensusResult) -> dict:

@@ -13,7 +13,15 @@ from syzcover.census import (
     reverify_census,
     verify_fiber_point,
 )
-from syzcover.gf import GF, FieldElement, find_generator, make_extension_field, solve_power_equation
+from syzcover.gf import (
+    GF,
+    FieldElement,
+    find_generator,
+    linear_kernel,
+    make_extension_field,
+    solve_power_equation,
+)
+from syzcover.packed import PackedRows
 from syzcover.report import run_verification
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -195,6 +203,141 @@ def test_reverify_census_classes_and_verdict(p):
     assert verified is all(verify_fiber_point(pt) for pt in census.points) is True
 
 
+def _reference_enumeration(p):
+    """The fiber points with one field product z * c per point, as enumerated
+    before the products ran in bulk."""
+    field = make_extension_field(p, fiber_field_degree(p))
+    c_solutions = [
+        c for c in linear_kernel(field, lambda x: x.frobenius().frobenius() - 2 * x) if c
+    ]
+    admissible = [
+        z for z in linear_kernel(field, lambda x: x.frobenius().frobenius() - x)
+        if z.frobenius() != z
+    ]
+    admissible.sort(key=lambda e: e.index)
+    return tuple(
+        FiberPoint(c, z * c)
+        for c in sorted(c_solutions, key=lambda e: e.index)
+        for z in admissible
+    )
+
+
+def _reference_c_image(c):
+    cp = c.frobenius()
+    return cp, not c.is_zero() and cp.frobenius() == 2 * c
+
+
+def _reference_point_image(pt, cp):
+    d = pt.d
+    dp = d.frobenius()
+    det = cp * d - pt.c * dp
+    return det, (not d.is_zero() and dp.frobenius() == 2 * d
+                 and not det.is_zero() and det.frobenius() == -2 * det)
+
+
+def _reference_reverify(census):
+    """The point-by-point re-verification, one field operation at a time, as
+    it ran before the bulk check."""
+    distinct = {pt.c.coeffs: pt.c for pt in census.points}
+    images = {key: _reference_c_image(c) for key, c in distinct.items()}
+    ok = all(c_ok for _cp, c_ok in images.values())
+    classes = {}
+    for pt in census.points:
+        det, d_ok = _reference_point_image(pt, images[pt.c.coeffs][0])
+        ok = ok and d_ok
+        classes.setdefault(det.coeffs, []).append(pt)
+    return ok, classes
+
+
+def _same_outcome(census):
+    """reverify_census and the reference agree on the verdict and on the class
+    keys and members, in order; returns the verdict."""
+    verified, classes = reverify_census(census)
+    expected_ok, expected = _reference_reverify(census)
+    assert verified is expected_ok
+    assert list(classes) == list(expected)
+    assert list(classes.values()) == list(expected.values())
+    return verified
+
+
+def _with_points(census, points):
+    return CensusResult(census.prime, census.field_degree, False, tuple(points), len(points))
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_bulk_census_matches_reference(p):
+    census = enumerate_fiber(p)
+    assert census.points == _reference_enumeration(p)
+    assert _same_outcome(census) is True
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_bulk_reverification_groups_scattered_c(p):
+    """Points sharing a c need not sit in one run."""
+    points = enumerate_fiber(p).points
+    scattered = points[1::2] + points[::-2]
+    assert _same_outcome(_with_points(enumerate_fiber(p), scattered)) is True
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_dense_census_determinants(p):
+    """Points whose coordinates are all p - 1 (and, for a second c and d, every
+    other one): the bulk determinants must be FiberPoint.determinant."""
+    census = enumerate_fiber(p)
+    field = census.points[0].c.field
+    top = field.element([p - 1] * field.m)
+    mixed = field.element([p - 1, 0] * (field.m // 2))
+    points = [FiberPoint(top, top), FiberPoint(top, mixed), FiberPoint(mixed, top)] * 7
+    _verified, classes = reverify_census(_with_points(census, points))
+    expected = {}
+    for pt in points:
+        expected.setdefault(pt.determinant().coeffs, []).append(pt)
+    assert list(classes.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 8), (7, 6), (11, 20)])
+def test_packed_slots_hold_the_largest_sum(p, m):
+    """Two m-term halves with every entry and coordinate p - 1 reach the bound
+    2m(p-1)^2 in every slot, which field data does not (the dense census above
+    peaks at 231 of 432 at p = 7); no slot may carry into the next."""
+    n = 5
+    packed = PackedRows(p, m, n)
+    top = (p - 1,) * m
+    rows = packed.pack([top] * n)
+    half = packed.apply([top] * m, rows)
+    largest = [a + b for a, b in zip(half, half)]
+    assert list(packed.unpack(packed.reduce(largest))) == [(2 * m * (p - 1) ** 2 % p,) * m] * n
+
+
+def test_empty_census_verifies():
+    assert reverify_census(CensusResult(5, 8, False, (), 0)) == (True, {})
+
+
+def _bump(pt):
+    """The point with coefficient 0 of d raised by 1: Frob^2(d + 1) = 2d + 1."""
+    coeffs = pt.d.coeffs
+    field = pt.d.field
+    return FiberPoint(pt.c, FieldElement(field, ((coeffs[0] + 1) % field.p,) + coeffs[1:]))
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("where", ("first", "last", "run_end", "run_start", "zero", "scalar"))
+def test_mutated_point_fails_reverification(p, where):
+    census = enumerate_fiber(p)
+    points = list(census.points)
+    run = p * p - p  # points per c, in runs from enumerate_fiber
+    assert points[run - 1].c != points[run].c
+    k = {"first": 0, "last": -1, "run_end": run - 1, "run_start": run}.get(where, len(points) // 3)
+    pt = points[k]
+    if where == "zero":
+        points[k] = FiberPoint(pt.c, pt.c.field.zero)
+    elif where == "scalar":  # z = 2 in F_p: d's own equation holds, but ad - bc = 0
+        points[k] = FiberPoint(pt.c, 2 * pt.c)
+    else:
+        points[k] = _bump(pt)
+    assert _same_outcome(_with_points(census, points)) is False
+
+
 def _fiber_census_status(monkeypatch, p, corrupt):
     """The fiber_census record of a run on a census whose points corrupt() altered."""
     census = enumerate_fiber(p)
@@ -235,12 +378,9 @@ def test_corrupted_single_d_fails_census(monkeypatch, p):
     assert "point re-verification failed" in detail
 
 
-@pytest.mark.parametrize("p", (3, 5, 7))
-def test_reverify_census_work(monkeypatch, p):
-    """At most 3 Frobenius applications and 2 field products per point, plus
-    2 Frobenius applications per distinct c; the scalings 2d and -2(ad - bc)
-    multiply coefficients by an int and are not field products."""
-    census = enumerate_fiber(p)
+def _count_field_ops(monkeypatch):
+    """Counts of Frobenius applications and of products of two field elements;
+    scaling by an int (2d, -2(ad - bc)) is not a field product."""
     counts = {"frobenius": 0, "products": 0}
     frobenius, mul = FieldElement.frobenius, FieldElement.__mul__
 
@@ -256,12 +396,31 @@ def test_reverify_census_work(monkeypatch, p):
     monkeypatch.setattr(FieldElement, "frobenius", counted_frobenius)
     monkeypatch.setattr(FieldElement, "__mul__", counted_mul)
     monkeypatch.setattr(FieldElement, "__rmul__", counted_mul)
+    return counts
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_reverify_census_work(monkeypatch, p):
+    """At most 2 Frobenius applications and 2m field products per distinct c,
+    however many points share it: the points themselves are checked in bulk."""
+    census = enumerate_fiber(p)
+    counts = _count_field_ops(monkeypatch)
     verified, _classes = reverify_census(census)
     assert verified
-    n, distinct_c = census.total, p * p - 1
+    m, distinct_c = census.field_degree, p * p - 1
     assert len({pt.c.coeffs for pt in census.points}) == distinct_c
-    assert counts["frobenius"] <= 3 * n + 2 * distinct_c
-    assert counts["products"] <= 2 * n
+    assert counts["frobenius"] <= 2 * distinct_c
+    assert counts["products"] <= 2 * m * distinct_c
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_enumerate_fiber_work(monkeypatch, p):
+    """m field products per c, for the multiplication-by-c map, not one per point."""
+    enumerate_fiber.cache_clear()
+    counts = _count_field_ops(monkeypatch)
+    census = enumerate_fiber(p)
+    assert census.total == (p * p - 1) * (p * p - p)
+    assert counts["products"] <= census.field_degree * (p * p - 1)
 
 
 @pytest.mark.parametrize("p", (11, 13))

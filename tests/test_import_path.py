@@ -26,3 +26,19 @@ def test_cli_import_loads_no_heavy_module():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == []
+
+
+def test_cli_import_leaves_the_packed_rows_unloaded():
+    """Only runs that reach a census (p <= 7) import syzcover.packed."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = (
+        "import sys; import syzcover.cli; "
+        "from syzcover.report import run_verification; "
+        "run_verification(11, checks=('fiber',)); "
+        "print('syzcover.packed' in sys.modules)"
+    )
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False"]
