@@ -10,13 +10,13 @@ Gaussian elimination over F_p: the c are ker(Frob^2 - 2) minus 0 and the
 ratios d/c are ker(Frob^2 - 1) minus ker(Frob - 1), that is GF(p^2) minus
 F_p.  The products d = z*c and the re-verification of every point on the
 raw equations run in bulk, on packed rows (syzcover.packed): coordinate j
-of a batch of elements (all admissible z, or all d sharing one c) is
+of a batch of elements (all admissible z, or the d of one c-run) is
 packed into one int, a slot per element, so each F_p-linear map
 (Frobenius as the same certified matrix, multiplication by c,
 d -> ad - bc for a fixed c) costs m^2 int products whatever the batch
 size.  Each point is filed under ad - bc, whose values give the component
 structure.  The enumeration runs only when the census field has at most
-CENSUS_CAP elements (p <= 7).
+cap elements (by default CENSUS_CAP, which admits p <= 7).
 
 component_stats gives the closed-form invariants (counts, degrees,
 genera) that a report carries as its stats at every prime; the fiber
@@ -27,11 +27,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import groupby
 
 from .gf import FieldElement, is_prime, linear_kernel, make_extension_field
 
-# Largest census field enumerated point by point: GF(5^8) and GF(7^6) fit,
-# GF(11^20) does not.
+# Largest census field by default: GF(5^8) and GF(7^6) fit, GF(11^20) does not.
+# A field-size proxy from when the census scanned the field; the census now
+# enumerates only the (p^2-1)p(p-1) fiber points.
 CENSUS_CAP = 1 << 22
 
 
@@ -142,62 +144,57 @@ def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
     return CensusResult(p, m, False, points, len(points))
 
 
-def reverify_census(census: CensusResult) -> tuple:
-    """(every point verified, points grouped by ad - bc), in bulk per distinct c.
+def _check_run(run) -> tuple:
+    """(every point verified, their ad - bc in point order) for points sharing one c.
 
-    Points are grouped by c, wherever they sit.  Per group, Frob(c) and
-    c's own equation Frob^2(c) = 2c (c != 0) cost two Frobenius
+    Frob(c) and c's own equation Frob^2(c) = 2c (c != 0) cost two Frobenius
     applications, the F_p-linear map d -> Frob(c) d - c Frob(d) is built
-    from 2m - 2 field products, and the group's d are packed, so that d != 0,
+    from 2m - 2 field products, and the run's d are packed, so that d != 0,
     Frob^2(d) = 2d, ad - bc != 0 and Frob(ad - bc) = -2 (ad - bc) are
     checked on every slot, with the certified Frobenius matrix read on
-    each call.  Points are filed under the ad - bc they unpack to, in
-    point order.
+    each call.
     """
-    points = census.points
-    if not points:
-        return True, {}
     from .packed import PackedRows  # loaded only by runs that reach a census
 
-    field = points[0].c.field
-    p, m = field.p, field.m
-    frobenius = field.frobenius_columns()
-    groups: dict = {}
-    for pt in points:
-        groups.setdefault(pt.c.coeffs, []).append(pt)
-    ok, keys, values = True, {}, {}
-    for group in groups.values():
-        c = group[0].c
-        cp = c.frobenius()
-        ok = ok and not c.is_zero() and cp.frobenius() == 2 * c
-        packed = PackedRows(p, m, len(group))
-        d = packed.pack([pt.d.coeffs for pt in group])
-        dp = packed.reduce(packed.apply(frobenius, d))
-        det = packed.reduce([a + b for a, b in zip(
-            packed.apply(_multiplication_columns(cp), d),
-            packed.apply(_multiplication_columns(-c), dp),
-        )])
-        ok = (
-            ok
-            and packed.none_zero(d)
-            and packed.all_zero(  # Frob^2(d) - 2d
-                [f + (p - 2) * x for f, x in zip(packed.apply(frobenius, dp), d)])
-            and packed.none_zero(det)
-            and packed.all_zero(  # Frob(det) + 2 det
-                [f + 2 * x for f, x in zip(packed.apply(frobenius, det), det)])
-        )
-        # the group's ad - bc in its point order, one tuple object per distinct value
-        keys[c.coeffs] = iter([values.setdefault(key, key) for key in packed.unpack(det)])
-    classes: dict = {}
-    for pt in points:
-        classes.setdefault(next(keys[pt.c.coeffs]), []).append(pt)
+    c = run[0].c
+    p, frobenius = c.field.p, c.field.frobenius_columns()
+    cp = c.frobenius()
+    packed = PackedRows(p, c.field.m, len(run))
+    d = packed.pack([pt.d.coeffs for pt in run])
+    dp = packed.reduce(packed.apply(frobenius, d))
+    det = packed.reduce([a + b for a, b in zip(
+        packed.apply(_multiplication_columns(cp), d),
+        packed.apply(_multiplication_columns(-c), dp),
+    )])
+    ok = (
+        not c.is_zero()
+        and cp.frobenius() == 2 * c
+        and packed.none_zero(d)
+        and packed.all_zero(  # Frob^2(d) - 2d
+            [f + (p - 2) * x for f, x in zip(packed.apply(frobenius, dp), d)])
+        and packed.none_zero(det)
+        and packed.all_zero(  # Frob(det) + 2 det
+            [f + 2 * x for f, x in zip(packed.apply(frobenius, det), det)])
+    )
+    return ok, packed.unpack(det)
+
+
+def reverify_census(census: CensusResult) -> tuple:
+    """(every point verified, points grouped by ad - bc), checked in bulk per
+    c-run (consecutive points sharing one c) and filed in point order."""
+    ok, classes = True, {}
+    for _c, run in groupby(census.points, key=lambda pt: pt.c.coeffs):
+        run = list(run)
+        run_ok, dets = _check_run(run)
+        ok = ok and run_ok
+        for pt, key in zip(run, dets):
+            classes.setdefault(key, []).append(pt)
     return ok, classes
 
 
 def verify_fiber_point(pt: FiberPoint) -> bool:
-    """Re-check the three defining equations on the point itself, as a one-point census."""
-    field = pt.c.field
-    return reverify_census(CensusResult(field.p, field.m, False, (pt,), 1))[0]
+    """Re-check the three defining equations on the point itself, as a one-point run."""
+    return _check_run([pt])[0]
 
 
 def determinant_classes(census: CensusResult) -> dict:

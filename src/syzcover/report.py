@@ -159,7 +159,8 @@ def run_verification(
             detail = f"{detail}; {oracle_msg}"
         records.append(CheckRecord(name, "pass" if ok else "fail", detail))
 
-    catalog = build_catalog(p)
+    if "lemmas" in selection or "cover" in selection:
+        catalog = build_catalog(p)
     if "lemmas" in selection:
         run("catalog_syzygies", check_catalog(catalog))
         run("kernel_relation", check_kernel_relation(catalog))
@@ -216,13 +217,7 @@ def render_text(report: CoverReport | list) -> str:
     ]
     for c in report.checks:
         lines.append(f"{c.name:<28} {c.status:<8} {c.detail}")
-    s = report.stats
-    lines.append(
-        f"stats: components={s.components} total_fiber={s.total_fiber} "
-        f"degree={s.degree} genus_base={s.genus_base} "
-        f"genus_component={s.genus_component} eta_field_degree={s.eta_field_degree} "
-        f"fiber_field_degree={s.fiber_field_degree}"
-    )
+    lines.append("stats: " + " ".join(f"{k}={v}" for k, v in report.stats._asdict().items()))
     return "\n".join(lines) + "\n"
 
 

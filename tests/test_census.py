@@ -436,6 +436,20 @@ def test_census_cap_override():
     assert small.skipped
 
 
+def test_census_above_the_default_cap():
+    """p = 11 with the cap raised: a real census in GF(11^20), whose packed rows
+    need 2-byte slots (2m(p-1)^2 = 4000)."""
+    assert PackedRows(11, 20, 1).code == "H"
+    out = run_verification(11, checks=("fiber",), max_field_size=11 ** 20)
+    status = {c.name: (c.status, c.detail) for c in out.checks}
+    assert status["fiber_census"] == ("pass", (
+        "13200 fiber points enumerated in GF(11^20), equal to (p^2-1)p(p-1), "
+        "every point re-verified"))
+    assert status["component_structure"] == ("pass", (
+        "ad-bc takes exactly 10 values, each with (p-1)-th power -2, each on 1320 points"))
+    assert out.overall == "pass"
+
+
 def test_census_field_is_one_object_per_field_whatever_the_cap():
     assert enumerate_fiber(5, 1 << 24).points[0].c.field is make_extension_field(5, 8)
 

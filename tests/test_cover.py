@@ -326,6 +326,19 @@ def test_w0_relation_two_and_four(covers):
     assert not _w0_equal_const(-flat[2], 2)
 
 
+@pytest.mark.parametrize("p", (5, 13))
+def test_w0_specialization_names_a_failing_relation_once(covers, p):
+    """H_U[0][1] + 1 moves relation 2's D coefficient at w = 0 and its value at
+    every w = 0 point: one problem per failing comparison, not one per point."""
+    cd = covers[p]
+    (h11, h12), row2 = cd.H_U
+    out = check_w0_specialization(cd._replace(H_U=((h11, h12 + 1), row2)))
+    assert out.problems == [
+        "relation 2: D coefficient does not specialize to -1",
+        "relation 2: point evaluation at w = 0 disagrees",
+    ]
+
+
 def test_matrix_ideal_shift_trivial_cases():
     F = make_extension_field(7)
     rng = random.Random(1)

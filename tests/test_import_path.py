@@ -29,7 +29,7 @@ def test_cli_import_loads_no_heavy_module():
 
 
 def test_cli_import_leaves_the_packed_rows_unloaded():
-    """Only runs that reach a census (p <= 7) import syzcover.packed."""
+    """Only runs that reach a census (p <= 7 at the default cap) import syzcover.packed."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     code = (
         "import sys; import syzcover.cli; "

@@ -82,6 +82,17 @@ def test_census_skip_is_not_failure():
     assert report.stats.total_fiber == 13200  # formula value still reported
 
 
+def test_fiber_and_stats_only_runs_build_no_catalog(monkeypatch):
+    def refuse(p):
+        raise AssertionError("generator catalog built for a run that never reads it")
+
+    monkeypatch.setattr(report, "build_catalog", refuse)
+    assert run_verification(5, checks=("fiber",)).overall == "pass"
+    assert run_verification(5, checks=()).overall == "pass"
+    with pytest.raises(AssertionError, match="generator catalog"):
+        run_verification(5, checks=("cover",))
+
+
 def test_json_round_trip(report_p3):
     text = render_json(report_p3)
     parsed = parse_json(text)
