@@ -15,14 +15,13 @@ is held as its pair of theta-coefficients (x, y), y = z x with x a unit
 and z in GF(p^2) outside F_p, and ad - bc = D theta^2 with
 D = eta (x^p y - x y^p).  No field of degree above 2 is built.
 
-Re-verification runs per c-run (consecutive points sharing one c), with
-the Kummer Frobenius: Frob^2(d) = 2d (which covers c's own equation) and
-Frob(ad - bc) = -2 (ad - bc) are F_p-linear in d, so they are checked on
-the basis {theta, t theta}.  Per point only ad - bc != 0 remains; the
-class key D, whose values give the component structure, is a 2 x 2
-matrix over F_p applied to d's coefficient pair.  The enumeration
-runs only when the census field has at most cap elements (by default
-CENSUS_CAP, which admits p <= 7).
+Re-verification checks the equations once per call, with the Kummer
+Frobenius on a basis (they are F_p-linear and bilinear; see _reverify).
+Per point only ad - bc != 0 remains, and the class key, the
+theta^2-coefficient of ad - bc whose values give the component
+structure, is int arithmetic on the point's coefficients.  The
+enumeration runs only when the census field has at most cap elements (by
+default CENSUS_CAP, which admits p <= 7).
 
 component_stats gives the closed-form invariants (counts, degrees,
 genera) that a report carries as its stats at every prime; the fiber
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import groupby
 
 from .gf import is_prime, make_extension_field
 
@@ -113,7 +111,6 @@ def kummer_presentation(p: int) -> Presentation:
     return Presentation(o, gamma, gamma ** ((p - 1) // o))
 
 
-@lru_cache(maxsize=None)
 def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
     """All fiber points over (1 : 0 : 1), or a skip marker above the cap.
 
@@ -133,64 +130,50 @@ def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
     return CensusResult(p, m, False, points, len(points))
 
 
-def _check_run(run) -> tuple:
-    """(every point verified, their class keys in point order) for points sharing one c.
+def _reverify(p: int, points) -> tuple:
+    """(every point verified, points grouped by ad - bc), with one certificate per call.
 
-    Frob(x theta) = x^p eta theta on theta-coefficients.  c and every d lie
-    in GF(p^2) theta, on which Frob^2 = 2 is F_p-linear, so checking it on
-    the basis {theta, t theta} covers c's equation and every d's.
-    ad - bc = D(d) theta^2 with D(d) = Frob(c) d - c Frob(d), and
-    Frob(D theta^2) = D^p eta^2 theta^2, so Frob(ad - bc) = -2 (ad - bc) is
-    F_p-linear in d too and is checked on the same basis, whose D values
-    are the columns of the 2 x 2 matrix that gives each point's key D(d).
-    Per point D(d) != 0 remains, which rules out c = 0, d = 0 and d/c in F_p.
+    Frob(x theta) = F(x) theta with F(x) = x^p eta on theta-coefficients.
+    Frob^2 = 2 is F_p-linear on GF(p^2) theta, so checking it on the basis
+    {theta, t theta} covers the equation of every c and d.  ad - bc =
+    D(c, d) theta^2 with D(c, d) = F(c) d - c F(d), F_p-bilinear and
+    alternating, so D(c, d) = (c0 d1 - c1 d0) k with k = D(1, t); and
+    Frob(D theta^2) = D^p eta^2 theta^2, so Frob(ad - bc) = -2 (ad - bc)
+    holds for every point once it holds for k.  Each point's key, the
+    theta^2-coefficient of ad - bc, is then int arithmetic on its
+    coefficients, and only D != 0 remains per point: it rules out c = 0,
+    d = 0 and d/c in F_p.  Points are filed in point order.
     """
-    c = run[0].c
-    field = c.field
-    p, eta = field.p, kummer_presentation(field.p).eta
-
-    def frobenius(x):
-        return x.frobenius() * eta
-
-    cp = frobenius(c)
-    basis = (field.one, field.element([0, 1]))
-    images = [frobenius(y) for y in basis]
-    columns = [cp * y - yp * c for y, yp in zip(basis, images)]
-    eta2 = eta * eta
+    field = make_extension_field(p, 2)
+    eta = kummer_presentation(p).eta
+    one, t = field.one, field.element([0, 1])
+    f1, ft = one.frobenius() * eta, t.frobenius() * eta
+    k = f1 * t - ft
     ok = (
-        all(frobenius(yp) == 2 * y for y, yp in zip(basis, images))
-        and all(k.frobenius() * eta2 == -2 * k for k in columns)
+        (f1.frobenius() * eta, ft.frobenius() * eta) == (2 * one, 2 * t)
+        and k.frobenius() * (eta * eta) == -2 * k
     )
-    (k00, k10), (k01, k11) = (k.coeffs for k in columns)
-    keys = [
-        ((k00 * y0 + k01 * y1) % p, (k10 * y0 + k11 * y1) % p)
-        for y0, y1 in (pt.d.coeffs for pt in run)
-    ]
-    return ok and (0, 0) not in keys, keys
+    keys = [tuple(delta * x % p for x in k.coeffs) for delta in range(p)]
+    classes = {}
+    for pt in points:
+        (c0, c1), (d0, d1) = pt.c.coeffs, pt.d.coeffs
+        classes.setdefault(keys[(c0 * d1 - c1 * d0) % p], []).append(pt)
+    return ok and (0, 0) not in classes, classes
 
 
 def reverify_census(census: CensusResult) -> tuple:
-    """(every point verified, points grouped by ad - bc), checked in bulk per
-    c-run (consecutive points sharing one c) and filed in point order under
-    the theta^2-coefficient of ad - bc."""
-    ok, classes = True, {}
-    for _c, run in groupby(census.points, key=lambda pt: pt.c.coeffs):
-        run = list(run)
-        run_ok, keys = _check_run(run)
-        ok = ok and run_ok
-        for pt, key in zip(run, keys):
-            classes.setdefault(key, []).append(pt)
-    return ok, classes
+    """(every point verified, points grouped by the theta^2-coefficient of ad - bc)."""
+    return _reverify(census.prime, census.points)
 
 
 def verify_fiber_point(pt: FiberPoint) -> bool:
-    """Re-check the three defining equations on the point itself, as a one-point run."""
-    return _check_run([pt])[0]
+    """Re-check the three defining equations on the point itself."""
+    return _reverify(pt.c.field.p, (pt,))[0]
 
 
 def determinant_classes(census: CensusResult) -> dict:
     """Fiber points grouped by the value of ad - bc."""
-    return reverify_census(census)[1]
+    return _reverify(census.prime, census.points)[1]
 
 
 def component_stats(p: int) -> ReportStats:

@@ -45,13 +45,16 @@ class SyzygyTriple(namedtuple("SyzygyTriple", "label components data total_degre
 
 
 class GeneratorCatalog(
-    namedtuple("GeneratorCatalog", "base quad triples kernel_form koszul_kernel_form")
+    namedtuple(
+        "GeneratorCatalog", "base quad triples kernel_form koszul_kernel_form quad_kernel_form"
+    )
 ):
     """The generating triples of one prime, indexed by label (catalog["R0"]).
 
     base is the degree-d curve in x, y, z and quad the degree-(p+1) curve in
     u, v, w; kernel_form (z, -y, x) and koszul_kernel_form (y, -x, z) cut out
-    the kernels of the pullback and Koszul presentations.
+    the kernels of the pullback and Koszul presentations, and
+    quad_kernel_form (w^2, -v^2, u^2) those of s and s' on the squared curve.
     """
 
     __slots__ = ()
@@ -150,7 +153,7 @@ def build_catalog(p: int) -> GeneratorCatalog:
         sp_data,
         3 * p + 1,
     )
-    return GeneratorCatalog(base, quad, t, (z, -y, x), (y, -x, z))
+    return GeneratorCatalog(base, quad, t, (z, -y, x), (y, -x, z), (w ** 2, -(v ** 2), u ** 2))
 
 
 CATALOG_LABELS = (
@@ -205,14 +208,12 @@ def check_kernel_relation(cat: GeneratorCatalog) -> CheckOutcome:
     (z, -y, x); on the squared curve the corresponding relation is
     w^2 s1 - v^2 s2 + u^2 s3 = 0 and its primed twin.
     """
-    u, v, w = cat.quad.variables()
-    quad_form = (w ** 2, -(v ** 2), u ** 2)
     families = [
         ("phi", cat.kernel_form, (cat["phi1"], cat["phi2"], cat["phi3"])),
         ("psi", cat.koszul_kernel_form, (cat["psi1"], cat["psi2"], cat["psi3"])),
         ("alpha-images", cat.kernel_form, (cat["alpha1"], cat["alpha2"], cat["alpha3"])),
-        ("s", quad_form, (cat["s1"], cat["s2"], cat["s3"])),
-        ("s'", quad_form, (cat["s1'"], cat["s2'"], cat["s3'"])),
+        ("s", cat.quad_kernel_form, (cat["s1"], cat["s2"], cat["s3"])),
+        ("s'", cat.quad_kernel_form, (cat["s1'"], cat["s2'"], cat["s3'"])),
     ]
     claims = []
     for name, form, triples in families:
@@ -251,13 +252,8 @@ def check_alpha(cat: GeneratorCatalog) -> CheckOutcome:
         claims.append(zero_claim(f"alpha step syzygy {label}", cat[label].combination()))
 
     # (iii) both defining relations vanish; exported by check_kernel_relation
-    u, v, w = cat.quad.variables()
-    quad_form = (w ** 2, -(v ** 2), u ** 2)
-    for name, form, keys in (
-        ("source", quad_form, ("s1'", "s2'", "s3'")),
-        ("target", quad_form, ("s1", "s2", "s3")),
-    ):
-        combo = _combine(form, tuple(cat[k] for k in keys))
+    for name, keys in (("source", ("s1'", "s2'", "s3'")), ("target", ("s1", "s2", "s3"))):
+        combo = _combine(cat.quad_kernel_form, tuple(cat[k] for k in keys))
         for comp, poly in enumerate(combo):
             claims.append(zero_claim(f"alpha relation {name}[{comp}]", poly))
 

@@ -31,6 +31,8 @@ def test_catalog_contains_exactly_the_named_triples(catalogs):
     x, y, z = cat.base.variables()
     assert cat.kernel_form == (z, -y, x)
     assert cat.koszul_kernel_form == (y, -x, z)
+    u, v, w = cat.quad.variables()
+    assert cat.quad_kernel_form == (w ** 2, -(v ** 2), u ** 2)
 
 
 def test_r0_expands_to_zero_for_p3(catalogs):
