@@ -28,7 +28,6 @@ from .matrices import (
     mat,
     mat_inverse,
     mat_mul,
-    mat_sub,
 )
 from .oracle import CheckOutcome, nonzero_claim, zero_claim
 from .syz import GeneratorCatalog, build_catalog
@@ -427,18 +426,35 @@ def check_matrix_ideal_shift(field: GF, rng, samples: int = 100) -> CheckOutcome
     For random 2x2 and 3x3 matrices over the prime field with invertible B:
       (A B^-1 - C) B = A - C B   and   (A - C B) B^-1 = A B^-1 - C.
     Entries are ints mod p drawn with rng.randrange(p), the draws of
-    field.random_element; B^-1 is adj(B) / det(B), and both sides are
-    reduced mod p before they are compared.
+    field.random_element; B^-1 is adj(B) / det(B).  The products are
+    written out per size, entry by entry, each entry reduced mod p.
     """
     if field.m != 1:
         raise ValueError(f"ideal-shift samples need a prime field, got {field!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     p = field.p
-    mod = lambda M: mat([[x % p for x in row] for row in M])
+
+    def product2(X, Y):
+        (a, b), (c, d) = X
+        (e, f), (g, h) = Y
+        return ((a * e + b * g) % p, (a * f + b * h) % p), ((c * e + d * g) % p, (c * f + d * h) % p)
+
+    def product3(X, Y):
+        (a, b, c), (d, e, f), (g, h, i) = X
+        (j, k, l), (m, n, o), (q, r, s) = Y
+        return (
+            ((a * j + b * m + c * q) % p, (a * k + b * n + c * r) % p, (a * l + b * o + c * s) % p),
+            ((d * j + e * m + f * q) % p, (d * k + e * n + f * r) % p, (d * l + e * o + f * s) % p),
+            ((g * j + h * m + i * q) % p, (g * k + h * n + i * r) % p, (g * l + h * o + i * s) % p),
+        )
+
+    def minus(X, Y):
+        return tuple(tuple((x - y) % p for x, y in zip(r, s)) for r, s in zip(X, Y))
+
     checked = 0
     problems = []
-    for n in (2, 3):
+    for n, product in ((2, product2), (3, product3)):
         done = 0
         while done < samples and not problems:
             A, B, C = ([[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in range(3))
@@ -447,10 +463,10 @@ def check_matrix_ideal_shift(field: GF, rng, samples: int = 100) -> CheckOutcome
                 continue
             done += 1
             d_inv = pow(d, p - 2, p)
-            Binv = mod([[d_inv * x for x in row] for row in adjugate(B)])
-            G = mod(mat_sub(mat_mul(A, Binv), C))
-            H = mod(mat_sub(A, mat_mul(C, B)))
-            if not (mod(mat_mul(G, B)) == H and mod(mat_mul(H, Binv)) == G):
+            Binv = tuple(tuple(d_inv * x % p for x in row) for row in adjugate(B))
+            G = minus(product(A, Binv), C)
+            H = minus(A, product(C, B))
+            if not (product(G, B) == H and product(H, Binv) == G):
                 problems.append(f"ideal-shift identity failed at size {n}")
             checked += 1
     return CheckOutcome(

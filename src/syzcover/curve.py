@@ -167,11 +167,14 @@ class CurvePolynomial:
         )
 
     def evaluate(self, point) -> FieldElement:
-        """Value at a CurvePoint of this curve, or at a tuple, which is checked first."""
+        """Value at a CurvePoint of this curve, or at a tuple, which is checked first;
+        a term in which a zero coordinate has a positive exponent is skipped."""
         u0, v0, w0 = as_curve_point(self.ctx, point)
+        zu, zv, zw = u0.is_zero(), v0.is_zero(), w0.is_zero()
         acc = u0.field.zero
         for (i, j, k), c in self.terms.items():
-            acc = acc + (u0 ** i) * (v0 ** j) * (w0 ** k) * c
+            if not (i and zu or j and zv or k and zw):
+                acc = acc + (u0 ** i) * (v0 ** j) * (w0 ** k) * c
         return acc
 
     def __eq__(self, other):

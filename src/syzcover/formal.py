@@ -6,15 +6,19 @@ monomial localization of the curve ring.  Coefficients are not canonical
 (fractions compare by cross multiplication), so equality compares
 coefficients pairwise rather than by dictionary identity.
 
-A product multiplies and sums coefficients that are constants of F_p (as
-every coefficient of a power of det A is) as ints, and builds one fraction
-per output term; a pair with any other coefficient goes through
-LocalFraction, and the result is the same as if every pair had.
+A product keys its terms by exponents packed into one int, with a field
+per variable wide enough for the largest exponent sum, so adding keys
+adds exponents without a carry; keys are unpacked once per output term.
+It multiplies and sums coefficients that are constants of F_p (as every
+coefficient of a power of det A is) as ints, and builds one fraction per
+output term; a pair with any other coefficient goes through LocalFraction,
+and the result is the same as if every pair had.
 """
 
 from __future__ import annotations
 
-from operator import add
+from itertools import chain
+from operator import lshift
 
 from .curve import CurveContext, CurvePolynomial, LocalFraction, as_curve_point
 from .gf import power
@@ -96,17 +100,27 @@ class FormalPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # Two F_p constants multiply as ints.  A term's sum stays an int until
-        # a fraction reaches it; LocalFraction then coerces the int.
-        theirs = [(e, c, _constant(c)) for e, c in other.terms.items()]
+        # `width` bits per variable hold the largest exponent sum, so key1 +
+        # key2 never carries.  Two F_p constants multiply as ints; a term's
+        # sum stays an int until a fraction reaches it, which coerces it.
+        flat = chain.from_iterable
+        top = max(flat(self.terms), default=0) + max(flat(other.terms), default=0)
+        width = top.bit_length()
+        shifts = [width * i for i in range(len(self.vars))]
+        pack = lambda e: sum(map(lshift, e, shifts))
+        theirs = [(pack(e), c, _constant(c)) for e, c in other.terms.items()]
         out = {}
         for e1, c1 in self.terms.items():
-            k1 = _constant(c1)
-            for e2, c2, k2 in theirs:
-                e = tuple(map(add, e1, e2))
+            key1, k1 = pack(e1), _constant(c1)
+            for key2, c2, k2 in theirs:
+                key = key1 + key2
                 prod = c1 * c2 if k1 is None or k2 is None else k1 * k2
-                out[e] = out[e] + prod if e in out else prod
-        return FormalPolynomial(self.ctx, self.vars, out)
+                out[key] = out[key] + prod if key in out else prod
+        mask = (1 << width) - 1
+        return FormalPolynomial(
+            self.ctx, self.vars,
+            {tuple(key >> s & mask for s in shifts): c for key, c in out.items()},
+        )
 
     __rmul__ = __mul__
 

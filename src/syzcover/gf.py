@@ -6,9 +6,11 @@ counting order, by Ben-Or's test), so everything serialized from a field
 is stable across runs and machines.  make_extension_field memoizes one
 field per (p, m).
 
-An int operand of * scales the coefficient tuple mod p; every other
-operand, in a prime field (m = 1) too, is coerced to an element and takes
-the one general path, a coefficient tuple of length m.
+An int operand of * scales the coefficient tuple mod p.  Two elements of
+GF(p^2) multiply in closed form on their int pairs, with t^2 = r0 + r1 t
+read from the field's reduction rows; every other product, in a prime
+field (m = 1) too, convolves the coefficient tuples of length m and folds
+the high coefficients back with those rows.
 
 Frobenius x -> x^p is F_p-linear, so it is applied as an m x m matrix over
 F_p, built and certified once per field.  Inverses use it too: x^-1 is the
@@ -357,6 +359,10 @@ class FieldElement:
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
+        if m == 2:
+            (a0, a1), (b0, b1) = a, b
+            (r0, r1), h = f._reduction[2], a1 * b1
+            return FieldElement(f, ((a0 * b0 + r0 * h) % p, (a0 * b1 + a1 * b0 + r1 * h) % p))
         conv = [0] * (2 * m - 1)
         for i, ai in enumerate(a):
             if ai:

@@ -29,12 +29,6 @@ def mat_mul(A, B):
     return tuple(out)
 
 
-def mat_sub(A, B):
-    return tuple(
-        tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
-
-
 def det(M):
     n = len(M)
     if n == 1:
@@ -58,16 +52,13 @@ def adjugate(M):
             (-M[1][0], M[0][0]),
         )
     if n == 3:
-        def c(i, j):
-            rows = [r for r in range(3) if r != i]
-            cols = [s for s in range(3) if s != j]
-            minor = (
-                M[rows[0]][cols[0]] * M[rows[1]][cols[1]]
-                - M[rows[0]][cols[1]] * M[rows[1]][cols[0]]
-            )
-            return minor if (i + j) % 2 == 0 else -minor
-        # adjugate = transposed cofactor matrix
-        return tuple(tuple(c(j, i) for j in range(3)) for i in range(3))
+        # the transposed cofactor matrix
+        (a, b, c), (d, e, f), (g, h, i) = M
+        return (
+            (e * i - f * h, c * h - b * i, b * f - c * e),
+            (f * g - d * i, a * i - c * g, c * d - a * f),
+            (d * h - e * g, b * g - a * h, a * e - b * d),
+        )
     raise ValueError(f"unsupported matrix size {n}")
 
 

@@ -21,7 +21,14 @@ from syzcover.cover import (
 from syzcover.curve import CurvePoint, LocalFraction, fermat_curve, random_curve_points
 from syzcover.formal import FormalPolynomial
 from syzcover.gf import make_extension_field
-from syzcover.matrices import adjugate, det, mat, mat_inverse, mat_mul, mat_sub
+from syzcover.matrices import (
+    adjugate,
+    det,
+    entrywise_p_power,
+    mat,
+    mat_inverse,
+    mat_mul,
+)
 from syzcover.oracle import OracleSuite
 from syzcover.syz import build_catalog
 
@@ -306,6 +313,50 @@ def test_formal_product_cancels_constant_and_mixed_sums():
         assert len(product.terms) == 2
 
 
+@pytest.mark.parametrize("p", (3, 101))
+def test_formal_product_on_det_powers_and_p_powers(p):
+    """The packed-key product equals the pairwise reference on the products
+    the periodicity check makes: powers of det A and entries of A^(p)."""
+    A = build_cover_data(p).A
+    dA = det(A)
+    factors = (dA, dA * dA, dA ** p, *(x for row in entrywise_p_power(A) for x in row))
+    for f in factors:
+        for g in factors:
+            product, reference = f * g, _pairwise_fraction_product(f, g)
+            assert _layout(product) == _layout(reference)
+            assert product == reference
+
+
+@pytest.mark.parametrize("top_f, top_g", ((1, 1), (3, 1), (3, 4), (4, 4), (7, 8)))
+def test_formal_product_sums_fill_the_packing_width(top_f, top_g):
+    """Exponent sums reach top_f + top_g, whose bit length is the field width,
+    in every variable at once and next to zero fields; no key carries."""
+    ctx = fermat_curve(5)
+    u, _, w = ctx.variables()
+    n = len(U_VARS)
+    ones = lambda e: tuple(e for _ in range(n))
+    unit = lambda i, e: tuple(e * (j == i) for j in range(n))
+    f = FormalPolynomial(ctx, U_VARS, {
+        ones(top_f): 2, unit(0, top_f): ctx.fraction(u, 0, 1), unit(3, top_f): 3, ones(0): 1,
+    })
+    g = FormalPolynomial(ctx, U_VARS, {
+        ones(top_g): 4, unit(1, top_g): 1, unit(3, top_g): ctx.fraction(w, 1, 0), ones(0): 2,
+    })
+    product, reference = f * g, _pairwise_fraction_product(f, g)
+    assert _layout(product) == _layout(reference)
+    assert ones(top_f + top_g) in product.terms
+    assert unit(3, top_f + top_g) in product.terms
+    assert max(max(e) for e in product.terms) == top_f + top_g
+
+
+def test_formal_product_of_constants_and_zero():
+    ctx = fermat_curve(5)
+    three, four = (FormalPolynomial.constant(ctx, U_VARS, k) for k in (3, 4))
+    zero = FormalPolynomial(ctx, U_VARS, {})
+    assert _layout(three * four) == [((0, 0, 0, 0), {(0, 0, 0): 2}, 0, 0)]
+    assert (three * zero).is_zero() and (zero * three).is_zero()
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_w0_specialization(covers, p):
     out = check_w0_specialization(covers[p])
@@ -337,6 +388,10 @@ def test_w0_specialization_names_a_failing_relation_once(covers, p):
         "relation 2: D coefficient does not specialize to -1",
         "relation 2: point evaluation at w = 0 disagrees",
     ]
+
+
+def mat_sub(A, B):
+    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def test_matrix_ideal_shift_trivial_cases():
@@ -391,6 +446,22 @@ def test_matrix_ideal_shift_fails_on_wrong_adjugate(monkeypatch):
     out = check_matrix_ideal_shift(make_extension_field(7), random.Random(0), samples=100)
     assert not out.ok
     assert out.detail == "ideal-shift identity failed at size 2"
+
+
+@pytest.mark.parametrize("ring", ("int", "GF(7)", "GF(5^2)"))
+def test_adjugate_3x3_times_matrix_is_det_identity(ring):
+    rng = random.Random(0)
+    draw = {
+        "int": lambda: rng.randrange(-9, 10),
+        "GF(7)": lambda: make_extension_field(7).random_element(rng),
+        "GF(5^2)": lambda: make_extension_field(5, 2).random_element(rng),
+    }[ring]
+    for _ in range(50):
+        M = mat([[draw() for _ in range(3)] for _ in range(3)])
+        d = det(M)
+        scalar = mat([[d if i == j else d - d for j in range(3)] for i in range(3)])
+        assert mat_mul(M, adjugate(M)) == scalar
+        assert mat_mul(adjugate(M), M) == scalar
 
 
 def test_matrix_ideal_shift_needs_prime_field():

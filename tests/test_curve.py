@@ -213,6 +213,39 @@ def test_evaluate_on_curve_point(quartic):
     assert quartic.one().evaluate(pt) == F3.one
 
 
+def test_evaluate_skips_terms_a_zero_coordinate_kills(monkeypatch, rng):
+    """At a point with a zero coordinate, a term in which that coordinate has
+    a positive exponent is skipped: three pows per remaining term, and the
+    value of the sum over every term."""
+    from syzcover.cover import _w0_points
+
+    ctx = fermat_curve(5)
+    F = make_extension_field(5, 2)
+    points = [*_w0_points(ctx, 4), CurvePoint(ctx, (F.one, F.zero, F.one))]
+    polys = [random_poly(ctx, rng, nterms=8) for _ in range(20)]
+    expected = []
+    for pt in points:
+        u0, v0, w0 = pt
+        for f in polys:
+            value = F.zero
+            for (i, j, k), c in f.terms.items():
+                value = value + (u0 ** i) * (v0 ** j) * (w0 ** k) * c
+            live = [e for e in f.terms if not any(x and z.is_zero() for x, z in zip(e, (u0, v0, w0)))]
+            expected.append((value, 3 * len(live)))
+    pows = []
+    power = FieldElement.__pow__
+
+    def counted(self, e):
+        pows.append(e)
+        return power(self, e)
+
+    monkeypatch.setattr(FieldElement, "__pow__", counted)
+    for (value, count), (pt, f) in zip(expected, ((pt, f) for pt in points for f in polys)):
+        pows.clear()
+        assert f.evaluate(pt) == value
+        assert len(pows) == count
+
+
 def test_evaluation_is_multiplicative(rng, quartic):
     F9 = make_extension_field(3, 2)
     pts = random_curve_points(quartic, F9, 10, rng)

@@ -310,6 +310,40 @@ def test_prime_fields_of_different_characteristic_do_not_mix():
             op(x, y)
 
 
+def _product_reference(x, y):
+    """x * y as the remainder of the polynomial product by the modulus, padded to m."""
+    F = x.field
+    rem = _pmod(_pmul(list(x.coeffs), list(y.coeffs), F.p), list(F.modulus), F.p)
+    return tuple(rem) + (0,) * (F.m - len(rem))
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_quadratic_product_equals_reference_on_every_pair(p):
+    F = make_extension_field(p, 2)
+    for x, y in itertools.product(F.elements(), repeat=2):
+        assert (x * y).coeffs == _product_reference(x, y)
+
+
+@pytest.mark.parametrize("p", (101, 251))
+def test_quadratic_product_equals_reference_sampled(rng, p):
+    F = make_extension_field(p, 2)
+    for _ in range(500):
+        x, y = F.random_element(rng), F.random_element(rng)
+        product = x * y
+        assert product.field is F
+        assert product.coeffs == y.__rmul__(x).coeffs == _product_reference(x, y)
+        k = rng.randrange(-2 * p, 2 * p)
+        assert (x * k).coeffs == (k * x).coeffs == _product_reference(F(k), x)
+
+
+@pytest.mark.parametrize("p, m", ((3, 1), (7, 1), (3, 3), (5, 3)))
+def test_other_degrees_take_the_convolution(p, m):
+    F = make_extension_field(p, m)
+    assert 2 not in F._reduction  # the closed GF(p^2) form has no row to read
+    for x, y in itertools.product(F.elements(), repeat=2):
+        assert (x * y).coeffs == y.__rmul__(x).coeffs == _product_reference(x, y)
+
+
 def _is_irreducible_reference(f, p):
     """The Rabin-style test gf used before Ben-Or's: x^(p^m) = x mod f, and
     gcd(f, x^(p^(m/l)) - x) = 1 for each prime l dividing m, from all m
