@@ -9,7 +9,8 @@ u and w are nonzerodivisors in the (integral) coordinate ring.
 
 Points are made by random_curve_points, which draws them from a table of
 power_key, the one x^e routine that cover's w = 0 search uses too, and
-are checked on the curve once, as CurvePoint.
+are checked on the curve once, as CurvePoint, which also memoizes the
+coordinate powers that evaluation reads.
 curve_cone_points enumerates every point of the affine cone; it is the
 reference the sampler is tested against, not part of the pipeline.
 """
@@ -167,14 +168,21 @@ class CurvePolynomial:
         )
 
     def evaluate(self, point) -> FieldElement:
-        """Value at a CurvePoint of this curve, or at a tuple, which is checked first;
-        a term in which a zero coordinate has a positive exponent is skipped."""
-        u0, v0, w0 = as_curve_point(self.ctx, point)
-        zu, zv, zw = u0.is_zero(), v0.is_zero(), w0.is_zero()
-        acc = u0.field.zero
+        """Value at a CurvePoint of this curve, or at a tuple, which is checked first.
+
+        The zero normal form returns the field's zero at once.  Otherwise
+        each term reads its coordinate powers from the point's memo, and a
+        term in which a zero coordinate has a positive exponent is skipped.
+        """
+        point = as_curve_point(self.ctx, point)
+        acc = point.coords[0].field.zero
+        if not self.terms:
+            return acc
+        zu, zv, zw = point.zeros
+        pows = point.powers
         for (i, j, k), c in self.terms.items():
             if not (i and zu or j and zv or k and zw):
-                acc = acc + (u0 ** i) * (v0 ** j) * (w0 ** k) * c
+                acc = acc + pows[0, i] * pows[1, j] * pows[2, k] * c
         return acc
 
     def __eq__(self, other):
@@ -372,15 +380,21 @@ class LocalFraction:
         )
 
     def evaluate(self, point) -> FieldElement:
+        """Value at a CurvePoint of this curve, or at a tuple, which is checked first.
+
+        Raises ZeroDivisionError where the denominator vanishes.  The
+        numerator's value is multiplied by the memoized powers of 1/u0 and
+        1/w0, so each point takes each inverse once.
+        """
         point = as_curve_point(self.ctx, point)
-        u0, _, w0 = point
-        if (self.du and u0.is_zero()) or (self.dw and w0.is_zero()):
+        zu, _, zw = point.zeros
+        if (self.du and zu) or (self.dw and zw):
             raise ZeroDivisionError("denominator vanishes at this point")
         val = self.num.evaluate(point)
         if self.du:
-            val = val / (u0 ** self.du)
+            val = val * point.powers[0, -self.du]
         if self.dw:
-            val = val / (w0 ** self.dw)
+            val = val * point.powers[2, -self.dw]
         return val
 
     def __str__(self):
@@ -420,15 +434,40 @@ def on_curve(ctx: CurveContext, point) -> bool:
     return (u0 ** e) + (v0 ** e) == (w0 ** e)
 
 
+class _Powers(dict):
+    """(axis, e) -> coordinate ** e at one point, for axis 0, 1, 2 = u0, v0, w0.
+
+    Holds the coordinates themselves as e = 1.  A miss is filled by ** and
+    kept; a negative e raises the coordinate's inverse, which is taken once
+    (ZeroDivisionError for a zero coordinate).
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        axis, e = key
+        if e == -1:
+            value = self[axis, 1].inverse()
+        elif e < 0:
+            value = self[axis, -1] ** -e
+        else:
+            value = self[axis, 1] ** e
+        self[key] = value
+        return value
+
+
 class CurvePoint:
     """A point (u0, v0, w0) over a field of characteristic p, checked to lie on ctx.
 
     The check runs once, here; evaluation at a CurvePoint of the same
     context trusts it.  Raises ValueError for a wrong characteristic or a
-    point off the curve.
+    point off the curve.  The point keeps what every evaluation at it
+    needs: the flags of its zero coordinates and a memo of the
+    coordinates' powers (powers[axis, e], e < 0 for powers of 1/u0, 1/v0
+    and 1/w0), so each power is computed at most once per point.
     """
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ("ctx", "coords", "zeros", "powers")
 
     def __init__(self, ctx: CurveContext, coords):
         u0, v0, w0 = coords
@@ -443,6 +482,8 @@ class CurvePoint:
             )
         self.ctx = ctx
         self.coords = (u0, v0, w0)
+        self.zeros = (u0.is_zero(), v0.is_zero(), w0.is_zero())
+        self.powers = _Powers({(0, 1): u0, (1, 1): v0, (2, 1): w0})
 
     def __iter__(self):
         return iter(self.coords)

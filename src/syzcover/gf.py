@@ -304,10 +304,10 @@ class FieldElement:
         return k
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):

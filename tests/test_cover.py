@@ -29,8 +29,14 @@ from syzcover.matrices import (
     mat_inverse,
     mat_mul,
 )
-from syzcover.oracle import OracleSuite
-from syzcover.syz import build_catalog
+from syzcover.oracle import ORACLE_POINTS, OracleSuite
+from syzcover.syz import (
+    build_catalog,
+    check_alpha,
+    check_catalog,
+    check_independence,
+    check_kernel_relation,
+)
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -483,6 +489,42 @@ def test_oracle_confirms_cover_checks(covers, p):
         assert out.ok, out.detail
         ok, msg = suite.check_all(out.claims)
         assert ok, msg
+
+
+@pytest.mark.parametrize("p", (5, 13))
+@pytest.mark.parametrize("seed", range(4))
+def test_oracle_rng_stream_is_sampler_then_every_formal_draw(p, seed):
+    """After the lemmas and cover claims, each oracle's rng stands where the
+    sampler's draws and then ORACLE_POINTS * len(vars) element draws per
+    formal zero claim, in claim order, leave it: a zero formal claim draws
+    too.  A nonzero claim stops drawing after its first nonzero value."""
+    catalog = build_catalog(p)
+    cd = build_cover_data(p, catalog)
+    lemma_checks = (check_catalog, check_kernel_relation, check_alpha, check_independence)
+    claims = [c for chk in lemma_checks for c in chk(catalog).claims]
+    claims += [c for chk in ALL_CHECKS for c in chk(cd).claims]
+    suite = OracleSuite(seed)
+    ok, msg = suite.check_all(claims)
+    assert ok, msg
+    assert any(isinstance(c.obj, FormalPolynomial) and c.obj.is_zero() for c in claims)
+    assert len(suite._oracles) == 2
+    for ctx, oracle in suite._oracles.items():
+        field = make_extension_field(p, 2)
+        replay = random.Random(seed * 1000003 + p * 101 + ctx.exponent)
+        points = random_curve_points(ctx, field, ORACLE_POINTS, replay)
+        for claim in claims:
+            obj = claim.obj
+            if not (isinstance(obj, FormalPolynomial) and obj.ctx == ctx):
+                continue
+            if claim.kind == "zero":
+                for _ in range(ORACLE_POINTS * len(obj.vars)):
+                    field.random_element(replay)
+                continue
+            for pt in points:
+                assignment = {name: field.random_element(replay) for name in obj.vars}
+                if not obj.evaluate(assignment, pt).is_zero():
+                    break
+        assert oracle.rng.getstate() == replay.getstate()
 
 
 def test_transition_matrix_rebuild_matches(covers):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -215,8 +216,9 @@ def test_evaluate_on_curve_point(quartic):
 
 def test_evaluate_skips_terms_a_zero_coordinate_kills(monkeypatch, rng):
     """At a point with a zero coordinate, a term in which that coordinate has
-    a positive exponent is skipped: three pows per remaining term, and the
-    value of the sum over every term."""
+    a positive exponent is skipped and makes no pow; across all 20
+    polynomials each distinct (coordinate, exponent) of a live term is
+    raised at most once per point; and the value is the sum over every term."""
     from syzcover.cover import _w0_points
 
     ctx = fermat_curve(5)
@@ -226,24 +228,31 @@ def test_evaluate_skips_terms_a_zero_coordinate_kills(monkeypatch, rng):
     expected = []
     for pt in points:
         u0, v0, w0 = pt
+        live = set()
         for f in polys:
             value = F.zero
             for (i, j, k), c in f.terms.items():
                 value = value + (u0 ** i) * (v0 ** j) * (w0 ** k) * c
-            live = [e for e in f.terms if not any(x and z.is_zero() for x, z in zip(e, (u0, v0, w0)))]
-            expected.append((value, 3 * len(live)))
+            expected.append(value)
+            for e in f.terms:
+                if not any(x and z.is_zero() for x, z in zip(e, (u0, v0, w0))):
+                    live.update(enumerate(e))
+        # at most one pow per distinct live (coordinate, exponent), none at a killed one
+        expected.append(Counter((pt.coords[axis].coeffs, e) for axis, e in live))
     pows = []
     power = FieldElement.__pow__
 
     def counted(self, e):
-        pows.append(e)
+        pows.append((self.coeffs, e))
         return power(self, e)
 
     monkeypatch.setattr(FieldElement, "__pow__", counted)
-    for (value, count), (pt, f) in zip(expected, ((pt, f) for pt in points for f in polys)):
+    values = iter(expected)
+    for pt in points:
         pows.clear()
-        assert f.evaluate(pt) == value
-        assert len(pows) == count
+        for f in polys:
+            assert f.evaluate(pt) == next(values)
+        assert Counter(pows) <= next(values)
 
 
 def test_evaluation_is_multiplicative(rng, quartic):
@@ -447,6 +456,75 @@ def test_checked_point_evaluates_like_the_tuple(p):
             assert frac.evaluate(checked) == frac.evaluate(pt)
 
 
+def _direct_value(f, point):
+    u0, v0, w0 = point
+    value = u0.field.zero
+    for (i, j, k), c in f.terms.items():
+        value = value + (u0 ** i) * (v0 ** j) * (w0 ** k) * c
+    return value
+
+
+def _memo_test_points(ctx, field, rng):
+    """Sampled points (u0, w0 != 0), points with v0 = 0 or u0 = 0, and, over
+    GF(p^2), points with w0 = 0; all checked on ctx."""
+    from syzcover.cover import _w0_points
+
+    e = ctx.exponent
+    units = [x for x in field.elements() if not x.is_zero()]
+    pts = [CurvePoint(ctx, pt) for pt in random_curve_points(ctx, field, 2, rng)]
+    roots_of_one = [x for x in units if x ** e == field.one]
+    pts += [CurvePoint(ctx, (x, field.zero, x * z)) for x in units[:2] for z in roots_of_one[-2:]]
+    pts += [CurvePoint(ctx, (field.zero, field.one, z)) for z in roots_of_one[-2:]]
+    if field.m == 2:
+        pts += _w0_points(ctx, 3)
+    return pts
+
+
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("p", (3, 5, 13))
+def test_memoized_evaluation_equals_the_direct_formula(p, m):
+    """Curve polynomials, fractions with du, dw > 0 and formal polynomials,
+    each evaluated several times at one CurvePoint (so the memo both fills
+    and hits), equal the sum of u0^i v0^j w0^k c and num / u0^du / w0^dw;
+    the zero normal form of each type is the field's zero."""
+    ctx = fermat_curve(p)
+    field = make_extension_field(p, m)
+    rng = random.Random(100 * p + m)
+    polys = [random_poly(ctx, rng, nterms=6) for _ in range(6)]
+    fracs = [ctx.fraction(f + 1, rng.randrange(1, 4), rng.randrange(1, 4)) for f in polys]
+    assert all(frac.du and frac.dw for frac in fracs)
+    names = ("a", "b")
+    formal = FormalPolynomial(
+        ctx, names, {(1, 0): fracs[0], (2, 1): fracs[1], (0, 3): polys[2], (0, 0): 5}
+    )
+    zeros = (ctx.zero(), ctx.fraction(0, 2, 3), FormalPolynomial(ctx, names, {}))
+    for pt in _memo_test_points(ctx, field, rng):
+        (u0, _, w0), (zu, _, zw) = pt.coords, pt.zeros
+        assert pt.zeros == tuple(x.is_zero() for x in pt.coords)
+        assignment = {name: field.random_element(rng) for name in names}
+        for _ in range(2):
+            for f in polys:
+                assert f.evaluate(pt) == _direct_value(f, pt)
+            for frac in fracs:
+                if (frac.du and zu) or (frac.dw and zw):
+                    with pytest.raises(ZeroDivisionError):
+                        frac.evaluate(pt)
+                else:
+                    direct = _direct_value(frac.num, pt) / u0 ** frac.du / w0 ** frac.dw
+                    assert frac.evaluate(pt) == direct
+            if not (zu or zw):
+                direct = field.zero
+                for exps, coeff in formal.terms.items():
+                    term = _direct_value(coeff.num, pt) / u0 ** coeff.du / w0 ** coeff.dw
+                    for name, k in zip(names, exps):
+                        term = term * assignment[name] ** k
+                    direct = direct + term
+                assert formal.evaluate(assignment, pt) == direct
+            assert zeros[0].evaluate(pt) == field.zero
+            assert zeros[1].evaluate(pt) == field.zero
+            assert zeros[2].evaluate(assignment, pt) == field.zero
+
+
 def test_checked_point_of_another_context_is_rejected(quartic):
     F3 = make_extension_field(3)
     point = CurvePoint(quartic, (F3(1), F3(0), F3(1)))
@@ -456,6 +534,11 @@ def test_checked_point_of_another_context_is_rejected(quartic):
             other.one().evaluate(point)
         with pytest.raises(ValueError, match="different curve"):
             other.fraction(other.one(), 1, 0).evaluate(point)
+        for zero in (other.zero(), other.fraction(0)):
+            with pytest.raises(ValueError, match="different curve"):
+                zero.evaluate(point)
+        with pytest.raises(ValueError, match="different curve"):
+            FormalPolynomial(other, ("a",), {}).evaluate({"a": F3.one}, point)
     assert quartic.one().evaluate(point) == F3.one
 
 

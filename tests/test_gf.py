@@ -435,3 +435,12 @@ def test_inverse_rejects_a_norm_that_is_not_a_unit_of_the_prime_field(entry):
             F.element((0, 1)).inverse()
     finally:
         F._frobenius = columns
+
+
+@pytest.mark.parametrize("p, m", ((3, 1), (3, 2), (5, 2), (3, 3)))
+def test_is_zero_and_bool_agree_with_the_zero_tuple_on_every_element(p, m):
+    F = make_extension_field(p, m)
+    for x in F.elements():
+        zero = x.coeffs == (0,) * m
+        assert x.is_zero() is zero
+        assert bool(x) is not zero
