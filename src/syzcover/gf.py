@@ -8,9 +8,9 @@ field per (p, m).
 
 An int operand of * scales the coefficient tuple mod p.  Two elements of
 GF(p^2) multiply in closed form on their int pairs, with t^2 = r0 + r1 t
-read from the field's reduction rows; every other product, in a prime
-field (m = 1) too, convolves the coefficient tuples of length m and folds
-the high coefficients back with those rows.
+stored once per field; every other product, in a prime field (m = 1) too,
+is the remainder of the polynomial product by the modulus, the same
+_pmul/_pmod that Ben-Or's test uses.
 
 Frobenius x -> x^p is F_p-linear, so it is applied as an m x m matrix over
 F_p, built and certified once per field.  Inverses use it too: x^-1 is the
@@ -179,7 +179,7 @@ class GF:
     """
 
     __slots__ = (
-        "p", "m", "order", "modulus", "_reduction", "_frobenius", "zero", "one",
+        "p", "m", "order", "modulus", "_t_squared", "_frobenius", "zero", "one",
     )
 
     def __init__(self, p: int, m: int = 1):
@@ -191,26 +191,11 @@ class GF:
         self.m = m
         self.order = p ** m
         self.modulus = _find_irreducible(p, m)
-        self._reduction = self._reduction_rows()
+        # (r0, r1) with t^2 = r0 + r1 t, for the closed GF(p^2) product
+        self._t_squared = tuple((-c) % p for c in self.modulus[:2]) if m == 2 else None
         self._frobenius = None
         self.zero = FieldElement(self, (0,) * m)
         self.one = FieldElement(self, (1,) + (0,) * (m - 1))
-
-    def _reduction_rows(self):
-        # rows[k] = coefficients of x^k reduced mod the modulus, m <= k <= 2m-2
-        p, m = self.p, self.m
-        if m == 1:
-            return {}
-        base = [(-c) % p for c in self.modulus[:m]]
-        rows = {m: tuple(base)}
-        r = base
-        for k in range(m + 1, 2 * m - 1):
-            carry = r[-1]
-            r = [0] + r[:-1]
-            if carry:
-                r = [(s + carry * b) % p for s, b in zip(r, base)]
-            rows[k] = tuple(r)
-        return rows
 
     def frobenius_columns(self) -> tuple:
         """Columns of the matrix of x -> x^p on the power basis, built on first use.
@@ -361,24 +346,10 @@ class FieldElement:
         a, b = self.coeffs, other.coeffs
         if m == 2:
             (a0, a1), (b0, b1) = a, b
-            (r0, r1), h = f._reduction[2], a1 * b1
+            (r0, r1), h = f._t_squared, a1 * b1
             return FieldElement(f, ((a0 * b0 + r0 * h) % p, (a0 * b1 + a1 * b0 + r1 * h) % p))
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        res = conv[:m]
-        rows = f._reduction
-        for k in range(m, 2 * m - 1):
-            ck = conv[k]
-            if ck:
-                row = rows[k]
-                for i in range(m):
-                    if row[i]:
-                        res[i] += ck * row[i]
-        return FieldElement(f, tuple(c % p for c in res))
+        rem = _pmod(_pmul(a, b, p), f.modulus, p)
+        return FieldElement(f, tuple(rem) + (0,) * (m - len(rem)))
 
     __rmul__ = __mul__
 

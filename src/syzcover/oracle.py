@@ -12,6 +12,10 @@ holds arrives as the reduced zero normal form, which is zero at every
 point, so the oracle catches wrong inputs and re-checks the nonzero claims
 only.
 
+The random stream is the sampler's draws, then ORACLE_POINTS * len(vars)
+draws per formal claim, in claim order, each claim's made before any of
+its values is evaluated, so no claim's value moves the stream.
+
 Each sampled point is checked on the curve once, at oracle setup, and
 every evaluation trusts that check.  A point that fails it (or too few
 points) makes the check being served fail; it never aborts the run.
@@ -93,8 +97,11 @@ class PointOracle:
             for pt in self.points:
                 yield obj.evaluate(pt)
         elif isinstance(obj, FormalPolynomial):
-            for pt in self.points:
-                assignment = {name: self.field.random_element(self.rng) for name in obj.vars}
+            assignments = [
+                {name: self.field.random_element(self.rng) for name in obj.vars}
+                for _ in self.points
+            ]
+            for assignment, pt in zip(assignments, self.points):
                 yield obj.evaluate(assignment, pt)
         else:
             raise TypeError(f"cannot evaluate {type(obj).__name__}")
