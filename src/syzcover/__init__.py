@@ -1,20 +1,32 @@
 """Exact verification engine for etale covers trivialising the syzygy
-bundle Syz(u^2, v^2, w^2)(3) on Fermat curves in odd characteristic."""
+bundle Syz(u^2, v^2, w^2)(3) on Fermat curves in odd characteristic.
+
+`import syzcover` loads no submodule: each name below is imported from its
+module on first access (PEP 562), so a caller compiles only what it runs.
+"""
 
 __version__ = "0.1.0"
 
-from .census import component_stats, enumerate_fiber
-from .gf import make_extension_field
-from .report import CoverReport, emit_report, run_verification
-from .syz import build_catalog
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    "build_catalog": "syz",
+    "component_stats": "census",
+    "CoverReport": "report",
+    "emit_report": "report",
+    "enumerate_fiber": "census",
+    "make_extension_field": "gf",
+    "run_verification": "report",
+}
 
-__all__ = [
-    "__version__",
-    "build_catalog",
-    "component_stats",
-    "CoverReport",
-    "emit_report",
-    "enumerate_fiber",
-    "make_extension_field",
-    "run_verification",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -10,7 +10,6 @@ failure), 1 when any check fails, 2 on invalid input.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .census import CENSUS_CAP
@@ -18,6 +17,10 @@ from .report import emit_report, parse_selection, run_verification
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Imported here, after the pipeline modules: a cold `verify` then compiles
+    # them before argparse's objects sit on the heap, one step lower in peak RSS.
+    import argparse
+
     parser = argparse.ArgumentParser(prog="syzcover")
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser(

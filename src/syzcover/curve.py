@@ -173,16 +173,25 @@ class CurvePolynomial:
         The zero normal form returns the field's zero at once.  Otherwise
         each term reads its coordinate powers from the point's memo, and a
         term in which a zero coordinate has a positive exponent is skipped.
+        A term starts from its coefficient and is multiplied only by the
+        powers that are not one (the memo holds every such power as the
+        field's own `one`), and a coefficient 1 is not multiplied at all.
         """
         point = as_curve_point(self.ctx, point)
-        acc = point.coords[0].field.zero
+        field = point.coords[0].field
+        acc, one = field.zero, field.one
         if not self.terms:
             return acc
         zu, zv, zw = point.zeros
         pows = point.powers
         for (i, j, k), c in self.terms.items():
-            if not (i and zu or j and zv or k and zw):
-                acc = acc + pows[0, i] * pows[1, j] * pows[2, k] * c
+            if i and zu or j and zv or k and zw:
+                continue
+            val = None if c == 1 else c
+            for x in (pows[0, i], pows[1, j], pows[2, k]):
+                if x is not one:
+                    val = x if val is None else x * val
+            acc = acc + (one if val is None else val)
         return acc
 
     def __eq__(self, other):
@@ -439,20 +448,25 @@ class _Powers(dict):
 
     Holds the coordinates themselves as e = 1.  A miss is filled by ** and
     kept; a negative e raises the coordinate's inverse, which is taken once
-    (ZeroDivisionError for a zero coordinate).
+    (ZeroDivisionError for a zero coordinate).  A power equal to one is
+    kept as the field's own `one`, so that evaluation can skip it by identity.
     """
 
     __slots__ = ()
 
     def __missing__(self, key):
         axis, e = key
-        if e == -1:
-            value = self[axis, 1].inverse()
+        base = self[axis, 1]
+        one = base.field.one
+        if base is one:
+            value = one
+        elif e == -1:
+            value = base.inverse()
         elif e < 0:
             value = self[axis, -1] ** -e
         else:
-            value = self[axis, 1] ** e
-        self[key] = value
+            value = base ** e
+        self[key] = value = one if value == one else value
         return value
 
 
@@ -483,7 +497,10 @@ class CurvePoint:
         self.ctx = ctx
         self.coords = (u0, v0, w0)
         self.zeros = (u0.is_zero(), v0.is_zero(), w0.is_zero())
-        self.powers = _Powers({(0, 1): u0, (1, 1): v0, (2, 1): w0})
+        one = u0.field.one
+        self.powers = _Powers(
+            {(axis, 1): one if x == one else x for axis, x in enumerate(self.coords)}
+        )
 
     def __iter__(self):
         return iter(self.coords)

@@ -131,9 +131,36 @@ class FormalPolynomial:
         )
 
     def __pow__(self, n: int):
+        """self ** n: by the binomial theorem for one or two terms, else by
+        square-and-multiply.
+
+        (s + t)^n = sum over k of C(n, k) s^k t^(n-k), with each C(n, k) an
+        exact int reduced mod p, and a term formed only where that residue
+        is nonzero; so (ad - bc)^p is 2 terms from p + 1 int steps, not
+        O(p^2) term products.  s and t have distinct exponents, so each k
+        gives its own monomial.  Nothing is assumed to vanish.
+        """
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        return power(self, n, FormalPolynomial.constant(self.ctx, self.vars, 1))
+        terms = list(self.terms.items())
+        if not 1 <= len(terms) <= 2:
+            return power(self, n, FormalPolynomial.constant(self.ctx, self.vars, 1))
+        p = self.ctx.p
+        if len(terms) == 1:
+            (e, c), = terms
+            return FormalPolynomial(
+                self.ctx, self.vars, {tuple(x * n for x in e): _coefficient_power(c, n, p)}
+            )
+        (es, cs), (et, ct) = terms
+        out = {}
+        binomial = 1  # C(n, k)
+        for k in range(n + 1):
+            residue = binomial % p
+            if residue:
+                exps = tuple(k * a + (n - k) * b for a, b in zip(es, et))
+                out[exps] = residue * _coefficient_power(cs, k, p) * _coefficient_power(ct, n - k, p)
+            binomial = binomial * (n - k) // (k + 1)
+        return FormalPolynomial(self.ctx, self.vars, out)
 
     def p_power(self) -> FormalPolynomial:
         """Entrywise Frobenius: valid termwise in characteristic p."""
@@ -201,6 +228,12 @@ class FormalPolynomial:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _coefficient_power(coeff: LocalFraction, e: int, p: int):
+    """coeff ** e: an int mod p for a constant of F_p, else a LocalFraction (1 for e = 0)."""
+    k = _constant(coeff)
+    return pow(k, e, p) if k is not None else power(coeff, e, 1)
 
 
 def _constant(coeff: LocalFraction):

@@ -20,7 +20,7 @@ from syzcover.cover import (
 )
 from syzcover.curve import CurvePoint, LocalFraction, fermat_curve, random_curve_points
 from syzcover.formal import FormalPolynomial
-from syzcover.gf import make_extension_field
+from syzcover.gf import make_extension_field, power
 from syzcover.matrices import (
     adjugate,
     det,
@@ -217,9 +217,46 @@ def test_formal_pow_equals_repeated_product(covers, p):
     assert f ** 0 == FormalPolynomial.constant(ctx, U_VARS, 1)
 
 
-def test_det_power_squares_only_while_bits_remain(monkeypatch):
+def _power_bases(cd):
+    """name -> (base, heavy): bases of 0, 1, 2 and 3 terms.  A heavy base has
+    a fraction coefficient of several terms, whose reference power is too
+    slow above n = 2p + 3 for p >= 7."""
+    ctx, H = cd.ctx, cd.H_U
+    a, b, c, d = (FormalPolynomial.variable(ctx, U_VARS, n) for n in U_VARS)
+    one = FormalPolynomial.constant(ctx, U_VARS, 1)
+    return {
+        "zero": (one - one, False),
+        "monomial with an H_U coefficient": (b.scale(H[0][1]), False),
+        "det A": (det(cd.A), False),
+        "H_U monomial fractions": (a.scale(H[0][0]) + d.scale(H[1][1]), False),
+        "H_U fractions of two terms": (a.scale(H[0][1]) + b.scale(H[1][0]), True),
+        "1 + a + a^2": (one + a + a * a, False),
+        "three terms with H_U fractions": (a.scale(H[0][0]) + b + c.scale(H[1][0]), True),
+    }
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 13))
+def test_formal_pow_equals_square_and_multiply(covers, p):
+    """The binomial expansion of a base of one or two terms, and the
+    square-and-multiply of a longer one, equal gf.power on the same base."""
+    cd = covers[p]
+    one = FormalPolynomial.constant(cd.ctx, U_VARS, 1)
+    for name, (base, heavy) in _power_bases(cd).items():
+        for n in (0, 1, 2, p - 1, p, p + 1, 2 * p + 3, p * p):
+            if heavy and p >= 7 and n > 2 * p + 3:
+                continue
+            assert base ** n == power(base, n, one), (name, n)
+
+
+def test_formal_power_squares_only_for_three_or_more_terms(monkeypatch):
+    """gf.power squares only while bits remain: a three-term base to the
+    101st makes 6 squarings and 3 other products.  det A, of two terms, is
+    expanded by the binomial theorem with no formal product at all."""
     p = 101
-    dA = det(build_cover_data(p).A)
+    cd = build_cover_data(p)
+    a = FormalPolynomial.variable(cd.ctx, U_VARS, "a")
+    three = FormalPolynomial.constant(cd.ctx, U_VARS, 1) + a + a * a
+    dA = det(cd.A)
     products = []
     mul = FormalPolynomial.__mul__
 
@@ -228,9 +265,12 @@ def test_det_power_squares_only_while_bits_remain(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(FormalPolynomial, "__mul__", counted)
-    dA ** p
+    three ** p
     assert products.count(True) == p.bit_length() - 1
     assert len(products) == p.bit_length() - 1 + bin(p).count("1") - 1 == 9
+    products.clear()
+    assert len((dA ** p).terms) == 2
+    assert products == []
 
 
 def test_det_periodicity_multiplies_few_fractions(monkeypatch):

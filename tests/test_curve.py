@@ -214,6 +214,43 @@ def test_evaluate_on_curve_point(quartic):
     assert quartic.one().evaluate(pt) == F3.one
 
 
+def test_evaluate_multiplies_by_no_factor_equal_to_one(monkeypatch):
+    """In `run_verification(13, ("lemmas", "cover"))`, no product that
+    CurvePolynomial.evaluate makes has a factor equal to one: a zero
+    exponent, a coordinate or power equal to one and a coefficient 1 are
+    all skipped.  Products inside a memo's `**` belong to the power and are
+    not counted here."""
+    from syzcover.report import run_verification
+
+    depth = {"evaluate": 0, "pow": 0}
+    factors = []
+
+    def nested(key, fn):
+        def wrapper(*args):
+            depth[key] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[key] -= 1
+
+        return wrapper
+
+    mul = FieldElement.__mul__
+
+    def counted(self, other):
+        if depth["evaluate"] and not depth["pow"]:
+            factors.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(CurvePolynomial, "evaluate", nested("evaluate", CurvePolynomial.evaluate))
+    monkeypatch.setattr(FieldElement, "__pow__", nested("pow", FieldElement.__pow__))
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    monkeypatch.setattr(FieldElement, "__rmul__", counted)
+    assert run_verification(13, ("lemmas", "cover")).overall == "pass"
+    assert factors
+    assert [(x, y) for x, y in factors if x == 1 or y == 1] == []
+
+
 def test_evaluate_skips_terms_a_zero_coordinate_kills(monkeypatch, rng):
     """At a point with a zero coordinate, a term in which that coordinate has
     a positive exponent is skipped and makes no pow; across all 20

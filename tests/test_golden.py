@@ -17,13 +17,15 @@ and p101_lemmas-cover_seed0.json the stdout of
 the one golden that runs the oracle's point sampler above p = 13 (both of
 its curves over GF(101^2), 10 201 elements).
 
-symbolic_pP_seed0.json, for P = 101, 151 and 251 (the symbolic bench primes),
-is the stdout of
+symbolic_pP_seed0.json, for P = 101, 151 and 251 (the symbolic bench primes)
+and for P = 503 and 1009, is the stdout of
 
     PYTHONPATH=src python3 bench/symbolic_op.py P 0
 
-the lemma and cover checks at a prime the oracle never sees; at 251 the
-F_p-constant products of check_det_periodicity do the most work.  A change that
+the lemma and cover checks at a prime the oracle never sees.  At 503 and
+1009, (det A)^p is the largest power check_det_periodicity expands; the
+files there were made by the square-and-multiply that the binomial
+expansion replaced.  A change that
 alters any of these bytes for a fixed (prime, seed, version) must fail
 here; regenerate the files only when that change is intended.
 """
@@ -73,7 +75,7 @@ def test_p101_oracle_cli_report_matches_golden():
     assert out == _golden("p101_lemmas-cover_seed0.json")
 
 
-@pytest.mark.parametrize("p", (101, 151, 251))
+@pytest.mark.parametrize("p", (101, 151, 251, 503, 1009))
 def test_symbolic_checks_match_golden(p):
     out = _stdout(str(ROOT / "bench" / "symbolic_op.py"), str(p), "0")
     assert out == _golden(f"symbolic_p{p}_seed0.json")
