@@ -170,9 +170,9 @@ class CurvePolynomial:
     def evaluate(self, point) -> FieldElement:
         """Value at a CurvePoint of this curve, or at a tuple, which is checked first.
 
-        The zero normal form returns the field's zero at once.  Otherwise
-        each term reads its coordinate powers from the point's memo, and a
-        term in which a zero coordinate has a positive exponent is skipped.
+        Each term reads its coordinate powers from the point's memo, and a
+        term in which a zero coordinate has a positive exponent is skipped;
+        the zero normal form, which has no terms, gives the field's zero.
         A term starts from its coefficient and is multiplied only by the
         powers that are not one (the memo holds every such power as the
         field's own `one`), and a coefficient 1 is not multiplied at all.
@@ -180,8 +180,6 @@ class CurvePolynomial:
         point = as_curve_point(self.ctx, point)
         field = point.coords[0].field
         acc, one = field.zero, field.one
-        if not self.terms:
-            return acc
         zu, zv, zw = point.zeros
         pows = point.powers
         for (i, j, k), c in self.terms.items():

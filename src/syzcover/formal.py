@@ -6,19 +6,12 @@ monomial localization of the curve ring.  Coefficients are not canonical
 (fractions compare by cross multiplication), so equality compares
 coefficients pairwise rather than by dictionary identity.
 
-A product keys its terms by exponents packed into one int, with a field
-per variable wide enough for the largest exponent sum, so adding keys
-adds exponents without a carry; keys are unpacked once per output term.
-It multiplies and sums coefficients that are constants of F_p (as every
-coefficient of a power of det A is) as ints, and builds one fraction per
-output term; a pair with any other coefficient goes through LocalFraction,
-and the result is the same as if every pair had.
+A product is one loop over pairs of terms: the exponents of each pair
+add as tuples, its coefficients multiply as LocalFractions, and products
+landing on the same exponents are summed in the order the pairs come.
 """
 
 from __future__ import annotations
-
-from itertools import chain
-from operator import lshift
 
 from .curve import CurveContext, CurvePolynomial, LocalFraction, as_curve_point
 from .gf import power
@@ -100,27 +93,13 @@ class FormalPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # `width` bits per variable hold the largest exponent sum, so key1 +
-        # key2 never carries.  Two F_p constants multiply as ints; a term's
-        # sum stays an int until a fraction reaches it, which coerces it.
-        flat = chain.from_iterable
-        top = max(flat(self.terms), default=0) + max(flat(other.terms), default=0)
-        width = top.bit_length()
-        shifts = [width * i for i in range(len(self.vars))]
-        pack = lambda e: sum(map(lshift, e, shifts))
-        theirs = [(pack(e), c, _constant(c)) for e, c in other.terms.items()]
         out = {}
         for e1, c1 in self.terms.items():
-            key1, k1 = pack(e1), _constant(c1)
-            for key2, c2, k2 in theirs:
-                key = key1 + key2
-                prod = c1 * c2 if k1 is None or k2 is None else k1 * k2
-                out[key] = out[key] + prod if key in out else prod
-        mask = (1 << width) - 1
-        return FormalPolynomial(
-            self.ctx, self.vars,
-            {tuple(key >> s & mask for s in shifts): c for key, c in out.items()},
-        )
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                prod = c1 * c2
+                out[e] = out[e] + prod if e in out else prod
+        return FormalPolynomial(self.ctx, self.vars, out)
 
     __rmul__ = __mul__
 
@@ -145,20 +124,20 @@ class FormalPolynomial:
         terms = list(self.terms.items())
         if not 1 <= len(terms) <= 2:
             return power(self, n, FormalPolynomial.constant(self.ctx, self.vars, 1))
-        p = self.ctx.p
         if len(terms) == 1:
             (e, c), = terms
             return FormalPolynomial(
-                self.ctx, self.vars, {tuple(x * n for x in e): _coefficient_power(c, n, p)}
+                self.ctx, self.vars, {tuple(x * n for x in e): power(c, n, 1)}
             )
         (es, cs), (et, ct) = terms
+        p = self.ctx.p
         out = {}
         binomial = 1  # C(n, k)
         for k in range(n + 1):
             residue = binomial % p
             if residue:
                 exps = tuple(k * a + (n - k) * b for a, b in zip(es, et))
-                out[exps] = residue * _coefficient_power(cs, k, p) * _coefficient_power(ct, n - k, p)
+                out[exps] = residue * power(cs, k, 1) * power(ct, n - k, 1)
             binomial = binomial * (n - k) // (k + 1)
         return FormalPolynomial(self.ctx, self.vars, out)
 
@@ -229,16 +208,3 @@ class FormalPolynomial:
 
     __repr__ = __str__
 
-
-def _coefficient_power(coeff: LocalFraction, e: int, p: int):
-    """coeff ** e: an int mod p for a constant of F_p, else a LocalFraction (1 for e = 0)."""
-    k = _constant(coeff)
-    return pow(k, e, p) if k is not None else power(coeff, e, 1)
-
-
-def _constant(coeff: LocalFraction):
-    """The int a coefficient stands for when it is a constant of F_p, else None."""
-    terms = coeff.num.terms
-    if coeff.du or coeff.dw or len(terms) != 1:
-        return None
-    return terms.get((0, 0, 0))

@@ -274,7 +274,7 @@ def test_formal_power_squares_only_for_three_or_more_terms(monkeypatch):
 
 
 def test_det_periodicity_multiplies_few_fractions(monkeypatch):
-    # every coefficient of (det A)^k is an F_p constant, multiplied as an int
+    # (det A)^p is a binomial expansion: two coefficient powers, not O(p^2) products
     cd = build_cover_data(101)
     calls = []
     mul = LocalFraction.__mul__
@@ -343,6 +343,25 @@ def test_formal_product_equals_pairwise_fraction_product(p):
     assert cancelled  # some seeds have a sum that cancels to zero
 
 
+@pytest.mark.parametrize("p", (3, 5, 13))
+def test_formal_product_and_det_power_evaluate_pointwise(covers, p):
+    """Evaluation is a ring map: (f*g)(x) = f(x)*g(x), and (det A)^p at x
+    is (a*d - b*c)^p of the assigned values, checked in GF(p^2)."""
+    ctx = covers[p].ctx
+    dA_p = det(covers[p].A) ** p
+    field = make_extension_field(p, 2)
+    rng = random.Random(p)
+    pts = [CurvePoint(ctx, pt) for pt in random_curve_points(ctx, field, 5, rng)]
+    for _ in range(20):
+        f, g = _random_formal(ctx, rng), _random_formal(ctx, rng)
+        fg = f * g
+        for pt in pts:
+            x = {name: field.random_element(rng) for name in U_VARS}
+            assert fg.evaluate(x, pt) == f.evaluate(x, pt) * g.evaluate(x, pt)
+            value = x["a"] * x["d"] - x["b"] * x["c"]
+            assert dA_p.evaluate(x, pt) == value ** p
+
+
 def test_formal_product_cancels_constant_and_mixed_sums():
     ctx = fermat_curve(5)
     u, _, w = ctx.variables()
@@ -361,8 +380,8 @@ def test_formal_product_cancels_constant_and_mixed_sums():
 
 @pytest.mark.parametrize("p", (3, 101))
 def test_formal_product_on_det_powers_and_p_powers(p):
-    """The packed-key product equals the pairwise reference on the products
-    the periodicity check makes: powers of det A and entries of A^(p)."""
+    """The product equals the pairwise reference on the products the
+    periodicity check makes: powers of det A and entries of A^(p)."""
     A = build_cover_data(p).A
     dA = det(A)
     factors = (dA, dA * dA, dA ** p, *(x for row in entrywise_p_power(A) for x in row))
@@ -375,8 +394,8 @@ def test_formal_product_on_det_powers_and_p_powers(p):
 
 @pytest.mark.parametrize("top_f, top_g", ((1, 1), (3, 1), (3, 4), (4, 4), (7, 8)))
 def test_formal_product_sums_fill_the_packing_width(top_f, top_g):
-    """Exponent sums reach top_f + top_g, whose bit length is the field width,
-    in every variable at once and next to zero fields; no key carries."""
+    """Exponent sums reach top_f + top_g in every variable at once and next
+    to zero exponents, and each lands on the monomial it sums to."""
     ctx = fermat_curve(5)
     u, _, w = ctx.variables()
     n = len(U_VARS)
