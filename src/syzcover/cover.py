@@ -17,18 +17,12 @@ verdict is derived from those alone.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
 
 from .curve import CurveContext, CurvePoint, LocalFraction, power_key
 from .formal import FormalPolynomial
 from .gf import GF, make_extension_field
-from .matrices import (
-    adjugate,
-    det,
-    entrywise_p_power,
-    mat,
-    mat_inverse,
-    mat_mul,
-)
+from .matrices import adjugate, det, entrywise_p_power, mat, mat_inverse, mat_mul
 from .oracle import CheckOutcome, nonzero_claim, zero_claim
 from .syz import GeneratorCatalog, build_catalog
 
@@ -53,10 +47,7 @@ CoverData = namedtuple(
 def transition_matrix(ctx: CurveContext):
     u, v, w = ctx.variables()
     f = ctx.fraction
-    return mat([
-        [f(0), f(-w, 1, 0)],
-        [f(u, 0, 1), f(v * v, 1, 1)],
-    ])
+    return mat([[f(0), f(-w, 1, 0)], [f(u, 0, 1), f(v * v, 1, 1)]])
 
 
 def h_matrices(ctx: CurveContext):
@@ -89,9 +80,7 @@ def _frobenius_adjugate(A):
 
 def _lift(ctx, names, M):
     """Matrix of fractions as a matrix of constant formal polynomials."""
-    return mat([
-        [FormalPolynomial.constant(ctx, names, entry) for entry in row] for row in M
-    ])
+    return mat([[FormalPolynomial.constant(ctx, names, entry) for entry in row] for row in M])
 
 
 def _chart_relations(ctx, A, frob_adj, H, clear_u: int, clear_w: int):
@@ -101,12 +90,8 @@ def _chart_relations(ctx, A, frob_adj, H, clear_u: int, clear_w: int):
     for i in range(2):
         for j in range(2):
             rel = frob_adj[i][j] - dA.scale(H[i][j])
-            cleared = FormalPolynomial(
-                ctx,
-                rel.vars,
-                {e: c.mul_monomial(clear_u, clear_w) for e, c in rel.terms.items()},
-            )
-            rels.append(cleared)
+            cleared = {e: c.mul_monomial(clear_u, clear_w) for e, c in rel.terms.items()}
+            rels.append(FormalPolynomial(ctx, rel.vars, cleared))
     return tuple(rels)
 
 
@@ -233,7 +218,7 @@ def check_relations(cd: CoverData) -> CheckOutcome:
             for coeff in rel.terms.values():
                 if coeff.du or coeff.dw:
                     problems.append(f"{name}: coefficient not cleared: {coeff}")
-        for entry in (frob_adj[0][0], frob_adj[0][1], frob_adj[1][0], frob_adj[1][1]):
+        for entry in frob_adj[0] + frob_adj[1]:
             if entry.formal_degrees() != {p + 1}:
                 problems.append(f"{name}: Frobenius-adjugate entry not homogeneous")
     return CheckOutcome("4 relations per chart, degrees p+1 and 2, cleared coefficients", problems=problems)
@@ -247,8 +232,8 @@ def check_gluing(cd: CoverData) -> CheckOutcome:
     """
     TB = mat_mul(_lift(cd.ctx, W_VARS, cd.T), cd.B)
     claims = []
-    for (i, j), name in (((0, 0), "a"), ((0, 1), "b"), ((1, 0), "c"), ((1, 1), "d")):
-        claims.append(zero_claim(f"gluing entry {name}", cd.substitution[name] - TB[i][j]))
+    for name, entry in zip("abcd", TB[0] + TB[1]):
+        claims.append(zero_claim(f"gluing entry {name}", cd.substitution[name] - entry))
 
     s = cd.substitution
     det_subst = s["a"] * s["d"] - s["b"] * s["c"]
@@ -321,12 +306,9 @@ def _w0_reduce(p, terms):
     """Bivariate normal form in k[u, v]/(u^(p+1) + v^(p+1))."""
     out = {}
     for (i, j), c in terms.items():
-        sign = 1
-        while i >= p + 1:
-            i -= p + 1
-            j += p + 1
-            sign = -sign
-        c = (sign * c) % p
+        q, i = divmod(i, p + 1)
+        j += q * (p + 1)
+        c = (-1) ** q * c % p
         if not c:
             continue
         key = (i, j)
@@ -350,22 +332,34 @@ def _w0_equal_const(frac: LocalFraction, value: int) -> bool:
 def _w0_points(ctx, count=20):
     """Up to count curve points with w = 0 over GF(p^2): u^(p+1) = -v^(p+1), u != 0.
 
-    Found in index order of (u0, v0), with u^(p+1) and v^(p+1) from
-    curve.power_key on the indices (int pairs mod p, the norm); only hits
-    become field elements, each checked on the curve with plain ** as it
-    is made; raises ValueError at the first that is not.
+    The curve has degree p + 1.  Found in index order of (u0, v0), with
+    u^(p+1) and v^(p+1) the norm from curve.power_key on the indices.  Its
+    first coordinate at index a + b*p is a quadratic form Q(a, b), read off
+    the norm at 1, p and p + 1; each row b solves Q(a, b) = -norm(u0)[0]
+    with a table of square roots mod p, and the norm confirms each root.
+    Only hits become field elements, each checked on the curve with plain
+    ** as it is made; raises ValueError at the first that is not, or when
+    Q has no a^2 term (column 0 of a Frobenius matrix is the image of 1).
     """
     p = ctx.p
     field = make_extension_field(p, 2)
     norm = power_key(ctx, field)
+    qa, qc = norm(1)[0], norm(p)[0]
+    if not qa:
+        raise ValueError(f"the norm of {field!r} has no a^2 term")
+    qb, half = (norm(p + 1)[0] - qa - qc) % p, pow(2 * qa, p - 2, p)
+    roots = {x * x % p: {x, -x % p} for x in range(p)}
     pts = []
     for ku in range(1, p * p):
         target = tuple(-c % p for c in norm(ku))
-        for kv in range(p * p):
-            if norm(kv) == target:
-                pts.append(CurvePoint(ctx, (field.from_index(ku), field.from_index(kv), field.zero)))
-                if len(pts) >= count:
-                    return pts
+        for b in range(p):
+            lin = qb * b % p
+            disc = (lin * lin - 4 * qa * (qc * b * b - target[0])) % p
+            for kv in sorted((r - lin) * half % p + b * p for r in roots.get(disc, ())):
+                if norm(kv) == target:
+                    pts.append(CurvePoint(ctx, (field.from_index(ku), field.from_index(kv), field.zero)))
+                    if len(pts) >= count:
+                        return pts
     return pts
 
 
@@ -394,7 +388,7 @@ def check_w0_specialization(cd: CoverData) -> CheckOutcome:
 
     problems = []
     flat = cd.frob_adj_U[0] + cd.frob_adj_U[1]
-    h_entries = (cd.H_U[0][0], cd.H_U[0][1], cd.H_U[1][0], cd.H_U[1][1])
+    h_entries = cd.H_U[0] + cd.H_U[1]
     for idx, (entry, target) in enumerate(zip(flat, expected_frob), start=1):
         if entry != target:
             problems.append(f"relation {idx}: Frobenius-adjugate part differs")
@@ -425,47 +419,53 @@ def check_matrix_ideal_shift(field: GF, rng, samples: int = 100) -> CheckOutcome
 
     For random 2x2 and 3x3 matrices over the prime field with invertible B:
       (A B^-1 - C) B = A - C B   and   (A - C B) B^-1 = A B^-1 - C.
-    Entries are ints mod p drawn with rng.randrange(p), the draws of
-    field.random_element; B^-1 is adj(B) / det(B).  The products are
-    written out per size, entry by entry, each entry reduced mod p.
+    rng.randrange(p) keeps the values of rng.getrandbits(p.bit_length())
+    below p, so a sample pulls the raw values its 3n^2 entries still lack
+    until they are full, never one past its last, and the rng ends where
+    drawing A, B, C with field.random_element leaves it.  Matrices are flat
+    int lists; B^-1 = adj(B) / det(B), 1/det(B) from a table; the products
+    are written out per size, each entry reduced mod p.
     """
     if field.m != 1:
         raise ValueError(f"ideal-shift samples need a prime field, got {field!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     p = field.p
+    getrandbits, bits = rng.getrandbits, p.bit_length()
+    inverses = [pow(x, p - 2, p) for x in range(p)]  # 0 for x = 0
 
     def product2(X, Y):
-        (a, b), (c, d) = X
-        (e, f), (g, h) = Y
-        return ((a * e + b * g) % p, (a * f + b * h) % p), ((c * e + d * g) % p, (c * f + d * h) % p)
+        a, b, c, d = X
+        e, f, g, h = Y
+        return [(a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p]
 
     def product3(X, Y):
-        (a, b, c), (d, e, f), (g, h, i) = X
-        (j, k, l), (m, n, o), (q, r, s) = Y
-        return (
-            ((a * j + b * m + c * q) % p, (a * k + b * n + c * r) % p, (a * l + b * o + c * s) % p),
-            ((d * j + e * m + f * q) % p, (d * k + e * n + f * r) % p, (d * l + e * o + f * s) % p),
-            ((g * j + h * m + i * q) % p, (g * k + h * n + i * r) % p, (g * l + h * o + i * s) % p),
-        )
-
-    def minus(X, Y):
-        return tuple(tuple((x - y) % p for x, y in zip(r, s)) for r, s in zip(X, Y))
+        a, b, c, d, e, f, g, h, i = X
+        j, k, l, m, n, o, q, r, s = Y
+        return [
+            (a * j + b * m + c * q) % p, (a * k + b * n + c * r) % p, (a * l + b * o + c * s) % p,
+            (d * j + e * m + f * q) % p, (d * k + e * n + f * r) % p, (d * l + e * o + f * s) % p,
+            (g * j + h * m + i * q) % p, (g * k + h * n + i * r) % p, (g * l + h * o + i * s) % p,
+        ]
 
     checked = 0
     problems = []
     for n, product in ((2, product2), (3, product3)):
+        size = n * n
         done = 0
         while done < samples and not problems:
-            A, B, C = ([[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in range(3))
-            d = det(B) % p
-            if not d:
+            entries = []
+            while len(entries) < 3 * size:
+                entries += [x for x in map(getrandbits, repeat(bits, 3 * size - len(entries))) if x < p]
+            A, B, C = entries[:size], entries[size:2 * size], entries[2 * size:]
+            rows = [B[i:i + n] for i in range(0, size, n)]
+            d_inv = inverses[det(rows) % p]
+            if not d_inv:
                 continue
             done += 1
-            d_inv = pow(d, p - 2, p)
-            Binv = tuple(tuple(d_inv * x % p for x in row) for row in adjugate(B))
-            G = minus(product(A, Binv), C)
-            H = minus(A, product(C, B))
+            Binv = [d_inv * x % p for row in adjugate(rows) for x in row]
+            G = [(x - y) % p for x, y in zip(product(A, Binv), C)]
+            H = [(x - y) % p for x, y in zip(A, product(C, B))]
             if not (product(G, B) == H and product(H, Binv) == G):
                 problems.append(f"ideal-shift identity failed at size {n}")
             checked += 1

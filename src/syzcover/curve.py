@@ -138,8 +138,12 @@ class CurvePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """One term c*m with n >= 1 gives the term c^n * m^n, normalised once; else gf.power."""
         if not isinstance(n, int) or n < 0:
             return NotImplemented
+        if n and len(self.terms) == 1:
+            (e, c), = self.terms.items()
+            return CurvePolynomial(self.ctx, {tuple(n * x for x in e): pow(c, n, self.ctx.p)})
         return power(self, n, self.ctx.one())
 
     def p_power(self) -> CurvePolynomial:
@@ -361,9 +365,7 @@ class LocalFraction:
         keeps denominator clearing exact at the exponent level.
         """
         ku, kw = min(cu, self.du), min(cw, self.dw)
-        num = self.num
-        if cu - ku or cw - kw:
-            num = num * self.ctx.monomial(1, (cu - ku, 0, cw - kw))
+        num = _times_monomial(self.num, cu - ku, cw - kw)
         return LocalFraction(self.ctx, num, self.du - ku, self.dw - kw)
 
     def inverse(self) -> LocalFraction:
@@ -391,37 +393,26 @@ class LocalFraction:
 
         Raises ZeroDivisionError where the denominator vanishes.  The
         numerator's value is multiplied by the memoized powers of 1/u0 and
-        1/w0, so each point takes each inverse once.
+        1/w0 (each inverse taken once per point) that are not `one`.
         """
         point = as_curve_point(self.ctx, point)
         zu, _, zw = point.zeros
         if (self.du and zu) or (self.dw and zw):
             raise ZeroDivisionError("denominator vanishes at this point")
-        val = self.num.evaluate(point)
-        if self.du:
-            val = val * point.powers[0, -self.du]
-        if self.dw:
-            val = val * point.powers[2, -self.dw]
+        val, one = self.num.evaluate(point), point.coords[0].field.one
+        for x in (point.powers[0, -self.du], point.powers[2, -self.dw]):
+            if x is not one:
+                val = val * x
         return val
 
     def __str__(self):
         num = str(self.num)
         if self.du == 0 and self.dw == 0:
             return num
-        nu, _, nw = self.ctx.names
-        factors = []
-        if self.du == 1:
-            factors.append(nu)
-        elif self.du > 1:
-            factors.append(f"{nu}^{self.du}")
-        if self.dw == 1:
-            factors.append(nw)
-        elif self.dw > 1:
-            factors.append(f"{nw}^{self.dw}")
-        den = "*".join(factors)
+        den = str(self.ctx.monomial(1, (self.du, 0, self.dw)))
         if len(self.num.terms) > 1:
             num = f"({num})"
-        if len(factors) > 1:
+        if self.du and self.dw:
             den = f"({den})"
         return f"{num}/{den}"
 

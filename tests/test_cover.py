@@ -300,6 +300,16 @@ def _pairwise_fraction_product(f, g):
     return FormalPolynomial(f.ctx, f.vars, out)
 
 
+def _sum_of_slice_products(f, g):
+    """f * g as the sum, by +, of f times each single term c*x^e of g, where
+    f times that term is f.scale(c) with every exponent shifted by e."""
+    total = FormalPolynomial(f.ctx, f.vars, {})
+    for e2, c2 in g.terms.items():
+        shifted = {tuple(a + b for a, b in zip(e1, e2)): c for e1, c in f.scale(c2).terms.items()}
+        total = total + FormalPolynomial(f.ctx, f.vars, shifted)
+    return total
+
+
 def _layout(f):
     """Terms in insertion order, each with its coefficient's representation."""
     return [(e, c.num.terms, c.du, c.dw) for e, c in f.terms.items()]
@@ -341,6 +351,23 @@ def test_formal_product_equals_pairwise_fraction_product(p):
         sums = {tuple(a + b for a, b in zip(e1, e2)) for e1 in f.terms for e2 in g.terms}
         cancelled += len(product.terms) < len(sums)
     assert cancelled  # some seeds have a sum that cancels to zero
+
+
+@pytest.mark.parametrize("p", (3, 5, 13))
+def test_formal_product_equals_sum_of_term_slices(p):
+    """The product agrees with a reference that shares no loop with it, on
+    random pairs (whose sums cancel for some seeds) and on det A times its
+    powers and the entries of A^(p)."""
+    ctx = fermat_curve(p)
+    pairs = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        pairs.append((_random_formal(ctx, rng), _random_formal(ctx, rng)))
+    A = build_cover_data(p).A
+    dA = det(A)
+    pairs += [(dA, g) for g in (dA, dA ** p, *(x for row in entrywise_p_power(A) for x in row))]
+    for f, g in pairs:
+        assert f * g == _sum_of_slice_products(f, g)
 
 
 @pytest.mark.parametrize("p", (3, 5, 13))
@@ -484,13 +511,19 @@ def test_matrix_ideal_shift_random_samples():
     assert out.ok, out.detail
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_matrix_ideal_shift_draws_like_field_elements(seed):
-    """The int check makes the rng calls of drawing A, B, C row by row as GF(7) elements."""
-    F = make_extension_field(7)
+@pytest.mark.parametrize(
+    "p, seed",
+    # GF(7), the field the report samples, keeps the bare seed as its id
+    [pytest.param(p, seed, id=str(seed) if p == 7 else f"p{p}-{seed}") for p in (3, 5, 7, 13) for seed in range(4)],
+)
+def test_matrix_ideal_shift_draws_like_field_elements(p, seed):
+    """The int check makes the rng calls of drawing A, B, C row by row as GF(p)
+    elements, at primes that reject 1/4 (p = 3), 3/8 (p = 5), 1/8 (p = 7) and
+    3/16 (p = 13) of the raw draws, and at none of them draws one value more."""
+    F = make_extension_field(p)
     rng, twin = random.Random(seed), random.Random(seed)
     out = check_matrix_ideal_shift(F, rng, samples=100)
-    assert out.detail == "ideal-shift identities hold on 200 samples over GF(7)"
+    assert out.detail == f"ideal-shift identities hold on 200 samples over GF({p})"
     for n in (2, 3):
         done = 0
         while done < 100:
@@ -603,7 +636,7 @@ def _w0_points_by_pow(ctx, count=20):
     return pts
 
 
-@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 19, 101, 251))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 19, 101, 103, 251, 1009))
 def test_w0_points_match_pow_scan(p):
     ctx = fermat_curve(p)
     pts = cover._w0_points(ctx, 20)

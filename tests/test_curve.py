@@ -15,7 +15,7 @@ from syzcover.curve import (
     random_curve_points,
 )
 from syzcover.formal import FormalPolynomial
-from syzcover.gf import GF, FieldElement, make_extension_field
+from syzcover.gf import GF, FieldElement, make_extension_field, power
 from syzcover.matrices import adjugate, det, mat, mat_inverse, mat_mul
 
 
@@ -99,6 +99,26 @@ def test_pow_equals_repeated_product(rng, p):
                 acc = acc * f
             assert (f ** n).terms == acc.terms
     assert (ctx.zero() ** 0) == ctx.one()
+
+
+@pytest.mark.parametrize("p", (3, 5, 13))
+def test_monomial_power_equals_square_and_multiply(p):
+    """A single term raised in one step equals square-and-multiply of normal
+    forms, also where n*k wraps w past e (and past several multiples of e);
+    a constant and the zero polynomial agree too."""
+    ctx = fermat_curve(p)
+    e = ctx.exponent
+    bases = [
+        ctx.monomial(c, exps)
+        for c, exps in (
+            (1, (1, 0, 0)), (2, (0, 1, 0)), (p - 1, (0, 0, 1)), (3, (2, 1, e - 1)),
+            (1, (0, 0, e - 2)), (p - 2, (1, 3, 2)),
+        )
+    ]
+    bases += [ctx.const(2), ctx.const(p - 1), ctx.zero()]
+    for f in bases:
+        for n in (0, 1, 2, p - 1, p, p + 1, 2 * p + 3):
+            assert (f ** n).terms == power(f, n, ctx.one()).terms, (f, n)
 
 
 def test_p_power_agrees_with_repeated_multiplication(rng):
@@ -214,15 +234,13 @@ def test_evaluate_on_curve_point(quartic):
     assert quartic.one().evaluate(pt) == F3.one
 
 
-def test_evaluate_multiplies_by_no_factor_equal_to_one(monkeypatch):
-    """In `run_verification(13, ("lemmas", "cover"))`, no product that
-    CurvePolynomial.evaluate makes has a factor equal to one: a zero
-    exponent, a coordinate or power equal to one and a coefficient 1 are
-    all skipped.  Products inside a memo's `**` belong to the power and are
-    not counted here."""
+def _products_made_by(monkeypatch, method, nested_methods):
+    """Factor pairs of the FieldElement products that method (a (class, name)
+    pair) makes itself during `run_verification(13, ("lemmas", "cover"))`,
+    not counting those made inside any of nested_methods."""
     from syzcover.report import run_verification
 
-    depth = {"evaluate": 0, "pow": 0}
+    depth = {"outer": 0, "inner": 0}
     factors = []
 
     def nested(key, fn):
@@ -238,15 +256,43 @@ def test_evaluate_multiplies_by_no_factor_equal_to_one(monkeypatch):
     mul = FieldElement.__mul__
 
     def counted(self, other):
-        if depth["evaluate"] and not depth["pow"]:
+        if depth["outer"] and not depth["inner"]:
             factors.append((self, other))
         return mul(self, other)
 
-    monkeypatch.setattr(CurvePolynomial, "evaluate", nested("evaluate", CurvePolynomial.evaluate))
-    monkeypatch.setattr(FieldElement, "__pow__", nested("pow", FieldElement.__pow__))
+    cls, name = method
+    monkeypatch.setattr(cls, name, nested("outer", getattr(cls, name)))
+    for cls, name in nested_methods:
+        monkeypatch.setattr(cls, name, nested("inner", getattr(cls, name)))
     monkeypatch.setattr(FieldElement, "__mul__", counted)
     monkeypatch.setattr(FieldElement, "__rmul__", counted)
     assert run_verification(13, ("lemmas", "cover")).overall == "pass"
+    return factors
+
+
+def test_evaluate_multiplies_by_no_factor_equal_to_one(monkeypatch):
+    """In `run_verification(13, ("lemmas", "cover"))`, no product that
+    CurvePolynomial.evaluate makes has a factor equal to one: a zero
+    exponent, a coordinate or power equal to one and a coefficient 1 are
+    all skipped.  Products inside a memo's `**` belong to the power and are
+    not counted here."""
+    factors = _products_made_by(
+        monkeypatch, (CurvePolynomial, "evaluate"), [(FieldElement, "__pow__")]
+    )
+    assert factors
+    assert [(x, y) for x, y in factors if x == 1 or y == 1] == []
+
+
+def test_fraction_evaluate_multiplies_by_no_factor_equal_to_one(monkeypatch):
+    """In `run_verification(13, ("lemmas", "cover"))`, LocalFraction.evaluate
+    multiplies its numerator's value by no power of 1/u0 or 1/w0 that is
+    one.  Products inside the numerator's evaluation and inside a memo's
+    `**` or inverse are not counted here."""
+    factors = _products_made_by(
+        monkeypatch,
+        (LocalFraction, "evaluate"),
+        [(CurvePolynomial, "evaluate"), (FieldElement, "__pow__"), (FieldElement, "inverse")],
+    )
     assert factors
     assert [(x, y) for x, y in factors if x == 1 or y == 1] == []
 
