@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import repeat
 
-from .curve import CurveContext, CurvePoint, LocalFraction, power_key
+from .curve import CurveContext, CurvePoint, LocalFraction, norm_roots, power_key
 from .formal import FormalPolynomial
 from .gf import GF, make_extension_field
 from .matrices import adjugate, det, entrywise_p_power, mat, mat_inverse, mat_mul
@@ -330,36 +330,21 @@ def _w0_equal_const(frac: LocalFraction, value: int) -> bool:
 
 
 def _w0_points(ctx, count=20):
-    """Up to count curve points with w = 0 over GF(p^2): u^(p+1) = -v^(p+1), u != 0.
+    """Up to count points with w = 0 of the degree-(p+1) curve over GF(p^2).
 
-    The curve has degree p + 1.  Found in index order of (u0, v0), with
-    u^(p+1) and v^(p+1) the norm from curve.power_key on the indices.  Its
-    first coordinate at index a + b*p is a quadratic form Q(a, b), read off
-    the norm at 1, p and p + 1; each row b solves Q(a, b) = -norm(u0)[0]
-    with a table of square roots mod p, and the norm confirms each root.
-    Only hits become field elements, each checked on the curve with plain
-    ** as it is made; raises ValueError at the first that is not, or when
-    Q has no a^2 term (column 0 of a Frobenius matrix is the image of 1).
+    In index order of (u0, v0), u0 != 0, the v0 being the norm_roots of
+    -u0^(p+1), read from power_key.  Only these become field elements, each
+    checked on the curve as it is made: ValueError at the first that is not.
     """
     p = ctx.p
     field = make_extension_field(p, 2)
     norm = power_key(ctx, field)
-    qa, qc = norm(1)[0], norm(p)[0]
-    if not qa:
-        raise ValueError(f"the norm of {field!r} has no a^2 term")
-    qb, half = (norm(p + 1)[0] - qa - qc) % p, pow(2 * qa, p - 2, p)
-    roots = {x * x % p: {x, -x % p} for x in range(p)}
     pts = []
     for ku in range(1, p * p):
-        target = tuple(-c % p for c in norm(ku))
-        for b in range(p):
-            lin = qb * b % p
-            disc = (lin * lin - 4 * qa * (qc * b * b - target[0])) % p
-            for kv in sorted((r - lin) * half % p + b * p for r in roots.get(disc, ())):
-                if norm(kv) == target:
-                    pts.append(CurvePoint(ctx, (field.from_index(ku), field.from_index(kv), field.zero)))
-                    if len(pts) >= count:
-                        return pts
+        for kv in norm_roots(field, -norm(ku)[0]):
+            pts.append(CurvePoint(ctx, (field.from_index(ku), field.from_index(kv), field.zero)))
+            if len(pts) >= count:
+                return pts
     return pts
 
 

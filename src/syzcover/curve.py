@@ -7,16 +7,16 @@ Fractions carry denominators u^a w^b only (the charts that ever get
 localized) and compare by cross multiplication, which is valid because
 u and w are nonzerodivisors in the (integral) coordinate ring.
 
-Points are made by random_curve_points, which draws them from a table of
-power_key, the one x^e routine that cover's w = 0 search uses too, and
-are checked on the curve once, as CurvePoint, which also memoizes the
-coordinate powers that evaluation reads.
-curve_cone_points enumerates every point of the affine cone; it is the
-reference the sampler is tested against, not part of the pipeline.
+Points are made by random_curve_points and checked on the curve once, as
+CurvePoint, which also memoizes the coordinate powers that evaluation
+reads.  norm_roots, the one solver of x^(p+1) = c in GF(p^2), serves the
+sampler and cover's w = 0 search.  curve_cone_points enumerates the
+affine cone; it is the sampler's test reference, not part of the pipeline.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 
@@ -525,6 +525,30 @@ def power_key(ctx: CurveContext, field: GF):
     return norm
 
 
+def norm_roots(field: GF, c: int) -> list:
+    """The indices k >= 1, increasing, of the x in GF(p^2) with x^(p+1) = c in F_p.
+
+    The norm's first coordinate at index a + b*p is a quadratic form Q(a, b),
+    read off power_key at 1, p and p + 1.  Each row b solves Q(a, b) = c by
+    a table of square roots mod p; the full norm confirms each root.  Raises
+    ValueError when Q has no a^2 term.
+    """
+    p = field.p
+    norm = power_key(fermat_curve(p), field)
+    qa, qc = norm(1)[0], norm(p)[0]
+    if not qa:
+        raise ValueError(f"the norm of {field!r} has no a^2 term")
+    qb, half = (norm(p + 1)[0] - qa - qc) % p, pow(2 * qa, p - 2, p)
+    roots = {x * x % p: {x, -x % p} for x in range(p)}
+    target, found = (c % p, 0), []
+    for b in range(p):
+        lin = qb * b % p
+        disc = (lin * lin - 4 * qa * (qc * b * b - c)) % p
+        row = sorted((r - lin) * half % p + b * p for r in roots.get(disc, ()))
+        found += [k for k in row if k and norm(k) == target]
+    return found
+
+
 def curve_cone_points(ctx: CurveContext, field: GF):
     """All nonzero (u0, v0, w0) in the field cube satisfying the equation.
 
@@ -549,26 +573,21 @@ def curve_cone_points(ctx: CurveContext, field: GF):
 
 
 def random_curve_points(ctx: CurveContext, field: GF, count: int, rng):
-    """count distinct curve points with u0 != 0 and w0 != 0, sampled
-    deterministically from rng; every monomial denominator u^a w^b can be
-    evaluated at them.
+    """count distinct points with u0, w0 != 0 over GF(p^2) of a curve whose
+    degree e divides p + 1, drawn deterministically from rng.
 
     Pairs (u0, v0) are drawn without repetition (a lazy Fisher-Yates
-    shuffle of the pair indices) and each is completed by one w0, chosen
-    by rng among the roots of w0^e = u0^e + v0^e in a table of power_key
-    over the element indices.  The table holds indices and int keys, and
-    only the returned points become field elements.  The cost is |F| keys
-    (int arithmetic when e = p + 1 over GF(p^2), one pow each otherwise)
-    plus a few draws per point: every pair has a root when x^e is the norm,
-    about 2/p of the pairs for e = (p + 1)/2.  Raises ValueError when every
-    pair has been drawn before count points are found.  The points are
-    plain tuples; callers check them with CurvePoint.
+    shuffle of the pair indices); rng picks w0 among the roots of w0^e = s,
+    s = u0^e + v0^e, in index order: the norm_roots of t = s^((p+1)/e)
+    whose power_key is s, none unless t is in F_p*.  Only drawn indices and
+    roots get keys, and only returned points become field elements.  Every
+    pair has a root for e = p + 1, and about half for e = (p + 1)/2: x^e
+    lies in F_p* or xi*F_p* (xi^2 in F_p), and s has a root when both keys
+    lie in the same one.  Raises ValueError when the pairs run out first;
+    callers check the returned tuples with CurvePoint.
     """
-    p, order = field.p, field.order
-    keys = list(map(power_key(ctx, field), range(order)))  # index 0 is the zero element
-    roots: dict = {}
-    for k in range(1, order):
-        roots.setdefault(keys[k], []).append(k)
+    p, e, order = field.p, ctx.exponent, field.order
+    key, roots = functools.lru_cache(None)(power_key(ctx, field)), {}
     total = (order - 1) * order
     swapped: dict = {}
     points = []
@@ -579,7 +598,12 @@ def random_curve_points(ctx: CurveContext, field: GF, count: int, rng):
         pair = swapped.get(pick, pick)
         swapped[pick] = swapped.get(drawn, drawn)
         ui, vi = 1 + pair // order, pair % order
-        candidates = roots.get(tuple((a + b) % p for a, b in zip(keys[ui], keys[vi])))
+        s = tuple((a + b) % p for a, b in zip(key(ui), key(vi)))
+        if s not in roots:
+            c, d = (field.element(s) ** ((p + 1) // e)).coeffs
+            for k in [] if d else norm_roots(field, c):
+                roots.setdefault(key(k), []).append(k)
+        candidates = roots.setdefault(s, [])
         if not candidates:
             continue
         wi = candidates[rng.randrange(len(candidates))]

@@ -10,6 +10,7 @@ from syzcover.curve import (
     LocalFraction,
     curve_cone_points,
     fermat_curve,
+    norm_roots,
     on_curve,
     power_key,
     random_curve_points,
@@ -516,11 +517,12 @@ def test_random_curve_points_lie_in_reference_cone():
 
 
 def test_random_curve_points_exhausted_raises_plain_value_error(quartic):
-    # over GF(3) only (+-1, 0) complete to u^4 + v^4 = w^4 with u, w units
-    F3 = make_extension_field(3)
-    assert len(random_curve_points(quartic, F3, 2, random.Random(0))) == 2
+    # over GF(9), u^4 and v^4 are norms in {0, 1, 2}: of the 8 * 9 pairs with
+    # u != 0, the 8 * 4 with u^4 + v^4 = 0 have no root w, the other 40 have one
+    F9 = make_extension_field(3, 2)
+    assert len(random_curve_points(quartic, F9, 40, random.Random(0))) == 40
     with pytest.raises(ValueError) as info:
-        random_curve_points(quartic, F3, 3, random.Random(0))
+        random_curve_points(quartic, F9, 41, random.Random(0))
     assert type(info.value) is ValueError
 
 
@@ -548,13 +550,19 @@ def _direct_value(f, point):
 
 
 def _memo_test_points(ctx, field, rng):
-    """Sampled points (u0, w0 != 0), points with v0 = 0 or u0 = 0, and, over
-    GF(p^2), points with w0 = 0; all checked on ctx."""
+    """Sampled points (u0, w0 != 0; over the prime field drawn from the cone),
+    points with v0 = 0 or u0 = 0, and, over GF(p^2), points with w0 = 0;
+    all checked on ctx."""
     from syzcover.cover import _w0_points
 
     e = ctx.exponent
     units = [x for x in field.elements() if not x.is_zero()]
-    pts = [CurvePoint(ctx, pt) for pt in random_curve_points(ctx, field, 2, rng)]
+    if field.m == 2:
+        sampled = random_curve_points(ctx, field, 2, rng)
+    else:  # the sampler serves GF(p^2) only; the cone reference covers the prime field
+        cone = curve_cone_points(ctx, field)
+        sampled = rng.sample([pt for pt in cone if not (pt[0].is_zero() or pt[2].is_zero())], 2)
+    pts = [CurvePoint(ctx, pt) for pt in sampled]
     roots_of_one = [x for x in units if x ** e == field.one]
     pts += [CurvePoint(ctx, (x, field.zero, x * z)) for x in units[:2] for z in roots_of_one[-2:]]
     pts += [CurvePoint(ctx, (field.zero, field.one, z)) for z in roots_of_one[-2:]]
@@ -639,9 +647,36 @@ def test_norm_table_equals_pow(p):
             assert key(k) == product.coeffs, (m, e, k)
 
 
+@pytest.mark.parametrize("p", (3, 5, 7, 13))
+def test_norm_roots_match_pow_scan(p):
+    """Every c in F_p: the indices k >= 1 with from_index(k) ** (p + 1) == c,
+    in increasing order; p + 1 of them for c != 0, none for c = 0."""
+    field = make_extension_field(p, 2)
+    norms = {k: (field.from_index(k) ** (p + 1)).coeffs for k in range(1, p * p)}
+    for c in range(p):
+        expected = [k for k, n in norms.items() if n == (c, 0)]
+        assert norm_roots(field, c) == expected, c
+        assert len(expected) == (p + 1 if c else 0)
+
+
+def test_norm_roots_raises_when_the_norm_has_no_a_squared_term():
+    """A Frobenius matrix whose column 0 (the image of 1) starts with 0 makes
+    the norm's quadratic form lose its a^2 term: a ValueError, not a division."""
+    field = make_extension_field(7, 2)
+    columns = field.frobenius_columns()
+    try:
+        field._frobenius = ((0, columns[0][1]), columns[1])
+        with pytest.raises(ValueError, match="has no a\\^2 term"):
+            norm_roots(field, 1)
+    finally:
+        field._frobenius = columns
+    assert len(norm_roots(field, 1)) == 8
+
+
 def _table_sampler_reference(ctx, field, count, rng):
-    """The sampler before power_key: a table of e-th powers of field elements,
-    each one mul and one Frobenius when e = p + 1, one pow otherwise."""
+    """The table sampler that random_curve_points was until it solved norms:
+    the same draws, completed from a table of e-th powers over all of the
+    field, each one mul and one Frobenius when e = p + 1, one pow otherwise."""
     e = ctx.exponent
     power = (lambda x: x * x.frobenius()) if e == field.p + 1 else (lambda x: x ** e)
     order = field.order
@@ -670,9 +705,11 @@ def _table_sampler_reference(ctx, field, count, rng):
     return points
 
 
-@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101, 103))
 @pytest.mark.parametrize("half", (True, False), ids=("e=(p+1)/2", "e=p+1"))
 def test_sampler_matches_table_reference(p, half):
+    """Same points and same final rng state as the table sampler, for both
+    of the oracle's degrees; above 13, 101 is 1 mod 4 and 103 is 3 mod 4."""
     ctx = fermat_curve(p, (p + 1) // 2 if half else p + 1)
     field = make_extension_field(p, 2)
     for seed in range(4):

@@ -10,12 +10,14 @@ with --format text, p3-5_lemmas-cover_seed0.json the list payload of
 
     syzcover verify --primes 3,5 --checks lemmas,cover
 
-and p101_lemmas-cover_seed0.json the stdout of
+and pP_lemmas-cover_seed0.json, for P = 101, 503 and 1009, the stdout of
 
-    syzcover verify --prime 101 --checks lemmas,cover
+    syzcover verify --prime P --checks lemmas,cover
 
-the one golden that runs the oracle's point sampler above p = 13 (both of
-its curves over GF(101^2), 10 201 elements).
+the goldens that run the oracle's point sampler and the w = 0 search above
+p = 13 (both curves over GF(P^2); 503 is 3 mod 4 and 1009 is 1 mod 4).
+The 503 and 1009 files were made by the sampler that read a table of x^e
+over all of GF(P^2), before norm_roots replaced it.
 
 symbolic_pP_seed0.json, for P = 101, 151 and 251 (the symbolic bench primes)
 and for P = 503 and 1009, is the stdout of
@@ -73,6 +75,12 @@ def test_multi_prime_cli_report_matches_golden():
 def test_p101_oracle_cli_report_matches_golden():
     out = _stdout("-m", "syzcover", "verify", "--prime", "101", "--checks", "lemmas,cover")
     assert out == _golden("p101_lemmas-cover_seed0.json")
+
+
+@pytest.mark.parametrize("p", (503, 1009))
+def test_large_prime_oracle_cli_report_matches_golden(p):
+    out = _stdout("-m", "syzcover", "verify", "--prime", str(p), "--checks", "lemmas,cover")
+    assert out == _golden(f"p{p}_lemmas-cover_seed0.json")
 
 
 @pytest.mark.parametrize("p", (101, 151, 251, 503, 1009))
