@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import repeat
 
-from .curve import CurveContext, CurvePoint, LocalFraction, norm_roots, power_key
+from .curve import CurveContext, CurvePoint, LocalFraction, norm_key, norm_roots
 from .formal import FormalPolynomial
 from .gf import GF, make_extension_field
 from .matrices import adjugate, det, entrywise_p_power, mat, mat_inverse, mat_mul
@@ -333,12 +333,12 @@ def _w0_points(ctx, count=20):
     """Up to count points with w = 0 of the degree-(p+1) curve over GF(p^2).
 
     In index order of (u0, v0), u0 != 0, the v0 being the norm_roots of
-    -u0^(p+1), read from power_key.  Only these become field elements, each
+    -u0^(p+1), read from norm_key.  Only these become field elements, each
     checked on the curve as it is made: ValueError at the first that is not.
     """
     p = ctx.p
     field = make_extension_field(p, 2)
-    norm = power_key(ctx, field)
+    norm = norm_key(field)
     pts = []
     for ku in range(1, p * p):
         for kv in norm_roots(field, -norm(ku)[0]):

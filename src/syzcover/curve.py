@@ -7,16 +7,16 @@ Fractions carry denominators u^a w^b only (the charts that ever get
 localized) and compare by cross multiplication, which is valid because
 u and w are nonzerodivisors in the (integral) coordinate ring.
 
-Points are made by random_curve_points and checked on the curve once, as
-CurvePoint, which also memoizes the coordinate powers that evaluation
-reads.  norm_roots, the one solver of x^(p+1) = c in GF(p^2), serves the
-sampler and cover's w = 0 search.  curve_cone_points enumerates the
+Points are made by random_curve_points (on the degree-(p+1) curve, then
+mapped by x -> x^((p+1)/e)) and checked on the curve once, as CurvePoint,
+which also memoizes the coordinate powers that evaluation reads.
+norm_roots, the one solver of x^(p+1) = c in GF(p^2), serves the sampler
+and cover's w = 0 search.  curve_cone_points enumerates the
 affine cone; it is the sampler's test reference, not part of the pipeline.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 
@@ -504,16 +504,12 @@ def as_curve_point(ctx: CurveContext, point) -> CurvePoint:
     return CurvePoint(ctx, point)
 
 
-def power_key(ctx: CurveContext, field: GF):
-    """k -> the coefficient tuple of x^e, for x = field.from_index(k) and e the curve's degree.
-
-    For e = p + 1 over GF(p^2), x^e is the norm x * Frob(x), computed on
-    the int pair (a, b) of x = a + b*t from the field's Frobenius columns
-    and modulus, with no field element made; any other e takes one pow.
-    """
-    e, p = ctx.exponent, field.p
-    if field.m != 2 or e != p + 1:
-        return lambda k: (field.from_index(k) ** e).coeffs
+def norm_key(field: GF):
+    """k -> the coefficient pair of the norm x^(p+1) = x * Frob(x), for x =
+    field.from_index(k) in GF(p^2), computed on the int pair (a, b) of
+    x = a + b*t from the field's Frobenius columns and modulus, with no field
+    element made."""
+    p = field.p
     (f00, f01), (f10, f11) = field.frobenius_columns()
     m0, m1 = field.modulus[:2]  # t^2 = -m1*t - m0
 
@@ -529,12 +525,12 @@ def norm_roots(field: GF, c: int) -> list:
     """The indices k >= 1, increasing, of the x in GF(p^2) with x^(p+1) = c in F_p.
 
     The norm's first coordinate at index a + b*p is a quadratic form Q(a, b),
-    read off power_key at 1, p and p + 1.  Each row b solves Q(a, b) = c by
+    read off norm_key at 1, p and p + 1.  Each row b solves Q(a, b) = c by
     a table of square roots mod p; the full norm confirms each root.  Raises
     ValueError when Q has no a^2 term.
     """
     p = field.p
-    norm = power_key(fermat_curve(p), field)
+    norm = norm_key(field)
     qa, qc = norm(1)[0], norm(p)[0]
     if not qa:
         raise ValueError(f"the norm of {field!r} has no a^2 term")
@@ -573,21 +569,21 @@ def curve_cone_points(ctx: CurveContext, field: GF):
 
 
 def random_curve_points(ctx: CurveContext, field: GF, count: int, rng):
-    """count distinct points with u0, w0 != 0 over GF(p^2) of a curve whose
-    degree e divides p + 1, drawn deterministically from rng.
+    """count points with u0, w0 != 0 over GF(p^2) of a curve whose degree e
+    divides p + 1, drawn deterministically from rng.
 
-    Pairs (u0, v0) are drawn without repetition (a lazy Fisher-Yates
-    shuffle of the pair indices); rng picks w0 among the roots of w0^e = s,
-    s = u0^e + v0^e, in index order: the norm_roots of t = s^((p+1)/e)
-    whose power_key is s, none unless t is in F_p*.  Only drawn indices and
-    roots get keys, and only returned points become field elements.  Every
-    pair has a root for e = p + 1, and about half for e = (p + 1)/2: x^e
-    lies in F_p* or xi*F_p* (xi^2 in F_p), and s has a root when both keys
-    lie in the same one.  Raises ValueError when the pairs run out first;
-    callers check the returned tuples with CurvePoint.
+    Each is the image (u0^k, v0^k, w0^k), k = (p + 1)/e, of a point of the
+    degree-(p+1) curve, whose pairs (u0, v0) are drawn without repetition
+    (a lazy Fisher-Yates shuffle of the pair indices) and whose w0 rng picks
+    among the norm_roots of s = N(u0) + N(v0) in index order, none for s = 0.
+    Only returned points become field elements.  They are distinct for
+    e = p + 1 only: for e = (p + 1)/2 the oracle's 20 points hold 12 to 16
+    distinct ones at p = 3 (seeds 0-7) and 19 at p = 5, seed 6.  Raises
+    ValueError when the pairs run out first; callers check the returned
+    tuples with CurvePoint.
     """
-    p, e, order = field.p, ctx.exponent, field.order
-    key, roots = functools.lru_cache(None)(power_key(ctx, field)), {}
+    p, order = field.p, field.order
+    k, norm, roots = (p + 1) // ctx.exponent, norm_key(field), {}
     total = (order - 1) * order
     swapped: dict = {}
     points = []
@@ -598,16 +594,14 @@ def random_curve_points(ctx: CurveContext, field: GF, count: int, rng):
         pair = swapped.get(pick, pick)
         swapped[pick] = swapped.get(drawn, drawn)
         ui, vi = 1 + pair // order, pair % order
-        s = tuple((a + b) % p for a, b in zip(key(ui), key(vi)))
+        s = (norm(ui)[0] + norm(vi)[0]) % p
         if s not in roots:
-            c, d = (field.element(s) ** ((p + 1) // e)).coeffs
-            for k in [] if d else norm_roots(field, c):
-                roots.setdefault(key(k), []).append(k)
-        candidates = roots.setdefault(s, [])
+            roots[s] = norm_roots(field, s)
+        candidates = roots[s]
         if not candidates:
             continue
         wi = candidates[rng.randrange(len(candidates))]
-        points.append(tuple(map(field.from_index, (ui, vi, wi))))
+        points.append(tuple(field.from_index(i) ** k for i in (ui, vi, wi)))
     if len(points) < count:
         raise ValueError(f"only {len(points)} curve points available, wanted {count}")
     return points

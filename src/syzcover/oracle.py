@@ -5,10 +5,11 @@ formal polynomial claimed to be zero, or claimed to be nonzero) is a
 Claim.  A check's verdict is derived from its claims and its structural
 problems alone.  A claim that holds symbolically can be re-checked
 numerically: evaluate at sampled curve points over a quadratic
-extension, with fresh random values for any matrix indeterminates.  The
-evaluation path shares nothing with the normal-form engine beyond raw
-field arithmetic, but agreement is a narrow cross-check: a zero claim that
-holds arrives as the reduced zero normal form, which is zero at every
+extension (the degree-(p+1)/2 curve's points are squares of points of the
+degree-(p+1) curve), with fresh random values for any matrix indeterminates.
+The evaluation path shares nothing with the normal-form engine beyond
+raw field arithmetic, but agreement is a narrow cross-check: a zero claim
+that holds arrives as the reduced zero normal form, which is zero at every
 point, so the oracle catches wrong inputs and re-checks the nonzero claims
 only.
 

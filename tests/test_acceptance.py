@@ -200,7 +200,7 @@ def test_criterion_4_mutation_sensitivity(p):
 ORACLE_BLIND_FLIPS = {3: {"R2[1]"}}
 
 
-@pytest.mark.parametrize("p", (3, 5, 13))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
 def test_criterion_4_oracle_mutation_sensitivity(p):
     """The oracle alone rejects the claims of each sign-flipped catalog."""
     catalog = build_catalog(p)

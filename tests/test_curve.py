@@ -10,9 +10,9 @@ from syzcover.curve import (
     LocalFraction,
     curve_cone_points,
     fermat_curve,
+    norm_key,
     norm_roots,
     on_curve,
-    power_key,
     random_curve_points,
 )
 from syzcover.formal import FormalPolynomial
@@ -635,16 +635,14 @@ def test_checked_point_of_another_context_is_rejected(quartic):
 
 @pytest.mark.parametrize("p", (3, 5, 7, 13))
 def test_norm_table_equals_pow(p):
-    """Both branches: the int-pair norm (e = p + 1 over GF(p^2)) and the pow
-    (e = (p + 1)/2, and e = p + 1 over the prime field)."""
-    for m, e in ((2, p + 1), (2, (p + 1) // 2), (1, p + 1)):
-        field = make_extension_field(p, m)
-        key = power_key(fermat_curve(p, e), field)
-        for k, x in enumerate(field.elements()):
-            product = field.one
-            for _ in range(e):
-                product = product * x
-            assert key(k) == product.coeffs, (m, e, k)
+    """norm_key's int-pair norm is x^(p + 1) at every index of GF(p^2)."""
+    field = make_extension_field(p, 2)
+    key = norm_key(field)
+    for k, x in enumerate(field.elements()):
+        product = field.one
+        for _ in range(p + 1):
+            product = product * x
+        assert key(k) == product.coeffs, k
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 13))
@@ -673,15 +671,13 @@ def test_norm_roots_raises_when_the_norm_has_no_a_squared_term():
     assert len(norm_roots(field, 1)) == 8
 
 
-def _table_sampler_reference(ctx, field, count, rng):
-    """The table sampler that random_curve_points was until it solved norms:
-    the same draws, completed from a table of e-th powers over all of the
-    field, each one mul and one Frobenius when e = p + 1, one pow otherwise."""
-    e = ctx.exponent
-    power = (lambda x: x * x.frobenius()) if e == field.p + 1 else (lambda x: x ** e)
+def _table_sampler_reference(field, count, rng):
+    """The table sampler that random_curve_points was for e = p + 1 until it
+    solved norms: the same draws, completed from a table of norms over all
+    of the field, each one mul and one Frobenius."""
     order = field.order
     elements = list(field.elements())
-    powers = list(map(power, elements))
+    powers = [x * x.frobenius() for x in elements]
     roots = {}
     for x, px in zip(elements[1:], powers[1:]):
         roots.setdefault(px.coeffs, []).append(x)
@@ -708,37 +704,47 @@ def _table_sampler_reference(ctx, field, count, rng):
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101, 103))
 @pytest.mark.parametrize("half", (True, False), ids=("e=(p+1)/2", "e=p+1"))
 def test_sampler_matches_table_reference(p, half):
-    """Same points and same final rng state as the table sampler, for both
-    of the oracle's degrees; above 13, 101 is 1 mod 4 and 103 is 3 mod 4."""
+    """The table sampler's e = p + 1 points, squared for e = (p + 1)/2, and
+    the same final rng state; above 13, 101 is 1 mod 4 and 103 is 3 mod 4."""
     ctx = fermat_curve(p, (p + 1) // 2 if half else p + 1)
     field = make_extension_field(p, 2)
+    k = 2 if half else 1
     for seed in range(4):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         pts = random_curve_points(ctx, field, 20, rng)
-        assert pts == _table_sampler_reference(ctx, field, 20, ref_rng), seed
+        ref = _table_sampler_reference(field, 20, ref_rng)
+        assert pts == [tuple(x ** k for x in pt) for pt in ref], seed
         assert rng.getstate() == ref_rng.getstate(), seed
 
 
 @pytest.mark.parametrize("p", (13, 101))
-def test_norm_sampler_makes_only_the_returned_elements(monkeypatch, p):
-    """For e = p + 1, 20 points cost at most 3 * 20 from_index calls and no
+@pytest.mark.parametrize("half", (True, False), ids=("e=(p+1)/2", "e=p+1"))
+def test_norm_sampler_makes_only_the_returned_elements(monkeypatch, p, half):
+    """20 points cost at most 3 * 20 from_index calls, 3 * 20 pows and 3 * 20
+    products (the pows' own, for e = (p + 1)/2; none for e = p + 1), and no
     Frobenius application (the table sampler made p^2 of each)."""
-    counts = {"from_index": 0, "frobenius": 0}
+    counts = {"from_index": 0, "frobenius": 0, "pow": 0, "mul": 0}
     from_index, frobenius = GF.from_index, FieldElement.frobenius
+    pow_, mul = FieldElement.__pow__, FieldElement.__mul__
 
-    def counted_from_index(self, k):
-        counts["from_index"] += 1
-        return from_index(self, k)
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
 
-    def counted_frobenius(self):
-        counts["frobenius"] += 1
-        return frobenius(self)
+        return wrapper
 
-    monkeypatch.setattr(GF, "from_index", counted_from_index)
-    monkeypatch.setattr(FieldElement, "frobenius", counted_frobenius)
-    pts = random_curve_points(fermat_curve(p), make_extension_field(p, 2), 20, random.Random(0))
+    ctx, field = fermat_curve(p, (p + 1) // 2 if half else p + 1), make_extension_field(p, 2)
+    field.frobenius_columns()  # built and certified once per field, with pows of its own
+    monkeypatch.setattr(GF, "from_index", counted("from_index", from_index))
+    monkeypatch.setattr(FieldElement, "frobenius", counted("frobenius", frobenius))
+    monkeypatch.setattr(FieldElement, "__pow__", counted("pow", pow_))
+    monkeypatch.setattr(FieldElement, "__mul__", counted("mul", mul))
+    pts = random_curve_points(ctx, field, 20, random.Random(0))
     assert len(pts) == 20
     assert counts["from_index"] <= 60
+    assert counts["pow"] <= 60
+    assert counts["mul"] <= (60 if half else 0)
     assert counts["frobenius"] == 0
 
 

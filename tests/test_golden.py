@@ -10,14 +10,17 @@ with --format text, p3-5_lemmas-cover_seed0.json the list payload of
 
     syzcover verify --primes 3,5 --checks lemmas,cover
 
-and pP_lemmas-cover_seed0.json, for P = 101, 503 and 1009, the stdout of
+and pP_lemmas-cover_seedS.json, for P = 101, 503 and 1009 and S in 0-3,
+the stdout of
 
-    syzcover verify --prime P --checks lemmas,cover
+    syzcover verify --prime P --seed S --checks lemmas,cover
 
 the goldens that run the oracle's point sampler and the w = 0 search above
 p = 13 (both curves over GF(P^2); 503 is 3 mod 4 and 1009 is 1 mod 4).
-The 503 and 1009 files were made by the sampler that read a table of x^e
-over all of GF(P^2), before norm_roots replaced it.
+The seed 0 files at 503 and 1009 were made by the sampler that read a
+table of x^e over all of GF(P^2), before norm_roots replaced it, and the
+seed 1-3 files by the sampler that solved x^e = s on the degree-(p+1)/2
+curve itself, before its points became squares of degree-(p+1) points.
 
 symbolic_pP_seed0.json, for P = 101, 151 and 251 (the symbolic bench primes)
 and for P = 503 and 1009, is the stdout of
@@ -81,6 +84,13 @@ def test_p101_oracle_cli_report_matches_golden():
 def test_large_prime_oracle_cli_report_matches_golden(p):
     out = _stdout("-m", "syzcover", "verify", "--prime", str(p), "--checks", "lemmas,cover")
     assert out == _golden(f"p{p}_lemmas-cover_seed0.json")
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("p", (101, 503, 1009))
+def test_oracle_report_matches_golden_at_other_seeds(p, seed):
+    report = run_verification(p, ("lemmas", "cover"), seed=seed)
+    assert render_json(report) == _golden(f"p{p}_lemmas-cover_seed{seed}.json")
 
 
 @pytest.mark.parametrize("p", (101, 151, 251, 503, 1009))
