@@ -123,7 +123,7 @@ def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
     if p ** m > cap:
         return CensusResult(
             p, m, True, (), 0,
-            f"census field GF({p}^{m}) has {p ** m} elements, above the cap {cap}",
+            f"census field GF({p}^{m}) is larger than the cap {cap}",
         )
     units = list(make_extension_field(p, 2).elements())[1:]
     points = tuple(FiberPoint(c, z * c) for c in units for z in units[p - 1:])

@@ -7,9 +7,9 @@ Fractions carry denominators u^a w^b only (the charts that ever get
 localized) and compare by cross multiplication, which is valid because
 u and w are nonzerodivisors in the (integral) coordinate ring.
 
-Points are made by random_curve_points (on the degree-(p+1) curve, then
-mapped by x -> x^((p+1)/e)) and checked on the curve once, as CurvePoint,
-which also memoizes the coordinate powers that evaluation reads.
+Distinct points are made by random_curve_points (on the degree-(p+1)
+curve, then mapped by x -> x^((p+1)/e)) and checked on the curve once, as
+CurvePoint, which also memoizes the coordinate powers that evaluation reads.
 norm_roots, the one solver of x^(p+1) = c in GF(p^2), serves the sampler
 and cover's w = 0 search.  curve_cone_points enumerates the
 affine cone; it is the sampler's test reference, not part of the pipeline.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .gf import GF, FieldElement, is_prime, power
+from .gf import GF, FieldElement, RingElement, is_prime, power
 
 
 class CurveContext(namedtuple("CurveContext", "p exponent names")):
@@ -65,7 +65,7 @@ def fermat_curve(p: int, exponent: int | None = None, names=("u", "v", "w")) -> 
     return CurveContext(p, p + 1 if exponent is None else exponent, tuple(names))
 
 
-class CurvePolynomial:
+class CurvePolynomial(RingElement):
     """Sparse normal-form element of the curve's coordinate ring.
 
     Terms map exponent triples (i, j, k) with k < e to coefficients in
@@ -81,9 +81,6 @@ class CurvePolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def _coerce(self, other):
         if isinstance(other, CurvePolynomial):
@@ -108,20 +105,9 @@ class CurvePolynomial:
                 out.pop(e, None)
         return _raw(self.ctx, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         p = self.ctx.p
         return _raw(self.ctx, {e: p - c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -134,8 +120,6 @@ class CurvePolynomial:
                 e = (i1 + i2, j1 + j2, k1 + k2)
                 out[e] = (out.get(e, 0) + c1 * c2) % p
         return CurvePolynomial(self.ctx, out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         """One term c*m with n >= 1 gives the term c^n * m^n, normalised once; else gf.power."""
@@ -272,7 +256,7 @@ def _normalize(ctx, terms):
     return out
 
 
-class LocalFraction:
+class LocalFraction(RingElement):
     """A curve polynomial divided by a monomial u^du * w^dw.
 
     Reduced on construction: shared powers of u and w are cancelled, and
@@ -307,9 +291,6 @@ class LocalFraction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __bool__(self):
-        return not self.is_zero()
-
     def _coerce(self, other):
         if isinstance(other, LocalFraction):
             if other.ctx is not self.ctx and other.ctx != self.ctx:
@@ -329,19 +310,8 @@ class LocalFraction:
         b = _times_monomial(other.num, du - other.du, dw - other.dw)
         return LocalFraction(self.ctx, a + b, du, dw)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LocalFraction(self.ctx, -self.num, self.du, self.dw)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -350,8 +320,6 @@ class LocalFraction:
         return LocalFraction(
             self.ctx, self.num * other.num, self.du + other.du, self.dw + other.dw
         )
-
-    __rmul__ = __mul__
 
     def p_power(self) -> LocalFraction:
         p = self.ctx.p
@@ -569,23 +537,32 @@ def curve_cone_points(ctx: CurveContext, field: GF):
 
 
 def random_curve_points(ctx: CurveContext, field: GF, count: int, rng):
-    """count points with u0, w0 != 0 over GF(p^2) of a curve whose degree e
-    divides p + 1, drawn deterministically from rng.
+    """count distinct points with u0, w0 != 0 over GF(p^2) of a curve of
+    degree e = p + 1 or (p + 1)/2, drawn deterministically from rng.
 
     Each is the image (u0^k, v0^k, w0^k), k = (p + 1)/e, of a point of the
     degree-(p+1) curve, whose pairs (u0, v0) are drawn without repetition
     (a lazy Fisher-Yates shuffle of the pair indices) and whose w0 rng picks
     among the norm_roots of s = N(u0) + N(v0) in index order, none for s = 0.
-    Only returned points become field elements.  They are distinct for
-    e = p + 1 only: for e = (p + 1)/2 the oracle's 20 points hold 12 to 16
-    distinct ones at p = 3 (seeds 0-7) and 19 at p = 5, seed 6.  Raises
-    ValueError when the pairs run out first; callers check the returned
-    tuples with CurvePoint.
+    For k = 2, x and -x have one square, so a root whose image was already
+    returned with the same (u0^2, v0^2) is not a candidate, and a pair left
+    with none is skipped; for k = 1 every root is new.  Only returned points
+    become field elements.  Raises ValueError for another e, or when the
+    pairs run out first; callers check the returned tuples with CurvePoint.
     """
     p, order = field.p, field.order
     k, norm, roots = (p + 1) // ctx.exponent, norm_key(field), {}
+    if (p + 1) % ctx.exponent or k > 2:
+        raise ValueError(
+            f"the sampler serves degrees {p + 1} and {(p + 1) // 2}, not {ctx.exponent}"
+        )
+
+    def image(i):  # the index of x or of -x, whichever is less, for k = 2
+        return min(i, -i % p + -(i // p) % p * p) if k == 2 else i
+
     total = (order - 1) * order
     swapped: dict = {}
+    returned: dict = {}  # (image(u0), image(v0)) -> the set of image(w0) returned with it
     points = []
     for drawn in range(total):
         if len(points) == count:
@@ -597,10 +574,12 @@ def random_curve_points(ctx: CurveContext, field: GF, count: int, rng):
         s = (norm(ui)[0] + norm(vi)[0]) % p
         if s not in roots:
             roots[s] = norm_roots(field, s)
-        candidates = roots[s]
+        taken = returned.setdefault((image(ui), image(vi)), set())
+        candidates = [w for w in roots[s] if image(w) not in taken] if taken else roots[s]
         if not candidates:
             continue
         wi = candidates[rng.randrange(len(candidates))]
+        taken.add(image(wi))
         points.append(tuple(field.from_index(i) ** k for i in (ui, vi, wi)))
     if len(points) < count:
         raise ValueError(f"only {len(points)} curve points available, wanted {count}")

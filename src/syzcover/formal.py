@@ -14,10 +14,10 @@ landing on the same exponents are summed in the order the pairs come.
 from __future__ import annotations
 
 from .curve import CurveContext, CurvePolynomial, LocalFraction, as_curve_point
-from .gf import power
+from .gf import RingElement, power
 
 
-class FormalPolynomial:
+class FormalPolynomial(RingElement):
     __slots__ = ("ctx", "vars", "terms")
 
     def __init__(self, ctx: CurveContext, variables: tuple[str, ...], terms: dict):
@@ -51,9 +51,6 @@ class FormalPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def _coerce(self, other):
         if isinstance(other, FormalPolynomial):
             same_ctx = other.ctx is self.ctx or other.ctx == self.ctx
@@ -73,21 +70,10 @@ class FormalPolynomial:
             out[e] = out[e] + c if e in out else c
         return FormalPolynomial(self.ctx, self.vars, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return FormalPolynomial(
             self.ctx, self.vars, {e: -c for e, c in self.terms.items()}
         )
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -100,8 +86,6 @@ class FormalPolynomial:
                 prod = c1 * c2
                 out[e] = out[e] + prod if e in out else prod
         return FormalPolynomial(self.ctx, self.vars, out)
-
-    __rmul__ = __mul__
 
     def scale(self, coeff) -> FormalPolynomial:
         coeff = self._as_fraction(self.ctx, coeff)

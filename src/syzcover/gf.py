@@ -18,6 +18,12 @@ product of x's other conjugates over the norm of x, an int mod p.  The
 pipeline builds no field of degree above 2: the oracle works in GF(p^2),
 and the census holds its field as GF(p^2)[theta]/(theta^o - gamma).
 
+RingElement is the one arithmetic protocol of the engine's ring types,
+FieldElement here, CurvePolynomial and LocalFraction in curve and
+FormalPolynomial in formal: each defines is_zero, _coerce (the other
+operand in its own ring, or None), +, unary - and *, and takes truth, -
+and the reflected +, - and * from the base.
+
 find_generator and solve_power_equation scan the whole field.  The
 pipeline calls neither: they are references that the census tests and the
 benchmark's tracer use.
@@ -272,7 +278,32 @@ class GF:
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
 
 
-class FieldElement:
+class RingElement:
+    __slots__ = ()
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return -self + other
+
+
+class FieldElement(RingElement):
     """Immutable element of a GF instance."""
 
     __slots__ = ("field", "coeffs")
@@ -290,9 +321,6 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def __bool__(self):
-        return any(self.coeffs)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -313,8 +341,6 @@ class FieldElement:
             f, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         p = self.field.p
         return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
@@ -328,12 +354,6 @@ class FieldElement:
         return FieldElement(
             f, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
         )
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         f = self.field
@@ -350,8 +370,6 @@ class FieldElement:
             return FieldElement(f, ((a0 * b0 + r0 * h) % p, (a0 * b1 + a1 * b0 + r1 * h) % p))
         rem = _pmod(_pmul(a, b, p), f.modulus, p)
         return FieldElement(f, tuple(rem) + (0,) * (m - len(rem)))
-
-    __rmul__ = __mul__
 
     def inverse(self) -> FieldElement:
         """x^-1 = (x^p x^(p^2) ... x^(p^(m-1))) / N(x), where N(x) = x^((p^m-1)/(p-1)).

@@ -516,7 +516,19 @@ def test_census_skipped_above_cap(p):
     census = enumerate_fiber(p)
     assert census.skipped
     assert census.points == ()
-    assert "above the cap" in census.reason
+    assert census.reason == f"census field GF({p}^{census.field_degree}) is larger than the cap 4194304"
+
+
+@pytest.mark.parametrize("p, m", ((757, 1512), (907, 1812)))
+def test_fiber_checks_skip_where_the_field_order_has_too_many_digits(p, m):
+    """p^m has more than 4300 digits here, more than Python turns into a
+    string; the skip text names GF(p^m) and the cap only."""
+    records = run_verification(p, ("fiber",)).checks
+    assert [(r.name, r.status, r.detail) for r in records[:2]] == [
+        ("fiber_census", "skipped", f"census field GF({p}^{m}) is larger than the cap 4194304"),
+        ("component_structure", "skipped", "no census to tabulate"),
+    ]
+    assert records[2].name == "genus_hurwitz" and records[2].status == "pass"
 
 
 def test_census_cap_override():

@@ -18,6 +18,7 @@ from syzcover.curve import (
 from syzcover.formal import FormalPolynomial
 from syzcover.gf import GF, FieldElement, make_extension_field, power
 from syzcover.matrices import adjugate, det, mat, mat_inverse, mat_mul
+from syzcover.oracle import ORACLE_POINTS, PointOracle
 
 
 @pytest.fixture
@@ -32,6 +33,53 @@ def random_poly(ctx, rng, nterms=4, maxexp=None):
         key = (rng.randrange(maxexp), rng.randrange(maxexp), rng.randrange(maxexp))
         terms[key] = rng.randrange(1, ctx.p)
     return CurvePolynomial(ctx, terms)
+
+
+def _field_pair(ctx, rng):
+    field = make_extension_field(ctx.p, 2)
+    return field.from_index(rng.randrange(1, field.order)), field.random_element(rng)
+
+
+def _polynomial_pair(ctx, rng):
+    return random_poly(ctx, rng), random_poly(ctx, rng)
+
+
+def _fraction_pair(ctx, rng):
+    f, g = _polynomial_pair(ctx, rng)
+    return ctx.fraction(f, rng.randrange(3), rng.randrange(3)), ctx.fraction(g, 1, 2)
+
+
+def _formal_pair(ctx, rng):
+    return tuple(
+        FormalPolynomial(ctx, ("a", "b"), {(1, 0): x, (0, 2): random_poly(ctx, rng), (0, 0): 1})
+        for x in _fraction_pair(ctx, rng)
+    )
+
+
+@pytest.mark.parametrize("p", (3, 5))
+@pytest.mark.parametrize(
+    "make_pair",
+    (_field_pair, _polynomial_pair, _fraction_pair, _formal_pair),
+    ids=("FieldElement", "CurvePolynomial", "LocalFraction", "FormalPolynomial"),
+)
+def test_ring_types_derive_the_shared_operators(make_pair, p):
+    """-, the reflected +, - and *, and truth, which every ring type takes
+    from RingElement, agree with its own +, unary - and *; a slotted type
+    keeps no __dict__."""
+    ctx = fermat_curve(p)
+    x, y = make_pair(ctx, random.Random(p))
+    assert x - y == x + (-y)
+    assert type(3 - x) is type(x) and 3 - x == -x + 3 and (3 - x) + x == 3
+    assert 2 + x == x + 2
+    assert 2 * x == x * 2 == x + x
+    for z in (x, y, x - x, 0 * y):
+        assert bool(z) == (not z.is_zero())
+    assert not x - x
+    with pytest.raises(TypeError):
+        x - "1"
+    with pytest.raises(TypeError):
+        "1" - x
+    assert not hasattr(x, "__dict__")
 
 
 def test_normal_form_single_rewrite(quartic):
@@ -671,10 +719,12 @@ def test_norm_roots_raises_when_the_norm_has_no_a_squared_term():
     assert len(norm_roots(field, 1)) == 8
 
 
-def _table_sampler_reference(field, count, rng):
+def _table_sampler_reference(field, count, rng, k=1):
     """The table sampler that random_curve_points was for e = p + 1 until it
     solved norms: the same draws, completed from a table of norms over all
-    of the field, each one mul and one Frobenius."""
+    of the field, each one mul and one Frobenius.  Each point is raised to
+    the k-th power, and w0 is drawn among the roots whose point is not yet
+    returned."""
     order = field.order
     elements = list(field.elements())
     powers = [x * x.frobenius() for x in elements]
@@ -691,11 +741,12 @@ def _table_sampler_reference(field, count, rng):
         pair = swapped.get(pick, pick)
         swapped[pick] = swapped.get(drawn, drawn)
         ui, vi = 1 + pair // order, pair % order
-        candidates = roots.get((powers[ui] + powers[vi]).coeffs)
+        uv = (elements[ui] ** k, elements[vi] ** k)
+        roots_uv = roots.get((powers[ui] + powers[vi]).coeffs, ())
+        candidates = [w0 ** k for w0 in roots_uv if uv + (w0 ** k,) not in points]
         if not candidates:
             continue
-        w0 = candidates[rng.randrange(len(candidates))]
-        points.append((elements[ui], elements[vi], w0))
+        points.append(uv + (candidates[rng.randrange(len(candidates))],))
     if len(points) < count:
         raise ValueError(f"only {len(points)} curve points available, wanted {count}")
     return points
@@ -704,17 +755,33 @@ def _table_sampler_reference(field, count, rng):
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101, 103))
 @pytest.mark.parametrize("half", (True, False), ids=("e=(p+1)/2", "e=p+1"))
 def test_sampler_matches_table_reference(p, half):
-    """The table sampler's e = p + 1 points, squared for e = (p + 1)/2, and
-    the same final rng state; above 13, 101 is 1 mod 4 and 103 is 3 mod 4."""
+    """The table sampler's points, squared for e = (p + 1)/2 with no point
+    returned twice, and the same final rng state; above 13, 101 is 1 mod 4
+    and 103 is 3 mod 4."""
     ctx = fermat_curve(p, (p + 1) // 2 if half else p + 1)
     field = make_extension_field(p, 2)
-    k = 2 if half else 1
     for seed in range(4):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         pts = random_curve_points(ctx, field, 20, rng)
-        ref = _table_sampler_reference(field, 20, ref_rng)
-        assert pts == [tuple(x ** k for x in pt) for pt in ref], seed
+        assert pts == _table_sampler_reference(field, 20, ref_rng, 2 if half else 1), seed
         assert rng.getstate() == ref_rng.getstate(), seed
+
+
+@pytest.mark.parametrize(
+    "p, seeds", ((3, range(8)), (5, (6,))), ids=("p=3-seeds0-7", "p=5-seed6")
+)
+def test_oracle_points_on_the_base_curve_are_distinct(p, seeds):
+    """The oracle's 20 points on the degree-(p+1)/2 curve are 20 distinct
+    points where squares of distinct points coincide (at p = 3 only 24
+    such images exist)."""
+    for seed in seeds:
+        oracle = PointOracle(fermat_curve(p, (p + 1) // 2), seed)
+        assert len({tuple(x.index for x in pt) for pt in oracle.points}) == ORACLE_POINTS, seed
+
+
+def test_sampler_rejects_a_degree_it_does_not_serve():
+    with pytest.raises(ValueError, match="serves degrees 8 and 4, not 2"):
+        random_curve_points(fermat_curve(7, 2), make_extension_field(7, 2), 1, random.Random(0))
 
 
 @pytest.mark.parametrize("p", (13, 101))
