@@ -17,9 +17,9 @@ verdict is derived from those alone.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import repeat
+from itertools import islice, repeat
 
-from .curve import CurveContext, CurvePoint, LocalFraction, norm_key, norm_roots
+from .curve import CurveContext, CurvePoint, LocalFraction, norm_roots
 from .formal import FormalPolynomial
 from .gf import GF, make_extension_field
 from .matrices import adjugate, det, entrywise_p_power, mat, mat_inverse, mat_mul
@@ -329,23 +329,17 @@ def _w0_equal_const(frac: LocalFraction, value: int) -> bool:
     return not _w0_reduce(frac.ctx.p, terms)
 
 
-def _w0_points(ctx, count=20):
-    """Up to count points with w = 0 of the degree-(p+1) curve over GF(p^2).
-
-    In index order of (u0, v0), u0 != 0, the v0 being the norm_roots of
-    -u0^(p+1), read from norm_key.  Only these become field elements, each
-    checked on the curve as it is made: ValueError at the first that is not.
+def _w0_points(ctx, count):
+    """The first count points (1 : v0 : 0) of the degree-(p+1) curve over
+    GF(p^2), v0 running over the norm_roots of -1: at most the p + 1 points
+    with w = 0, each once up to scaling.  Each is checked on the curve as it
+    is made: ValueError at the first that is not.
     """
-    p = ctx.p
-    field = make_extension_field(p, 2)
-    norm = norm_key(field)
-    pts = []
-    for ku in range(1, p * p):
-        for kv in norm_roots(field, -norm(ku)[0]):
-            pts.append(CurvePoint(ctx, (field.from_index(ku), field.from_index(kv), field.zero)))
-            if len(pts) >= count:
-                return pts
-    return pts
+    field = make_extension_field(ctx.p, 2)
+    return [
+        CurvePoint(ctx, (field.one, field.from_index(kv), field.zero))
+        for kv in islice(norm_roots(field, -1), count)
+    ]
 
 
 def check_w0_specialization(cd: CoverData) -> CheckOutcome:
@@ -384,14 +378,15 @@ def check_w0_specialization(cd: CoverData) -> CheckOutcome:
             problems.append(f"relation {idx}: D coefficient does not specialize to {const}")
 
     # numeric cross-check on curve points with w = 0
+    count = min(20, p + 1)
     try:
-        points = _w0_points(ctx, 20)
+        points = _w0_points(ctx, count)
     except ValueError as exc:
         points = []
         problems.append(f"w = 0 sample: {exc}")
     else:
-        if len(points) < 20:
-            problems.append(f"only {len(points)} of 20 curve points with w = 0 found")
+        if len(points) < count:
+            problems.append(f"only {len(points)} of {count} curve points with w = 0 found")
     for idx, (h, const) in enumerate(zip(h_entries, expected_dcoeff), start=1):
         if any(h.evaluate(pt) != -const for pt in points):
             problems.append(f"relation {idx}: point evaluation at w = 0 disagrees")

@@ -10,15 +10,17 @@ u and w are nonzerodivisors in the (integral) coordinate ring.
 Distinct points are made by random_curve_points (on the degree-(p+1)
 curve, then mapped by x -> x^((p+1)/e)) and checked on the curve once, as
 CurvePoint, which also memoizes the coordinate powers that evaluation reads.
-norm_roots, the one solver of x^(p+1) = c in GF(p^2), serves the sampler
-and cover's w = 0 search.  curve_cone_points enumerates the
-affine cone; it is the sampler's test reference, not part of the pipeline.
+norm_roots, the one solver of x^(p+1) = c in GF(p^2), yields roots lazily
+to the sampler and cover's w = 0 search, which read only those they use.
+curve_cone_points enumerates the affine cone; it is the sampler's test
+reference, not part of the pipeline.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import islice
 
 from .gf import GF, FieldElement, RingElement, is_prime, power
 
@@ -489,13 +491,13 @@ def norm_key(field: GF):
     return norm
 
 
-def norm_roots(field: GF, c: int) -> list:
-    """The indices k >= 1, increasing, of the x in GF(p^2) with x^(p+1) = c in F_p.
+def norm_roots(field: GF, c: int):
+    """Yield the indices k >= 1, increasing, of the x in GF(p^2) with x^(p+1) = c in F_p.
 
     The norm's first coordinate at index a + b*p is a quadratic form Q(a, b),
-    read off norm_key at 1, p and p + 1.  Each row b solves Q(a, b) = c by
-    a table of square roots mod p; the full norm confirms each root.  Raises
-    ValueError when Q has no a^2 term.
+    read off norm_key at 1, p and p + 1.  Row b is solved, as the caller reads
+    on, by a table of square roots mod p; the full norm confirms each root.
+    The first next() raises ValueError when Q has no a^2 term.
     """
     p = field.p
     norm = norm_key(field)
@@ -504,13 +506,13 @@ def norm_roots(field: GF, c: int) -> list:
         raise ValueError(f"the norm of {field!r} has no a^2 term")
     qb, half = (norm(p + 1)[0] - qa - qc) % p, pow(2 * qa, p - 2, p)
     roots = {x * x % p: {x, -x % p} for x in range(p)}
-    target, found = (c % p, 0), []
+    target = (c % p, 0)
     for b in range(p):
         lin = qb * b % p
         disc = (lin * lin - 4 * qa * (qc * b * b - c)) % p
-        row = sorted((r - lin) * half % p + b * p for r in roots.get(disc, ()))
-        found += [k for k in row if k and norm(k) == target]
-    return found
+        for k in sorted((r - lin) * half % p + b * p for r in roots.get(disc, ())):
+            if k and norm(k) == target:
+                yield k
 
 
 def curve_cone_points(ctx: CurveContext, field: GF):
@@ -542,16 +544,17 @@ def random_curve_points(ctx: CurveContext, field: GF, count: int, rng):
 
     Each is the image (u0^k, v0^k, w0^k), k = (p + 1)/e, of a point of the
     degree-(p+1) curve, whose pairs (u0, v0) are drawn without repetition
-    (a lazy Fisher-Yates shuffle of the pair indices) and whose w0 rng picks
-    among the norm_roots of s = N(u0) + N(v0) in index order, none for s = 0.
-    For k = 2, x and -x have one square, so a root whose image was already
-    returned with the same (u0^2, v0^2) is not a candidate, and a pair left
-    with none is skipped; for k = 1 every root is new.  Only returned points
-    become field elements.  Raises ValueError for another e, or when the
-    pairs run out first; callers check the returned tuples with CurvePoint.
+    (a lazy Fisher-Yates shuffle of the pair indices).  Of the p + 1 roots w0
+    of x^(p+1) = s = N(u0) + N(v0) != 0, each image already returned with the
+    same (u0^k, v0^k) takes k (x and -x have one square); rng picks one of the
+    rest, and norm_roots is read in index order only up to it.  A pair with
+    s = 0 or no root left is skipped without a draw.  Only returned points
+    become field elements.  Raises ValueError for another e, when the roots
+    run out before the pick (a wrong Frobenius matrix), or when the pairs run
+    out first; callers check the returned tuples with CurvePoint.
     """
     p, order = field.p, field.order
-    k, norm, roots = (p + 1) // ctx.exponent, norm_key(field), {}
+    k, norm = (p + 1) // ctx.exponent, norm_key(field)
     if (p + 1) % ctx.exponent or k > 2:
         raise ValueError(
             f"the sampler serves degrees {p + 1} and {(p + 1) // 2}, not {ctx.exponent}"
@@ -572,13 +575,14 @@ def random_curve_points(ctx: CurveContext, field: GF, count: int, rng):
         swapped[pick] = swapped.get(drawn, drawn)
         ui, vi = 1 + pair // order, pair % order
         s = (norm(ui)[0] + norm(vi)[0]) % p
-        if s not in roots:
-            roots[s] = norm_roots(field, s)
         taken = returned.setdefault((image(ui), image(vi)), set())
-        candidates = [w for w in roots[s] if image(w) not in taken] if taken else roots[s]
-        if not candidates:
+        left, roots = p + 1 - k * len(taken), norm_roots(field, s)
+        if not s or not left:
             continue
-        wi = candidates[rng.randrange(len(candidates))]
+        free = (w for w in roots if image(w) not in taken) if taken else roots
+        wi = next(islice(free, rng.randrange(left), None), None)
+        if wi is None:
+            raise ValueError(f"x^(p+1) = {s} has fewer than {left} roots left in {field!r}")
         taken.add(image(wi))
         points.append(tuple(field.from_index(i) ** k for i in (ui, vi, wi)))
     if len(points) < count:

@@ -5,8 +5,8 @@ expected value is either a frozen independently derived quantity (brute
 force enumeration, Hurwitz bookkeeping, full-field scans) or a pinned
 headline reference value.
 
-Criterion 1 pins the p = 5 headline component genus 1081 and derives it
-in the test itself: the degree 120 from the enumerated fiber (480 points in
+Criterion 1 pins the p = 5 headline genus 1081, the arithmetic genus of
+one determinant class, and derives it in the test itself: the degree 120 from the enumerated fiber (480 points in
 4 determinant classes), the base genus 10 from the plane-curve formula
 (d - 1)(d - 2)/2 with d = p + 1, and the genus from the etale Hurwitz
 relation 2g - 2 = 120 * (2 * 10 - 2).
@@ -85,7 +85,10 @@ def _line(n, ok, detail):
 
 
 def test_criterion_1_p5_headline():
-    """p = 5 headline: components 4, degree 120, component genus 1081, < 30 s."""
+    """p = 5 headline: 4 determinant classes, degree 120, < 30 s, and 1081,
+    the arithmetic genus of one class (det A = δ) by the etale Hurwitz
+    relation; no connected component has that genus, since a class is
+    several curves over the algebraic closure (ROADMAP item 3)."""
     start = time.monotonic()
     report = run_verification(5)
     elapsed = time.monotonic() - start

@@ -16,6 +16,7 @@ from syzcover.cover import (
     check_section_ring,
     check_transition,
     check_w0_specialization,
+    h_matrices,
     transition_matrix,
 )
 from syzcover.curve import CurvePoint, LocalFraction, fermat_curve, random_curve_points
@@ -619,52 +620,68 @@ def test_transition_matrix_rebuild_matches(covers):
     assert transition_matrix(cat.quad) == covers[3].T
 
 
-def _w0_points_by_pow(ctx, count=20):
-    """Reference for cover._w0_points: a scan of GF(p^2) with one pow per element."""
+def _w0_points_by_pow(ctx, count):
+    """Reference for cover._w0_points: a scan of v0 over GF(p^2) with u0 = 1
+    and one pow per element."""
     field = make_extension_field(ctx.p, 2)
-    e = ctx.exponent
     pts = []
-    for u0 in field.elements():
-        if u0.is_zero():
-            continue
-        target = -(u0 ** e)
-        for v0 in field.elements():
-            if v0 ** e == target:
-                pts.append((u0, v0, field.zero))
-                if len(pts) >= count:
-                    return pts
+    for v0 in field.elements():
+        if v0 ** ctx.exponent == -field.one:
+            pts.append((field.one, v0, field.zero))
+            if len(pts) == count:
+                break
     return pts
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 19, 101, 103, 251, 1009))
 def test_w0_points_match_pow_scan(p):
+    """min(20, p + 1) points (1 : v0 : 0) in the pow scan's order, pairwise
+    distinct up to scaling; asked for more, all p + 1 and no others."""
     ctx = fermat_curve(p)
-    pts = cover._w0_points(ctx, 20)
+    count = min(20, p + 1)
+    pts = cover._w0_points(ctx, count)
     assert all(isinstance(pt, CurvePoint) and pt.ctx == ctx for pt in pts)
-    assert [pt.coords for pt in pts] == _w0_points_by_pow(ctx, 20)
-    assert len(pts) == 20
-    # each u0 has p + 1 partners v0: below p = 19 the points span several u0,
-    # from p = 19 on u0 = 1 holds all 20, and at p = 19 exactly 20
-    u_values = {pt.coords[0] for pt in pts}
-    one = make_extension_field(p, 2).one
-    if p < 19:
-        assert len(u_values) > 1
-    else:
-        assert u_values == {one}
-    if p == 19:
-        assert cover._w0_points(ctx, 21)[20].coords[0] != one
+    assert [pt.coords for pt in pts] == _w0_points_by_pow(ctx, count)
+    assert len({(v0 / u0, w0 / u0) for u0, v0, w0 in pts}) == count
+    assert len(cover._w0_points(ctx, p + 2)) == p + 1
+
+
+@pytest.mark.parametrize("p", (3, 5, 13, 101))
+def test_h_entries_take_one_value_on_each_projective_point(p):
+    """Each of the 8 H entries has a numerator homogeneous of degree du + dw,
+    so scaling a point by 2 or by t keeps its value (or its pole: the
+    chart-W entries have w in the denominator).  So the affine w = 0 points
+    that _w0_points leaves out, (l*u0, l*v0, 0), repeat the values at
+    (1 : v0 : 0); sampled points with w0 != 0 are checked too."""
+    ctx, field = fermat_curve(p), make_extension_field(p, 2)
+    h_u, h_w = h_matrices(ctx)
+    entries = h_u[0] + h_u[1] + h_w[0] + h_w[1]
+    assert all(h.num.homogeneous_degree() == h.du + h.dw for h in entries)
+
+    def value(h, pt):
+        try:
+            return h.evaluate(pt)
+        except ZeroDivisionError:
+            return "pole"
+
+    sampled = [CurvePoint(ctx, pt) for pt in random_curve_points(ctx, field, 5, random.Random(p))]
+    for pt in cover._w0_points(ctx, min(20, p + 1)) + sampled:
+        for lam in (field.from_index(2), field.from_index(p)):
+            scaled = CurvePoint(ctx, tuple(lam * x for x in pt))
+            assert [value(h, scaled) for h in entries] == [value(h, pt) for h in entries]
 
 
 def test_w0_specialization_fails_on_too_few_points(covers, monkeypatch):
     few = cover._w0_points(covers[5].ctx, 5)
-    monkeypatch.setattr(cover, "_w0_points", lambda ctx, count=20: few)
+    monkeypatch.setattr(cover, "_w0_points", lambda ctx, count: few)
     out = check_w0_specialization(covers[5])
     assert not out.ok
-    assert out.detail == "only 5 of 20 curve points with w = 0 found"
+    assert out.detail == "only 5 of 6 curve points with w = 0 found"
 
 
 def test_w0_specialization_fails_on_off_curve_point(covers):
-    """A corrupted Frobenius matrix yields a w = 0 sample off the curve: a fail, not a crash."""
+    """A corrupted Frobenius matrix (column 0) leaves the norm with no root of
+    -1, so the w = 0 search finds no point: a fail, not a crash."""
     field = make_extension_field(13, 2)
     columns = field.frobenius_columns()
     try:
@@ -673,9 +690,16 @@ def test_w0_specialization_fails_on_off_curve_point(covers):
     finally:
         field._frobenius = columns
     assert not out.ok
-    assert out.detail.startswith("w = 0 sample: point (")
-    assert "does not lie on the curve u^14 + v^14 = w^14" in out.detail
+    assert out.detail == "only 0 of 14 curve points with w = 0 found"
     assert check_w0_specialization(covers[13]).ok
+
+
+def test_w0_specialization_fails_on_a_root_off_the_curve(covers, monkeypatch):
+    """A v0 that is no root of x^14 = -1 is rejected by the point check: a fail, not a crash."""
+    monkeypatch.setattr(cover, "norm_roots", lambda field, c: iter((2,)))
+    out = check_w0_specialization(covers[13])
+    assert not out.ok
+    assert out.detail == "w = 0 sample: point (1, 2, 0) does not lie on the curve u^14 + v^14 = w^14"
 
 
 @pytest.mark.parametrize("p", (3, 13))

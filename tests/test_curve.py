@@ -283,12 +283,17 @@ def test_evaluate_on_curve_point(quartic):
     assert quartic.one().evaluate(pt) == F3.one
 
 
-def _products_made_by(monkeypatch, method, nested_methods):
-    """Factor pairs of the FieldElement products that method (a (class, name)
-    pair) makes itself during `run_verification(13, ("lemmas", "cover"))`,
-    not counting those made inside any of nested_methods."""
+def _verify_13():
     from syzcover.report import run_verification
 
+    assert run_verification(13, ("lemmas", "cover")).overall == "pass"
+
+
+def _products_made_by(monkeypatch, method, nested_methods, run=_verify_13):
+    """Factor pairs of the FieldElement products that method (a (class, name)
+    pair) makes itself during run() (by default a passing
+    `run_verification(13, ("lemmas", "cover"))`), not counting those made
+    inside any of nested_methods."""
     depth = {"outer": 0, "inner": 0}
     factors = []
 
@@ -315,7 +320,7 @@ def _products_made_by(monkeypatch, method, nested_methods):
         monkeypatch.setattr(cls, name, nested("inner", getattr(cls, name)))
     monkeypatch.setattr(FieldElement, "__mul__", counted)
     monkeypatch.setattr(FieldElement, "__rmul__", counted)
-    assert run_verification(13, ("lemmas", "cover")).overall == "pass"
+    run()
     return factors
 
 
@@ -333,17 +338,41 @@ def test_evaluate_multiplies_by_no_factor_equal_to_one(monkeypatch):
 
 
 def test_fraction_evaluate_multiplies_by_no_factor_equal_to_one(monkeypatch):
-    """In `run_verification(13, ("lemmas", "cover"))`, LocalFraction.evaluate
-    multiplies its numerator's value by no power of 1/u0 or 1/w0 that is
-    one.  Products inside the numerator's evaluation and inside a memo's
-    `**` or inverse are not counted here."""
+    """LocalFraction.evaluate multiplies its numerator's value by no power of
+    1/u0 or 1/w0 that is one.  Evaluated are the 8 H entries at p = 13 at the
+    oracle's points of the degree-14 curve, and the chart-U ones also at the
+    w = 0 points scaled by 2 and by t (the w = 0 check's own points have
+    u0 = 1, where every such power is one).  Products inside the numerator's
+    evaluation and inside a memo's `**` or inverse are not counted here."""
+    from syzcover.cover import _w0_points, h_matrices
+
+    ctx, field = fermat_curve(13), make_extension_field(13, 2)
+    h_u, h_w = h_matrices(ctx)
+    sampled = PointOracle(ctx).points
+    scaled = [
+        CurvePoint(ctx, tuple(lam * x for x in pt))
+        for lam in (field.from_index(2), field.from_index(13))
+        for pt in _w0_points(ctx, 14)
+    ]
+
+    def run():
+        for h in h_u[0] + h_u[1]:
+            for pt in sampled + scaled:
+                h.evaluate(pt)
+        for h in h_w[0] + h_w[1]:
+            for pt in sampled:
+                h.evaluate(pt)
+
     factors = _products_made_by(
         monkeypatch,
         (LocalFraction, "evaluate"),
         [(CurvePolynomial, "evaluate"), (FieldElement, "__pow__"), (FieldElement, "inverse")],
+        run,
     )
     assert factors
-    assert [(x, y) for x, y in factors if x == 1 or y == 1] == []
+    # each product is (numerator's value) * (power); the value is one at a
+    # few of the oracle's points, and only the power is skipped when it is one
+    assert [(x, y) for x, y in factors if y == 1] == []
 
 
 def test_evaluate_skips_terms_a_zero_coordinate_kills(monkeypatch, rng):
@@ -701,7 +730,7 @@ def test_norm_roots_match_pow_scan(p):
     norms = {k: (field.from_index(k) ** (p + 1)).coeffs for k in range(1, p * p)}
     for c in range(p):
         expected = [k for k, n in norms.items() if n == (c, 0)]
-        assert norm_roots(field, c) == expected, c
+        assert list(norm_roots(field, c)) == expected, c
         assert len(expected) == (p + 1 if c else 0)
 
 
@@ -713,10 +742,10 @@ def test_norm_roots_raises_when_the_norm_has_no_a_squared_term():
     try:
         field._frobenius = ((0, columns[0][1]), columns[1])
         with pytest.raises(ValueError, match="has no a\\^2 term"):
-            norm_roots(field, 1)
+            list(norm_roots(field, 1))
     finally:
         field._frobenius = columns
-    assert len(norm_roots(field, 1)) == 8
+    assert len(list(norm_roots(field, 1))) == 8
 
 
 def _table_sampler_reference(field, count, rng, k=1):
@@ -764,6 +793,50 @@ def test_sampler_matches_table_reference(p, half):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         pts = random_curve_points(ctx, field, 20, rng)
         assert pts == _table_sampler_reference(field, 20, ref_rng, 2 if half else 1), seed
+        assert rng.getstate() == ref_rng.getstate(), seed
+
+
+def _root_list_sampler_reference(ctx, field, count, rng):
+    """random_curve_points as it was with a root list per s: every root of
+    x^(p+1) = s listed, those whose k-th power was returned with the same
+    (u0^k, v0^k) dropped, and rng picks among the rest by their number."""
+    p, order = field.p, field.order
+    k, norm, roots = (p + 1) // ctx.exponent, norm_key(field), {}
+    total = (order - 1) * order
+    swapped, returned, points = {}, {}, []
+    for drawn in range(total):
+        if len(points) == count:
+            break
+        pick = rng.randrange(drawn, total)
+        pair = swapped.get(pick, pick)
+        swapped[pick] = swapped.get(drawn, drawn)
+        ui, vi = 1 + pair // order, pair % order
+        s = (norm(ui)[0] + norm(vi)[0]) % p
+        if s not in roots:
+            roots[s] = list(norm_roots(field, s))
+        u, v = (field.from_index(i) ** k for i in (ui, vi))
+        taken = returned.setdefault((u.index, v.index), set())
+        candidates = [w for w in roots[s] if (field.from_index(w) ** k).index not in taken]
+        if not candidates:
+            continue
+        w = field.from_index(candidates[rng.randrange(len(candidates))]) ** k
+        taken.add(w.index)
+        points.append((u, v, w))
+    return points
+
+
+@pytest.mark.parametrize("p", (3, 5, 13, 101, 1009, 2003))
+@pytest.mark.parametrize("half", (True, False), ids=("e=(p+1)/2", "e=p+1"))
+def test_sampler_matches_root_list_reference(p, half):
+    """The sampler that walks norm_roots only up to its pick returns the
+    points of the one that listed every root and drew among those left, and
+    leaves rng in the same state; 1009 is 1 mod 4 and 2003 is 3 mod 4."""
+    ctx = fermat_curve(p, (p + 1) // 2 if half else p + 1)
+    field = make_extension_field(p, 2)
+    for seed in range(4):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        pts = random_curve_points(ctx, field, 20, rng)
+        assert pts == _root_list_sampler_reference(ctx, field, 20, ref_rng), seed
         assert rng.getstate() == ref_rng.getstate(), seed
 
 

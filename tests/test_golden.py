@@ -21,6 +21,10 @@ The seed 0 files at 503 and 1009 were made by the sampler that read a
 table of x^e over all of GF(P^2), before norm_roots replaced it, and the
 seed 1-3 files by the sampler that solved x^e = s on the degree-(p+1)/2
 curve itself, before its points became squares of degree-(p+1) points.
+p2003_lemmas-cover_seed0.json and p10007_lemmas-cover_seed0.json are the
+same run at P = 2003 and 10007, made by the sampler that listed every root
+of each norm before it drew one, and by the w = 0 search that read affine
+points (u0, v0, 0) with u0 running over GF(P^2).
 
 symbolic_pP_seed0.json, for P = 101, 151 and 251 (the symbolic bench primes)
 and for P = 503 and 1009, is the stdout of
@@ -80,7 +84,7 @@ def test_p101_oracle_cli_report_matches_golden():
     assert out == _golden("p101_lemmas-cover_seed0.json")
 
 
-@pytest.mark.parametrize("p", (503, 1009))
+@pytest.mark.parametrize("p", (503, 1009, 2003, 10007))
 def test_large_prime_oracle_cli_report_matches_golden(p):
     out = _stdout("-m", "syzcover", "verify", "--prime", str(p), "--checks", "lemmas,cover")
     assert out == _golden(f"p{p}_lemmas-cover_seed0.json")

@@ -321,9 +321,12 @@ def test_cli_prime_47_passes():
 
 
 def test_corrupted_frobenius_matrix_fails_oracle_run():
-    """Off-curve oracle points from a corrupted GF(13^2) Frobenius matrix fail the run."""
+    """Each single-entry corruption of the GF(13^2) Frobenius matrix leaves
+    the sampler's norm with fewer than p + 1 roots of some s: the oracle
+    setup, and so the run, fails instead of raising."""
     field = make_extension_field(13, 2)
     columns = field.frobenius_columns()
+    short_s = {(0, 0): 8, (0, 1): 10, (1, 0): 3, (1, 1): 7}
     try:
         for i in range(2):
             for j in range(2):
@@ -334,7 +337,10 @@ def test_corrupted_frobenius_matrix_fails_oracle_run():
                 assert result.overall == "fail", (i, j)
                 transition = result.checks[0]
                 assert transition.status == "fail", (i, j)
-                assert "oracle setup failed: point (" in transition.detail
+                assert transition.detail == (
+                    "transition matrix certified against the frames; oracle setup failed: "
+                    f"x^(p+1) = {short_s[i, j]} has fewer than 14 roots left in GF(13^2)"
+                ), (i, j)
     finally:
         field._frobenius = columns
     assert run_verification(13, checks=("cover",)).overall == "pass"
