@@ -17,6 +17,29 @@ from .curve import CurveContext, CurvePolynomial, LocalFraction, as_curve_point
 from .gf import RingElement, power
 
 
+def binomial_residues(n: int, p: int):
+    """C(n, k) mod p for k = 0, ..., n, in order.
+
+    C(n, k + 1) = C(n, k) (n - k) / (k + 1) is stepped as p^v num / den,
+    with num and den units mod p: each factor gives up its powers of p to
+    v, so no int passes n p (C(n, k) itself grows to about n bits), and den
+    is inverted only where v = 0.
+    """
+    num = den = 1
+    v = 0
+    yield 1
+    for k in range(n):
+        top, bottom = n - k, k + 1
+        while not top % p:
+            top //= p
+            v += 1
+        while not bottom % p:
+            bottom //= p
+            v -= 1
+        num, den = num * top % p, den * bottom % p
+        yield 0 if v else num * pow(den, -1, p) % p
+
+
 class FormalPolynomial(RingElement):
     __slots__ = ("ctx", "vars", "terms")
 
@@ -97,11 +120,12 @@ class FormalPolynomial(RingElement):
         """self ** n: by the binomial theorem for one or two terms, else by
         square-and-multiply.
 
-        (s + t)^n = sum over k of C(n, k) s^k t^(n-k), with each C(n, k) an
-        exact int reduced mod p, and a term formed only where that residue
-        is nonzero; so (ad - bc)^p is 2 terms from p + 1 int steps, not
-        O(p^2) term products.  s and t have distinct exponents, so each k
-        gives its own monomial.  Nothing is assumed to vanish.
+        (s + t)^n = sum over k of C(n, k) s^k t^(n-k), with every C(n, k)
+        mod p taken from binomial_residues, and a term formed only where
+        that residue is nonzero; so (ad - bc)^p is 2 terms from p + 1 steps
+        on ints below p^2, not O(p^2) term products.  s and t have distinct
+        exponents, so each k gives its own monomial.  Nothing is assumed to
+        vanish.
         """
         if not isinstance(n, int) or n < 0:
             return NotImplemented
@@ -114,15 +138,11 @@ class FormalPolynomial(RingElement):
                 self.ctx, self.vars, {tuple(x * n for x in e): power(c, n, 1)}
             )
         (es, cs), (et, ct) = terms
-        p = self.ctx.p
         out = {}
-        binomial = 1  # C(n, k)
-        for k in range(n + 1):
-            residue = binomial % p
+        for k, residue in enumerate(binomial_residues(n, self.ctx.p)):
             if residue:
                 exps = tuple(k * a + (n - k) * b for a, b in zip(es, et))
                 out[exps] = residue * power(cs, k, 1) * power(ct, n - k, 1)
-            binomial = binomial * (n - k) // (k + 1)
         return FormalPolynomial(self.ctx, self.vars, out)
 
     def p_power(self) -> FormalPolynomial:

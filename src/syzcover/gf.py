@@ -345,16 +345,6 @@ class FieldElement(RingElement):
         p = self.field.p
         return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        f = self.field
-        p = f.p
-        return FieldElement(
-            f, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
-
     def __mul__(self, other):
         f = self.field
         p, m = f.p, f.m
@@ -389,12 +379,6 @@ class FieldElement(RingElement):
         if any(norm[1:]) or not norm[0]:
             raise ArithmeticError(f"norm of {self!r} in {f!r} is not a nonzero constant")
         return rest * pow(norm[0], f.p - 2, f.p)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
 
     def __pow__(self, e: int):
         if not isinstance(e, int):

@@ -38,11 +38,6 @@ class SyzygyTriple(namedtuple("SyzygyTriple", "label components data total_degre
         f1, f2, f3 = self.data
         return a1 * f1 + a2 * f2 + a3 * f3
 
-    def flip_component(self, idx: int) -> SyzygyTriple:
-        comps = list(self.components)
-        comps[idx] = -comps[idx]
-        return self._replace(label=f"{self.label}~flip{idx}", components=tuple(comps))
-
 
 class GeneratorCatalog(
     namedtuple(
@@ -61,12 +56,6 @@ class GeneratorCatalog(
 
     def __getitem__(self, label: str) -> SyzygyTriple:
         return self.triples[label]
-
-    def with_triple(self, triple: SyzygyTriple) -> GeneratorCatalog:
-        triples = dict(self.triples)
-        key = triple.label.split("~")[0]
-        triples[key] = triple
-        return self._replace(triples=triples)
 
 
 def build_catalog(p: int) -> GeneratorCatalog:
@@ -156,15 +145,6 @@ def build_catalog(p: int) -> GeneratorCatalog:
     return GeneratorCatalog(base, quad, t, (z, -y, x), (y, -x, z), (w ** 2, -(v ** 2), u ** 2))
 
 
-CATALOG_LABELS = (
-    "R0", "R1", "R2", "R3",
-    "phi1", "phi2", "phi3",
-    "psi1", "psi2", "psi3",
-    "alpha1", "alpha2", "alpha3",
-    "s1", "s2", "s3", "s1'", "s2'", "s3'",
-)
-
-
 def degrees_consistent(triple: SyzygyTriple) -> bool:
     """deg(a_i) + deg(f_i) equals the declared total degree for every nonzero a_i."""
     for a, f in zip(triple.components, triple.data):
@@ -182,10 +162,10 @@ def _degree_problems(triples) -> list:
 
 def check_catalog(cat: GeneratorCatalog) -> CheckOutcome:
     return CheckOutcome(
-        f"{len(CATALOG_LABELS)} generating triples verified",
+        f"{len(cat.triples)} generating triples verified",
         "failed: {failures}",
-        [zero_claim(f"syzygy {label}", cat[label].combination()) for label in CATALOG_LABELS],
-        _degree_problems(cat[label] for label in CATALOG_LABELS),
+        [zero_claim(f"syzygy {label}", t.combination()) for label, t in cat.triples.items()],
+        _degree_problems(cat.triples.values()),
     )
 
 

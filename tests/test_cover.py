@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from syzcover.cover import (
     transition_matrix,
 )
 from syzcover.curve import CurvePoint, LocalFraction, fermat_curve, random_curve_points
-from syzcover.formal import FormalPolynomial
+from syzcover.formal import FormalPolynomial, binomial_residues
 from syzcover.gf import make_extension_field, power
 from syzcover.matrices import (
     adjugate,
@@ -247,6 +248,15 @@ def test_formal_pow_equals_square_and_multiply(covers, p):
             if heavy and p >= 7 and n > 2 * p + 3:
                 continue
             assert base ** n == power(base, n, one), (name, n)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 13))
+def test_binomial_residues_equal_exact_binomials_mod_p(p):
+    """C(n, k) mod p from the unit-and-valuation steps, against math.comb:
+    n = p^2 and p^2 + p + 1 have C(n, k) divisible by p^2, and n = p^3 - 1
+    has every residue nonzero."""
+    for n in (0, 1, p - 1, p, p + 1, p * p, p * p + p + 1, p ** 3 - 1):
+        assert list(binomial_residues(n, p)) == [math.comb(n, k) % p for k in range(n + 1)], n
 
 
 def test_formal_power_squares_only_for_three_or_more_terms(monkeypatch):
@@ -642,7 +652,7 @@ def test_w0_points_match_pow_scan(p):
     pts = cover._w0_points(ctx, count)
     assert all(isinstance(pt, CurvePoint) and pt.ctx == ctx for pt in pts)
     assert [pt.coords for pt in pts] == _w0_points_by_pow(ctx, count)
-    assert len({(v0 / u0, w0 / u0) for u0, v0, w0 in pts}) == count
+    assert len({(v0 * u0.inverse(), w0 * u0.inverse()) for u0, v0, w0 in pts}) == count
     assert len(cover._w0_points(ctx, p + 2)) == p + 1
 
 

@@ -418,7 +418,7 @@ def test_inverse_of_zero_raises(p, m):
     with pytest.raises(ZeroDivisionError):
         F.zero.inverse()
     with pytest.raises(ZeroDivisionError):
-        F.one / F.zero
+        F.zero ** -1
 
 
 @pytest.mark.parametrize("entry", (0, 1))

@@ -25,6 +25,9 @@ p2003_lemmas-cover_seed0.json and p10007_lemmas-cover_seed0.json are the
 same run at P = 2003 and 10007, made by the sampler that listed every root
 of each norm before it drew one, and by the w = 0 search that read affine
 points (u0, v0, 0) with u0 running over GF(P^2).
+p100003_lemmas-cover_seed0.json, the same run at P = 100003 (about 3 s),
+was made while (det A)^p still stepped each C(p, k) as an exact int; the
+CI golden loop compares it, no test here does.
 
 symbolic_pP_seed0.json, for P = 101, 151 and 251 (the symbolic bench primes)
 and for P = 503 and 1009, is the stdout of

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from catalog_mutants import flip_sign
 
 import syzcover.cli as cli
 from syzcover import curve, oracle, report
@@ -261,7 +262,7 @@ def test_oracle_mismatch_fails_a_symbolically_passing_check(monkeypatch):
 
 def test_symbolic_failure_is_not_sent_to_the_oracle(monkeypatch):
     catalog = report.build_catalog(3)
-    flipped = catalog.with_triple(catalog["R1"].flip_component(0))
+    flipped = flip_sign(catalog, "R1", 0)
     monkeypatch.setattr(report, "build_catalog", lambda p: flipped)
     consulted = []
     check_all = OracleSuite.check_all

@@ -1,9 +1,8 @@
 import pytest
+from catalog_mutants import flip_sign, replace_triple
 
 from syzcover.oracle import OracleSuite
 from syzcover.syz import (
-    CATALOG_LABELS,
-    SyzygyTriple,
     build_catalog,
     check_alpha,
     check_catalog,
@@ -27,7 +26,13 @@ def test_s1_is_a_syzygy_of_the_squares(catalogs):
 
 def test_catalog_contains_exactly_the_named_triples(catalogs):
     cat = catalogs[3]
-    assert set(cat.triples) == set(CATALOG_LABELS)
+    assert list(cat.triples) == [
+        "R0", "R1", "R2", "R3",
+        "phi1", "phi2", "phi3",
+        "psi1", "psi2", "psi3",
+        "alpha1", "alpha2", "alpha3",
+        "s1", "s2", "s3", "s1'", "s2'", "s3'",
+    ]
     x, y, z = cat.base.variables()
     assert cat.kernel_form == (z, -y, x)
     assert cat.koszul_kernel_form == (y, -x, z)
@@ -48,8 +53,10 @@ def test_non_syzygy_rejected(catalogs):
     cat = catalogs[3]
     u, v, w = cat.quad.variables()
     one = cat.quad.one()
-    bogus = SyzygyTriple("s1", (one, one, one), (u ** 2, v ** 2, w ** 2), 2)
-    out = check_catalog(cat.with_triple(bogus))
+    bogus = replace_triple(
+        cat, "s1", components=(one, one, one), data=(u ** 2, v ** 2, w ** 2), total_degree=2
+    )
+    out = check_catalog(bogus)
     assert not out.ok
     assert "syzygy s1" in out.detail
 
@@ -63,8 +70,7 @@ def test_all_catalog_entries_pass(catalogs, p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_degree_bookkeeping(catalogs, p):
     cat = catalogs[p]
-    for label in CATALOG_LABELS:
-        triple = cat[label]
+    for triple in cat.triples.values():
         for a, f in zip(triple.components, triple.data):
             if not a.is_zero():
                 assert a.homogeneous_degree() + f.homogeneous_degree() == triple.total_degree
@@ -114,7 +120,7 @@ def test_kernel_relation(catalogs, p):
 
 def test_kernel_relation_detects_sign_flip(catalogs):
     cat = catalogs[3]
-    mutated = cat.with_triple(cat["phi1"].flip_component(0))
+    mutated = flip_sign(cat, "phi1", 0)
     assert not check_kernel_relation(mutated).ok
 
 
@@ -127,10 +133,8 @@ def test_alpha_detects_wrong_image(catalogs):
     cat = catalogs[3]
     u, v, w = cat.quad.variables()
     zero = cat.quad.zero()
-    wrong = SyzygyTriple(
-        "s2", (-(w ** 2), zero, v ** 2), cat["s2"].data, cat["s2"].total_degree
-    )
-    assert not check_alpha(cat.with_triple(wrong)).ok
+    wrong = replace_triple(cat, "s2", components=(-(w ** 2), zero, v ** 2))
+    assert not check_alpha(wrong).ok
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -148,8 +152,9 @@ def test_independence_minor_value_p3(catalogs):
 
 def test_identical_rows_are_dependent(catalogs):
     cat = catalogs[3]
-    dup = cat.with_triple(
-        SyzygyTriple("R1", cat["R0"].components, cat["R0"].data, cat["R0"].total_degree)
+    r0 = cat["R0"]
+    dup = replace_triple(
+        cat, "R1", components=r0.components, data=r0.data, total_degree=r0.total_degree
     )
     assert not check_independence(dup).ok
 
@@ -169,9 +174,9 @@ def test_mutation_sensitivity(catalogs, p):
     """Any single sign flip on a nonzero component breaks some check."""
     cat = catalogs[p]
     checks = (check_catalog, check_kernel_relation, check_alpha, check_independence)
-    for label in CATALOG_LABELS:
+    for label, triple in cat.triples.items():
         for idx in range(3):
-            if cat[label].components[idx].is_zero():
+            if triple.components[idx].is_zero():
                 continue
-            mutated = cat.with_triple(cat[label].flip_component(idx))
+            mutated = flip_sign(cat, label, idx)
             assert any(not chk(mutated).ok for chk in checks), (label, idx)
