@@ -116,12 +116,11 @@ def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
 
     Points come c by c over the units of GF(p^2) in index order, and for
     each c the products d = z*c over the z outside F_p (index >= p) in
-    index order.  As p > 2, p^m > cap once m >= cap.bit_length(), and p^m
-    is built only below that.
+    index order.
     """
     _require_odd_prime(p)
     m = fiber_field_degree(p)
-    if m >= cap.bit_length() or p ** m > cap:
+    if p ** m > cap:
         return CensusResult(
             p, m, True, (), 0,
             f"census field GF({p}^{m}) is larger than the cap {cap}",
