@@ -147,11 +147,11 @@ def _reverify(p: int, points) -> tuple:
     field = make_extension_field(p, 2)
     eta = kummer_presentation(p).eta
     one, t = field.one, field.element([0, 1])
-    f1, ft = one.frobenius() * eta, t.frobenius() * eta
+    f1, ft = one.p_power() * eta, t.p_power() * eta
     k = f1 * t - ft
     ok = (
-        (f1.frobenius() * eta, ft.frobenius() * eta) == (2 * one, 2 * t)
-        and k.frobenius() * (eta * eta) == -2 * k
+        (f1.p_power() * eta, ft.p_power() * eta) == (2 * one, 2 * t)
+        and k.p_power() * (eta * eta) == -2 * k
     )
     keys = [tuple(delta * x % p for x in k.coeffs) for delta in range(p)]
     classes = {}

@@ -22,7 +22,7 @@ from itertools import islice, repeat
 from .curve import CurveContext, CurvePoint, LocalFraction, norm_roots
 from .formal import FormalPolynomial
 from .gf import GF, make_extension_field
-from .matrices import adjugate, det, entrywise_p_power, mat, mat_inverse, mat_mul
+from .matrices import adjugate, det, entrywise_p_power, mat, mat_mul
 from .oracle import CheckOutcome, nonzero_claim, zero_claim
 from .syz import GeneratorCatalog, build_catalog
 
@@ -78,18 +78,13 @@ def _frobenius_adjugate(A):
     return mat_mul(entrywise_p_power(A), adjugate(A))
 
 
-def _lift(ctx, names, M):
-    """Matrix of fractions as a matrix of constant formal polynomials."""
-    return mat([[FormalPolynomial.constant(ctx, names, entry) for entry in row] for row in M])
-
-
 def _chart_relations(ctx, A, frob_adj, H, clear_u: int, clear_w: int):
     """Det-cleared entries of F(A)*adj(A) - det(A)*H, listed row by row."""
     dA = det(A)
     rels = []
     for i in range(2):
         for j in range(2):
-            rel = frob_adj[i][j] - dA.scale(H[i][j])
+            rel = frob_adj[i][j] - dA * H[i][j]
             cleared = {e: c.mul_monomial(clear_u, clear_w) for e, c in rel.terms.items()}
             rels.append(FormalPolynomial(ctx, rel.vars, cleared))
     return tuple(rels)
@@ -109,10 +104,10 @@ def build_cover_data(p: int, catalog: GeneratorCatalog | None = None) -> CoverDa
     (alpha, beta), (gamma, delta) = B
     f = ctx.fraction
     substitution = {
-        "a": gamma.scale(f(-w, 1, 0)),
-        "b": delta.scale(f(-w, 1, 0)),
-        "c": alpha.scale(f(u, 0, 1)) + gamma.scale(f(v * v, 1, 1)),
-        "d": beta.scale(f(u, 0, 1)) + delta.scale(f(v * v, 1, 1)),
+        "a": gamma * f(-w, 1, 0),
+        "b": delta * f(-w, 1, 0),
+        "c": alpha * f(u, 0, 1) + gamma * f(v * v, 1, 1),
+        "d": beta * f(u, 0, 1) + delta * f(v * v, 1, 1),
     }
     return CoverData(ctx, catalog, T, h_u, h_w, A, B, frob_adj_U, frob_adj_W, relations_U, relations_W, substitution)
 
@@ -187,12 +182,16 @@ def check_base_change(cd: CoverData) -> CheckOutcome:
 
 
 def check_cocycle(cd: CoverData) -> CheckOutcome:
-    """Compatibility on the overlap: H_U = T^(p) H_W T^(-1)."""
-    rhs = mat_mul(mat_mul(entrywise_p_power(cd.T), cd.H_W), mat_inverse(cd.T))
+    """Compatibility on the overlap: H_U T = F(T) H_W, entry by entry.
+
+    This is H_U = F(T) H_W T^(-1), because check_transition certifies
+    det T = 1 in the same cover group.
+    """
+    lhs, rhs = mat_mul(cd.H_U, cd.T), mat_mul(entrywise_p_power(cd.T), cd.H_W)
     claims = []
     for i in range(2):
         for j in range(2):
-            claims.append(zero_claim(f"cocycle [{i}][{j}]", cd.H_U[i][j] - rhs[i][j]))
+            claims.append(zero_claim(f"cocycle [{i}][{j}]", lhs[i][j] - rhs[i][j]))
     return CheckOutcome("cocycle compatibility holds", "cocycle violated", claims)
 
 
@@ -230,7 +229,7 @@ def check_gluing(cd: CoverData) -> CheckOutcome:
     Each chart-U indeterminate equals the matching entry of T * B after
     the substitution, and det A = det T * det B = alpha*delta - beta*gamma.
     """
-    TB = mat_mul(_lift(cd.ctx, W_VARS, cd.T), cd.B)
+    TB = mat_mul(cd.T, cd.B)
     claims = []
     for name, entry in zip("abcd", TB[0] + TB[1]):
         claims.append(zero_claim(f"gluing entry {name}", cd.substitution[name] - entry))
@@ -255,15 +254,15 @@ def check_section_ring(cd: CoverData) -> CheckOutcome:
     w2 = f(w * w)
 
     def membership(first, second):
-        outer = first.scale(f(u * u, 0, 1)) + second.scale(f(v * v, 0, 1))
-        return outer.scale(w2) - second.scale(f(v * v * w)) - first.scale(f(u * u * w))
+        outer = first * f(u * u, 0, 1) + second * f(v * v, 0, 1)
+        return outer * w2 - second * f(v * v * w) - first * f(u * u * w)
 
     id1 = membership(alpha, gamma)
     id2 = membership(beta, delta)
     literal = (
-        (beta.scale(f(u * u, 0, 1)) + delta.scale(f(v * v, 0, 1))).scale(w2)
-        - delta.scale(f(u * u * w))
-        - beta.scale(f(u * u * w))
+        (beta * f(u * u, 0, 1) + delta * f(v * v, 0, 1)) * w2
+        - delta * f(u * u * w)
+        - beta * f(u * u * w)
     )
     claims = [
         zero_claim("section ring membership 1", id1),
@@ -288,8 +287,7 @@ def check_det_periodicity(cd: CoverData) -> CheckOutcome:
     dA = det(A)
     frob_det = det(entrywise_p_power(A))
     diff1 = frob_det - dA ** p
-    hu_formal = _lift(ctx, U_VARS, cd.H_U)
-    diff2 = det(mat_mul(hu_formal, A)) - dA.scale(det(cd.H_U))
+    diff2 = det(mat_mul(cd.H_U, A)) - dA * det(cd.H_U)
     diff3 = det(cd.H_U) - f(-2)
     claims = [
         zero_claim("Frobenius commutes with det", diff1),

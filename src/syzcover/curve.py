@@ -338,18 +338,6 @@ class LocalFraction(RingElement):
         num = _times_monomial(self.num, cu - ku, cw - kw)
         return LocalFraction(self.ctx, num, self.du - ku, self.dw - kw)
 
-    def inverse(self) -> LocalFraction:
-        """Reciprocal; defined when the numerator is a single term c*u^i*w^k."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero fraction")
-        if len(self.num.terms) != 1:
-            raise ValueError("fraction is not a unit monomial")
-        ((i, j, k), c), = self.num.terms.items()
-        if j:
-            raise ValueError("numerator involves the middle variable; not invertible here")
-        cinv = pow(c, self.ctx.p - 2, self.ctx.p)
-        return LocalFraction(self.ctx, self.ctx.monomial(cinv, (self.du, 0, self.dw)), i, k)
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:

@@ -48,18 +48,13 @@ class FormalPolynomial(RingElement):
         self.vars = tuple(variables)
         cleaned = {}
         for exps, coeff in terms.items():
-            coeff = self._as_fraction(ctx, coeff)
+            if not isinstance(coeff, LocalFraction):
+                if not isinstance(coeff, (int, CurvePolynomial)):
+                    raise TypeError(f"cannot use {type(coeff).__name__} as a coefficient")
+                coeff = ctx.fraction(coeff)
             if not coeff.is_zero():
                 cleaned[tuple(exps)] = coeff
         self.terms = cleaned
-
-    @staticmethod
-    def _as_fraction(ctx, value):
-        if isinstance(value, LocalFraction):
-            return value
-        if isinstance(value, (int, CurvePolynomial)):
-            return ctx.fraction(value)
-        raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
     @classmethod
     def constant(cls, ctx, variables, value):
@@ -109,12 +104,6 @@ class FormalPolynomial(RingElement):
                 prod = c1 * c2
                 out[e] = out[e] + prod if e in out else prod
         return FormalPolynomial(self.ctx, self.vars, out)
-
-    def scale(self, coeff) -> FormalPolynomial:
-        coeff = self._as_fraction(self.ctx, coeff)
-        return FormalPolynomial(
-            self.ctx, self.vars, {e: coeff * c for e, c in self.terms.items()}
-        )
 
     def __pow__(self, n: int):
         """self ** n: by the binomial theorem for one or two terms, else by

@@ -21,8 +21,8 @@ and the census holds its field as GF(p^2)[theta]/(theta^o - gamma).
 RingElement is the one arithmetic protocol of the engine's ring types,
 FieldElement here, CurvePolynomial and LocalFraction in curve and
 FormalPolynomial in formal: each defines is_zero, _coerce (the other
-operand in its own ring, or None), +, unary - and *, and takes truth, -
-and the reflected +, - and * from the base.
+operand in its own ring, or None), +, unary -, * and p_power (x -> x^p),
+and takes truth, - and the reflected +, - and * from the base.
 
 find_generator and solve_power_equation scan the whole field.  The
 pipeline calls neither: they are references that the census tests and the
@@ -373,7 +373,7 @@ class FieldElement(RingElement):
         f = self.field
         conj, rest = self, f.one
         for _ in range(f.m - 1):
-            conj = conj.frobenius()
+            conj = conj.p_power()
             rest = rest * conj
         norm = (self * rest).coeffs
         if any(norm[1:]) or not norm[0]:
@@ -390,7 +390,7 @@ class FieldElement(RingElement):
             return f.one if e == 0 else f.zero
         return power(self, e % (f.order - 1), f.one)
 
-    def frobenius(self) -> FieldElement:
+    def p_power(self) -> FieldElement:
         """self ** p, as the field's precomputed F_p-linear map."""
         f = self.field
         p = f.p

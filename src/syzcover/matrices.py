@@ -1,10 +1,10 @@
 """Determinant, adjugate and products for small square matrices.
 
-Matrices are tuples of tuples of ring elements; n = 2 and n = 3 are the
-only dimensions that occur.  Entries only need +, -, * (and .inverse() on the
-determinant for matrix inversion, .p_power() for entrywise Frobenius), so
-the same code serves field elements, localized curve fractions and formal
-polynomials.
+Matrices are tuples of tuples of ring elements, of size 2 or 3 only.
+Entries need only +, -, * and p_power (for entrywise Frobenius), so the
+same code serves field elements, localized curve fractions and formal
+polynomials; a fraction times a formal polynomial is the latter's
+reflected *.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ def mat_mul(A, B):
 
 def det(M):
     n = len(M)
-    if n == 1:
-        return M[0][0]
     if n == 2:
         return M[0][0] * M[1][1] - M[0][1] * M[1][0]
     if n == 3:
@@ -60,12 +58,6 @@ def adjugate(M):
             (d * h - e * g, b * g - a * h, a * e - b * d),
         )
     raise ValueError(f"unsupported matrix size {n}")
-
-
-def mat_inverse(M):
-    d = det(M)
-    dinv = d.inverse()
-    return tuple(tuple(dinv * a for a in row) for row in adjugate(M))
 
 
 def entrywise_p_power(M):

@@ -62,11 +62,11 @@ def reference_enumeration(p):
     """The fiber points of GF(p^m), c then z in index order, one product z * c each."""
     field = census_field(p)
     c_solutions = [
-        c for c in linear_kernel(field, lambda x: x.frobenius().frobenius() - 2 * x) if c
+        c for c in linear_kernel(field, lambda x: x.p_power().p_power() - 2 * x) if c
     ]
     admissible = [
-        z for z in linear_kernel(field, lambda x: x.frobenius().frobenius() - x)
-        if z.frobenius() != z
+        z for z in linear_kernel(field, lambda x: x.p_power().p_power() - x)
+        if z.p_power() != z
     ]
     admissible.sort(key=lambda e: e.index)
     return tuple(
@@ -77,16 +77,16 @@ def reference_enumeration(p):
 
 
 def _reference_c_image(c):
-    cp = c.frobenius()
-    return cp, not c.is_zero() and cp.frobenius() == 2 * c
+    cp = c.p_power()
+    return cp, not c.is_zero() and cp.p_power() == 2 * c
 
 
 def _reference_point_image(pt, cp):
     d = pt.d
-    dp = d.frobenius()
+    dp = d.p_power()
     det = cp * d - pt.c * dp
-    return det, (not d.is_zero() and dp.frobenius() == 2 * d
-                 and not det.is_zero() and det.frobenius() == -2 * det)
+    return det, (not d.is_zero() and dp.p_power() == 2 * d
+                 and not det.is_zero() and det.p_power() == -2 * det)
 
 
 def reference_reverify(points):
@@ -116,12 +116,12 @@ class Embedding:
         small = make_extension_field(p, 2)
         self.field, self.small = field, small
         subfield = sorted(
-            linear_kernel(field, lambda x: x.frobenius().frobenius() - x), key=lambda e: e.index)
+            linear_kernel(field, lambda x: x.p_power().p_power() - x), key=lambda e: e.index)
         c0, c1, _one = small.modulus
         self.root = next(r for r in subfield if r * r + c1 * r + c0 == field.zero)
         o, gamma, _eta = kummer_presentation(p)
         kernel = sorted(
-            linear_kernel(field, lambda x: x.frobenius().frobenius() - 2 * x),
+            linear_kernel(field, lambda x: x.p_power().p_power() - 2 * x),
             key=lambda e: e.index)
         self.theta = next(t for t in kernel if t ** o == self.iota(gamma))
 

@@ -22,6 +22,9 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         (("verify", "--prime", "3", "--checks", "lemmas,fiber"), 3, "report.run_verification"),
         (("symbolic", "101", "0"), 101, "symbolic.run"),
+        # the oracle workload's operation: runs the traced PointOracle._values
+        # and FormalPolynomial.evaluate wrappers
+        (("verify", "--prime", "13", "--checks", "lemmas,cover"), 13, "oracle.eval"),
     ],
 )
 def test_traced_operation_runs(tmp_path, operation, prime, span):

@@ -28,7 +28,6 @@ from syzcover.matrices import (
     det,
     entrywise_p_power,
     mat,
-    mat_inverse,
     mat_mul,
 )
 from syzcover.oracle import ORACLE_POINTS, OracleSuite
@@ -74,7 +73,7 @@ def test_transition_inverse_frozen(covers):
     cd = covers[3]
     ctx = cd.ctx
     u, v, w = ctx.variables()
-    tinv = mat_inverse(cd.T)
+    tinv = adjugate(cd.T)  # T^(-1), since det T = 1
     assert tinv[0][0] == ctx.fraction(v * v, 1, 1)
     assert tinv[0][1] == ctx.fraction(w, 1, 0)
     assert tinv[1][0] == ctx.fraction(-u, 0, 1)
@@ -118,6 +117,35 @@ def test_cocycle_detects_transpose(covers):
     assert not check_cocycle(mutated).ok
 
 
+@pytest.mark.parametrize("p", (3, 5, 13))
+def test_cocycle_mutants(covers, p):
+    """Transposing H_W, negating H_U or swapping the rows of T breaks the
+    cocycle; 2T does not, because F(cT) = c F(T) for c in F_p, so
+    H_U (2T) - F(2T) H_W = 2 (H_U T - F(T) H_W)."""
+    cd = covers[p]
+    transposed = tuple(zip(*cd.H_W))
+    negated = tuple(tuple(-x for x in row) for row in cd.H_U)
+    for mutated in (
+        cd._replace(H_W=transposed),
+        cd._replace(H_U=negated),
+        cd._replace(T=(cd.T[1], cd.T[0])),
+    ):
+        assert not check_cocycle(mutated).ok
+    doubled = cd._replace(T=tuple(tuple(2 * x for x in row) for row in cd.T))
+    assert check_cocycle(doubled).ok
+
+
+@pytest.mark.parametrize("p", (3, 5, 13))
+def test_singular_transition_fails_without_raising(covers, p):
+    """T with both rows T[0] has det 0: check_transition fails it, and
+    check_cocycle, which needs no inverse of T, returns a fail too."""
+    cd = covers[p]
+    singular = cd._replace(T=(cd.T[0], cd.T[0]))
+    assert det(singular.T).is_zero()
+    assert not check_transition(singular).ok
+    assert not check_cocycle(singular).ok
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_relations_shape(covers, p):
     out = check_relations(covers[p])
@@ -133,9 +161,7 @@ def test_relation_one_explicit_p3(covers):
     a, b, c, d = (FormalPolynomial.variable(ctx, U_VARS, n) for n in U_VARS)
     clear = ctx.fraction(u ** 4)
     det_a = a * d - b * c
-    expected = (a ** 3 * d - c * b ** 3).scale(clear) - det_a.scale(
-        ctx.fraction(v ** 2 * w ** 2)
-    )
+    expected = (a ** 3 * d - c * b ** 3) * clear - det_a * ctx.fraction(v ** 2 * w ** 2)
     assert cd.relations_U[0] == expected
 
 
@@ -156,7 +182,7 @@ def test_gluing_entry_c(covers):
     u, v, w = ctx.variables()
     alpha = FormalPolynomial.variable(ctx, W_VARS, "alpha")
     gamma = FormalPolynomial.variable(ctx, W_VARS, "gamma")
-    expected = alpha.scale(ctx.fraction(u, 0, 1)) + gamma.scale(ctx.fraction(v * v, 1, 1))
+    expected = alpha * ctx.fraction(u, 0, 1) + gamma * ctx.fraction(v * v, 1, 1)
     assert cd.substitution["c"] == expected
 
 
@@ -173,7 +199,7 @@ def test_gluing_det_is_target_det(covers):
 
 def test_gluing_detects_wrong_transition(covers):
     cd = covers[3]
-    mutated = cd._replace(T=mat_inverse(cd.T))
+    mutated = cd._replace(T=adjugate(cd.T))
     assert not check_gluing(mutated).ok
 
 
@@ -210,7 +236,7 @@ def test_formal_pow_equals_repeated_product(covers, p):
     cd = covers[p]
     ctx = cd.ctx
     u, _, w = ctx.variables()
-    f = det(cd.A).scale(ctx.fraction(u, 0, 1)) + ctx.fraction(w, 1, 0)
+    f = det(cd.A) * ctx.fraction(u, 0, 1) + ctx.fraction(w, 1, 0)
     for n in (0, 1, 2, 3, 4, 7, 8, p - 1, p, p + 1):
         acc = FormalPolynomial.constant(ctx, U_VARS, 1)
         for _ in range(n):
@@ -228,12 +254,12 @@ def _power_bases(cd):
     one = FormalPolynomial.constant(ctx, U_VARS, 1)
     return {
         "zero": (one - one, False),
-        "monomial with an H_U coefficient": (b.scale(H[0][1]), False),
+        "monomial with an H_U coefficient": (b * H[0][1], False),
         "det A": (det(cd.A), False),
-        "H_U monomial fractions": (a.scale(H[0][0]) + d.scale(H[1][1]), False),
-        "H_U fractions of two terms": (a.scale(H[0][1]) + b.scale(H[1][0]), True),
+        "H_U monomial fractions": (a * H[0][0] + d * H[1][1], False),
+        "H_U fractions of two terms": (a * H[0][1] + b * H[1][0], True),
         "1 + a + a^2": (one + a + a * a, False),
-        "three terms with H_U fractions": (a.scale(H[0][0]) + b + c.scale(H[1][0]), True),
+        "three terms with H_U fractions": (a * H[0][0] + b + c * H[1][0], True),
     }
 
 
@@ -287,12 +313,17 @@ def test_formal_power_squares_only_for_three_or_more_terms(monkeypatch):
 def test_det_periodicity_multiplies_few_fractions(monkeypatch):
     # (det A)^p is a binomial expansion: two coefficient powers, not O(p^2) products
     cd = build_cover_data(101)
+    # Only calls that return a product count: mat_mul(H_U, A) first tries
+    # the fraction operand's *, which returns NotImplemented (8 times at
+    # p = 101, where 47 products are made).
     calls = []
     mul = LocalFraction.__mul__
 
     def counted(self, other):
-        calls.append(other)
-        return mul(self, other)
+        result = mul(self, other)
+        if result is not NotImplemented:
+            calls.append(other)
+        return result
 
     monkeypatch.setattr(LocalFraction, "__mul__", counted)
     monkeypatch.setattr(LocalFraction, "__rmul__", counted)
@@ -313,10 +344,10 @@ def _pairwise_fraction_product(f, g):
 
 def _sum_of_slice_products(f, g):
     """f * g as the sum, by +, of f times each single term c*x^e of g, where
-    f times that term is f.scale(c) with every exponent shifted by e."""
+    f times that term is f * c with every exponent shifted by e."""
     total = FormalPolynomial(f.ctx, f.vars, {})
     for e2, c2 in g.terms.items():
-        shifted = {tuple(a + b for a, b in zip(e1, e2)): c for e1, c in f.scale(c2).terms.items()}
+        shifted = {tuple(a + b for a, b in zip(e1, e2)): c for e1, c in (f * c2).terms.items()}
         total = total + FormalPolynomial(f.ctx, f.vars, shifted)
     return total
 
@@ -407,8 +438,8 @@ def test_formal_product_cancels_constant_and_mixed_sums():
     F, F_inv = ctx.fraction(u, 0, 1), ctx.fraction(w, 1, 0)
     cases = (
         (2 * a + 3 * b, 2 * a - 3 * b),  # a*b cancels between two constant pairs
-        (a + b.scale(F), b - a.scale(F_inv)),  # a*b: constant 1 plus mixed -F*F^-1
-        (c.scale(F) + d, c.scale(F) - d),  # c*d cancels between two mixed pairs
+        (a + b * F, b - a * F_inv),  # a*b: constant 1 plus mixed -F*F^-1
+        (c * F + d, c * F - d),  # c*d cancels between two mixed pairs
     )
     for f, g in cases:
         product, reference = f * g, _pairwise_fraction_product(f, g)
@@ -506,12 +537,14 @@ def test_matrix_ideal_shift_trivial_cases():
         B = mat([[F.random_element(rng) for _ in range(n)] for _ in range(n)])
     C = mat([[F.random_element(rng) for _ in range(n)] for _ in range(n)])
     A = mat_mul(C, B)
-    G = mat_sub(mat_mul(A, mat_inverse(B)), C)
+    d_inv = det(B).inverse()
+    B_inv = tuple(tuple(d_inv * x for x in row) for row in adjugate(B))
+    G = mat_sub(mat_mul(A, B_inv), C)
     assert all(entry.is_zero() for row in G for entry in row)
 
     eye = mat([[F.one if i == j else F.zero for j in range(n)] for i in range(n)])
     A2 = mat([[F.random_element(rng) for _ in range(n)] for _ in range(n)])
-    G2 = mat_sub(mat_mul(A2, mat_inverse(eye)), C)
+    G2 = mat_sub(mat_mul(A2, adjugate(eye)), C)  # det(eye) = 1
     H2 = mat_sub(A2, mat_mul(C, eye))
     assert G2 == H2
 

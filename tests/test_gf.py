@@ -21,6 +21,7 @@ from syzcover.gf import (
     prime_factors,
     solve_power_equation,
 )
+from syzcover.matrices import entrywise_p_power, mat
 
 
 def multiplicative_order(a) -> int:
@@ -73,14 +74,15 @@ def test_frobenius_fixed_field_of_gf25():
     F = make_extension_field(5, 2)
     fixed = [a for a in F.elements() if a ** 5 == a]
     assert len(fixed) == 5
-    assert linear_kernel(F, lambda x: x.frobenius() - x) == tuple(F(k) for k in range(5))
+    assert linear_kernel(F, lambda x: x.p_power() - x) == tuple(F(k) for k in range(5))
 
 
-@pytest.mark.parametrize("p,m", [(3, 4), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 2), (7, 2), (3, 1), (3, 2), (3, 3)])
 def test_frobenius_matrix_equals_pow_on_every_element(p, m):
+    """p_power, the ring protocol's Frobenius, is x ** p on every element."""
     F = make_extension_field(p, m)
     for a in F.elements():
-        assert a.frobenius() == a ** p
+        assert a.p_power() == a ** p
 
 
 @pytest.mark.parametrize("p,m", [(5, 8), (7, 6)])
@@ -88,7 +90,7 @@ def test_frobenius_matrix_equals_pow_sampled(rng, p, m):
     F = make_extension_field(p, m)
     for _ in range(200):
         a = F.random_element(rng)
-        assert a.frobenius() == a ** p
+        assert a.p_power() == a ** p
 
 
 @pytest.mark.parametrize(
@@ -209,8 +211,14 @@ def test_frobenius_is_ring_homomorphism(rng):
         F = make_extension_field(p, m)
         for _ in range(100):
             a, b = F.random_element(rng), F.random_element(rng)
-            assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-            assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+            assert (a + b).p_power() == a.p_power() + b.p_power()
+            assert (a * b).p_power() == a.p_power() * b.p_power()
+
+
+def test_entrywise_p_power_on_field_matrices(rng):
+    F = make_extension_field(13, 2)
+    M = mat([[F.random_element(rng) for _ in range(2)] for _ in range(2)])
+    assert entrywise_p_power(M) == tuple(tuple(x ** 13 for x in row) for row in M)
 
 
 def test_modulus_is_deterministic():
