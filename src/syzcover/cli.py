@@ -99,5 +99,23 @@ def main(argv=None) -> int:
     return 2
 
 
+def entry() -> int:
+    """The process entry of `python -m syzcover`, `python -m syzcover.cli` and
+    the `syzcover` script: `main()`, then `gc.freeze()` on the way out.
+
+    The freeze moves every live object to the collector's permanent
+    generation, so the cyclic collection at interpreter exit skips the
+    modules' functions, classes and dicts (about 3.5 ms of a cold `verify`)
+    and the OS reclaims them.  syzcover has no finalizer to miss, and
+    stdout and stderr are still flushed.  `main()` never freezes: tests and
+    the bench tracer call it in-process."""
+    import gc
+
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

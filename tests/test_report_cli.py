@@ -1,6 +1,10 @@
+import gc
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from catalog_mutants import flip_sign
@@ -199,6 +203,78 @@ def test_cli_exit_one_on_failed_check(monkeypatch):
     )
     monkeypatch.setattr(cli, "run_verification", lambda *a, **k: failed)
     assert cli.main(["verify", "--prime", "3", "--output", "/dev/null"]) == 1
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# The console script that pip writes for `[project.scripts]` runs
+# `sys.exit(<function>())`; the entry it names is read from pyproject.toml.
+_SCRIPT_MODULE, _SCRIPT_FUNC = re.search(
+    r'^syzcover = "([\w.]+):(\w+)"$',
+    (ROOT / "pyproject.toml").read_text(encoding="utf-8"),
+    re.M,
+).groups()
+# Each way of starting the CLI, as the statement a fresh interpreter runs.
+ENTRIES = {
+    "python -m syzcover": "runpy.run_module('syzcover', run_name='__main__', alter_sys=True)",
+    "python -m syzcover.cli": "runpy.run_module('syzcover.cli', run_name='__main__', alter_sys=True)",
+    "syzcover script": f"from {_SCRIPT_MODULE} import {_SCRIPT_FUNC}; sys.exit({_SCRIPT_FUNC}())",
+}
+# Registered before the entry runs, so it runs after the entry returns or
+# raises SystemExit, and prints whether anything was frozen by then.
+_PROBE = (
+    "import atexit, gc, runpy, sys; "
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))"
+)
+_FORCE_FAILURE = (
+    "import syzcover.report as r; "
+    "failed = r.CoverReport(prime=3, overall='fail', "
+    "checks=(r.CheckRecord('catalog_syzygies', 'fail', 'forced failure'),), "
+    "stats=r.ReportStats(2, 48, 24, 3, 49, 1, 4), engine=r.EngineInfo('0.0.0', 0)); "
+    "r.run_verification = lambda *a, **k: failed"
+)
+
+
+def _run_entry(entry, *args, setup="pass"):
+    """(exit code, stdout, stderr lines before the probe's) of one fresh
+    interpreter started through `entry`; asserts that the probe saw a freeze."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run(
+        [sys.executable, "-c", f"{_PROBE}\n{setup}\n{ENTRIES[entry]}", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    *stderr, probe = res.stderr.splitlines()
+    assert probe == "frozen True", res.stderr
+    return res.returncode, res.stdout, stderr
+
+
+def test_every_entry_freezes_at_exit_and_writes_the_same_report():
+    codes, stdouts, stderrs = zip(
+        *(_run_entry(entry, "verify", "--prime", "3", "--seed", "4") for entry in ENTRIES)
+    )
+    assert codes == (0, 0, 0) and stderrs == ([], [], [])
+    assert len(set(stdouts)) == 1
+    report = json.loads(stdouts[0])
+    assert (report["overall"], report["engine"]["seed"]) == ("pass", 4)
+
+
+def test_main_in_process_freezes_nothing():
+    before = gc.get_freeze_count()
+    assert cli.main(["verify", "--prime", "3", "--checks", "lemmas", "--output", os.devnull]) == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_entry_exit_codes_in_a_fresh_interpreter(entry):
+    assert _run_entry(entry, "verify", "--prime", "15") == (
+        2,
+        "",
+        ["error: prime must be an odd prime >= 3, got 15"],
+    )
+    code, stdout, stderr = _run_entry(entry, "verify", "--prime", "3", setup=_FORCE_FAILURE)
+    assert (code, stderr) == (1, [])
+    assert json.loads(stdout)["checks"][0]["detail"] == "forced failure"
 
 
 def test_cli_max_field_size_forces_skip():
