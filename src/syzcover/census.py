@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .gf import is_prime, make_extension_field
+from .gf import is_prime, make_extension_field, prime_factors
 
 # Largest census field by default: GF(5^8) and GF(7^6) fit, GF(11^20) does not.
 # A field-size proxy from when the census scanned the field; the census now
@@ -67,11 +67,12 @@ def _require_odd_prime(p: int):
 
 
 def _order(a: int, p: int) -> int:
-    """The multiplicative order of a mod p, for a prime to p."""
-    k, x = 1, a % p
-    while x != 1:
-        x = x * a % p
-        k += 1
+    """The multiplicative order of a mod p, for a prime to p: p - 1 with
+    each prime q of p - 1 divided out while a^(k/q) = 1."""
+    k = p - 1
+    for q in prime_factors(p - 1):
+        while k % q == 0 and pow(a, k // q, p) == 1:
+            k //= q
     return k
 
 
@@ -116,11 +117,12 @@ def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
 
     Points come c by c over the units of GF(p^2) in index order, and for
     each c the products d = z*c over the z outside F_p (index >= p) in
-    index order.
+    index order.  p^min(m, cap.bit_length()) is compared with the cap, so
+    p^m is never formed for m >= cap.bit_length(), where p^m > 2^m > cap.
     """
     _require_odd_prime(p)
     m = fiber_field_degree(p)
-    if p ** m > cap:
+    if p ** min(m, cap.bit_length()) > cap:
         return CensusResult(
             p, m, True, (), 0,
             f"census field GF({p}^{m}) is larger than the cap {cap}",

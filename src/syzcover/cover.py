@@ -3,15 +3,17 @@
 On the degree-(p+1) curve the rank-2 bundle trivializes on the charts
 where u (resp. w) is invertible.  The cover is glued from two polynomial
 algebras, one per chart, each presented by the entries of F(A) * A^(-1)
-minus an explicit matrix H of localized functions, where F(A) raises the
-matrix indeterminates to the p-th power.  Everything this module builds
-is exact: the transition matrix between the two frames, the two H
-matrices with their base-change certificates, the cocycle compatibility,
-the det-cleared chart relations, the gluing substitution, and the
-determinant computations that make the cover decompose.  Each check
-returns these identities as claims, plus any structural problems it finds
-(relation shapes, the w = 0 comparisons, the ideal-shift samples); the
-verdict is derived from those alone.
+minus a matrix H of localized functions, where F(A) raises the matrix
+indeterminates to the p-th power.  H_U (H_W) expresses the chart's primed
+frame in the p-th powers of its frame, and T is the change of frame
+between the charts; all three are solved from the catalog's syzygy
+frames.  Everything this module builds is exact: those matrices with
+their frame certificates, the cocycle compatibility, the det-cleared
+chart relations, the gluing substitution, and the determinant
+computations that make the cover decompose.  Each check returns these
+identities as claims, plus any structural problems it finds (relation
+shapes, the w = 0 comparisons, the ideal-shift samples); the verdict is
+derived from those alone.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import islice, repeat
 
-from .curve import CurveContext, CurvePoint, LocalFraction, norm_roots
+from .curve import CurvePoint, LocalFraction, norm_roots
 from .formal import FormalPolynomial
 from .gf import GF, make_extension_field
 from .matrices import adjugate, det, entrywise_p_power, mat, mat_mul
@@ -42,29 +44,6 @@ CoverData = namedtuple(
     "CoverData",
     "ctx catalog T H_U H_W A B frob_adj_U frob_adj_W relations_U relations_W substitution",
 )
-
-
-def transition_matrix(ctx: CurveContext):
-    u, v, w = ctx.variables()
-    f = ctx.fraction
-    return mat([[f(0), f(-w, 1, 0)], [f(u, 0, 1), f(v * v, 1, 1)]])
-
-
-def h_matrices(ctx: CurveContext):
-    p = ctx.p
-    u, v, w = ctx.variables()
-    f = ctx.fraction
-    up1 = u ** (p + 1)
-    vp1 = v ** (p + 1)
-    h_u = mat([
-        [f(v ** 2 * w ** (p - 1), p + 1, 0), f(2 * up1 + vp1, p + 1, 0)],
-        [f(up1 - vp1, p + 1, 0), f(-(v ** (p - 1)) * w ** 2, p + 1, 0)],
-    ])
-    h_w = mat([
-        [f(-(u ** 2) * v ** (p - 1), 0, p + 1), f(-(up1 + 2 * vp1), 0, p + 1)],
-        [f(-(2 * up1 + vp1), 0, p + 1), f(-(u ** (p - 1)) * v ** 2, 0, p + 1)],
-    ])
-    return h_u, h_w
 
 
 def _formal_matrix(ctx, names):
@@ -94,8 +73,7 @@ def build_cover_data(p: int, catalog: GeneratorCatalog | None = None) -> CoverDa
     catalog = catalog or build_catalog(p)
     ctx = catalog.quad
     u, v, w = ctx.variables()
-    T = transition_matrix(ctx)
-    h_u, h_w = h_matrices(ctx)
+    T, h_u, h_w = (_solve_frame(*system) for system in _frame_systems(catalog))
     A, B = _formal_matrix(ctx, U_VARS), _formal_matrix(ctx, W_VARS)
     frob_adj_U, frob_adj_W = _frobenius_adjugate(A), _frobenius_adjugate(B)
     relations_U = _chart_relations(ctx, A, frob_adj_U, h_u, p + 1, 0)
@@ -112,72 +90,80 @@ def build_cover_data(p: int, catalog: GeneratorCatalog | None = None) -> CoverDa
     return CoverData(ctx, catalog, T, h_u, h_w, A, B, frob_adj_U, frob_adj_W, relations_U, relations_W, substitution)
 
 
-def _frame(triple, var_idx: int):
-    """Components of a generating triple divided by u or w."""
-    ctx = triple.components[0].ctx
-    du, dw = int(var_idx == 0), int(var_idx == 2)
-    return [LocalFraction(ctx, comp, du, dw) for comp in triple.components]
+def _frame_systems(cat: GeneratorCatalog):
+    """Yield (targets, basis, i, k, chart) for T, H_U and H_W, in that order.
+
+    Each matrix M has targets[j] = M[0][j] basis[0] + M[1][j] basis[1], in
+    frames s/x (a triple's components over the chart's variable x: chart 0
+    is u, 2 is w) and their p-th powers s^(p)/x^p; Cramer's rule solves it
+    on components i and k.
+    """
+    def frame(label, chart):
+        return [LocalFraction(cat.quad, a, int(chart == 0), int(chart == 2)) for a in cat[label].components]
+
+    def p_frame(label, chart):
+        return [x.p_power() for x in frame(label, chart)]
+
+    u, w = 0, 2
+    yield (frame("s2", w), frame("s3", w)), (frame("s1", u), frame("s2", u)), 1, 2, u
+    yield (frame("s1'", u), frame("s2'", u)), (p_frame("s1", u), p_frame("s2", u)), 1, 2, u
+    yield (frame("s2'", w), frame("s3'", w)), (p_frame("s2", w), p_frame("s3", w)), 0, 1, w
 
 
-def _p_frame(triple, var_idx: int):
-    """Componentwise p-th powers of a frame: over u^p or w^p."""
-    return [x.p_power() for x in _frame(triple, var_idx)]
+def _solve_frame(targets, basis, i: int, k: int, chart: int):
+    """M of _frame_systems by Cramer's rule on components i and k.
+
+    Their minor must be c x^n / (u^du w^dw), c != 0, x the chart's variable.
+    Its numerator is compared with c x^n in normal form, c read at the first
+    term of x^n, whose coefficient is 1 (w^n with n > p has several terms).
+    Any other minor raises ValueError.
+    """
+    (b0, b1), ctx = basis, basis[0][i].ctx
+    minor = b0[i] * b1[k] - b1[i] * b0[k]
+    num, p, n = minor.num, ctx.p, max(minor.num.homogeneous_degree() or 0, 0)
+    x_n = ctx.monomial(1, [n * (axis == chart) for axis in range(3)])
+    c = num.terms.get(next(iter(x_n.terms)), 0)
+    if not c or num != x_n * c:
+        raise ValueError(f"frame minor {minor} is not a unit on the {ctx.names[chart]}-chart")
+    inverse = ctx.monomial(pow(c, -1, p), (minor.du, 0, minor.dw))
+    inverse = LocalFraction(ctx, inverse, n * (chart == 0), n * (chart == 2))
+    columns = [((t[i] * b1[k] - b1[i] * t[k]) * inverse, (b0[i] * t[k] - t[i] * b0[k]) * inverse) for t in targets]
+    return mat(zip(*columns))
+
+
+def _frame_claims(name: str, M, targets, basis):
+    """targets[j] = M[0][j] basis[0] + M[1][j] basis[1], claimed in all three components."""
+    return [
+        zero_claim(f"{name} col{j}[{i}]", targets[j][i] - (M[0][j] * basis[0][i] + M[1][j] * basis[1][i]))
+        for j in range(2)
+        for i in range(3)
+    ]
 
 
 def check_transition(cd: CoverData) -> CheckOutcome:
-    """The frame over the w-chart in terms of the frame over the u-chart.
+    """T against the frames: the w-chart frame s2/w, s3/w in terms of the
+    u-chart frame s1/u, s2/u, in all three components, and det T = 1.
 
-    s2/w = (u/w) s2/u and s3/w = (v^2/(uw)) s2/u - (w/u) s1/u, which is
-    the defining relation restricted to the overlap; together they pin
-    every entry of T, and det T = 1.
+    build_cover_data solves T from two components; the third and the
+    determinant carry the content.
     """
-    cat = cd.catalog
-    f = cd.ctx.fraction
-    claims = []
-
-    s1_u = _frame(cat["s1"], 0)
-    s2_u = _frame(cat["s2"], 0)
-    s2_w = _frame(cat["s2"], 2)
-    s3_w = _frame(cat["s3"], 2)
-    t = cd.T
-    for i in range(3):
-        d1 = s2_w[i] - t[1][0] * s2_u[i]
-        # column 2 of T feeds both frame vectors: s3/w = T[1][1] s2/u + T[0][1] s1/u
-        d2 = s3_w[i] - (t[1][1] * s2_u[i] + t[0][1] * s1_u[i])
-        claims.append(zero_claim(f"transition frame e1[{i}]", d1))
-        claims.append(zero_claim(f"transition frame e2[{i}]", d2))
-
-    claims.append(zero_claim("det T - 1", det(cd.T) - f(1)))
+    targets, basis, *_ = next(_frame_systems(cd.catalog))
+    claims = _frame_claims("transition frame", cd.T, targets, basis)
+    claims.append(zero_claim("det T - 1", det(cd.T) - cd.ctx.fraction(1)))
     return CheckOutcome("transition matrix certified against the frames", "transition matrix mismatch", claims)
 
 
 def check_base_change(cd: CoverData) -> CheckOutcome:
-    """Columns of H_U (H_W) express the pulled-back frame in p-th powers.
-
-    On the u-chart: s_j'/u = H_U[0][j] s1^(p)/u^p + H_U[1][j] s2^(p)/u^p,
-    and the analogous identity with s2, s3 on the w-chart; both
-    determinants equal -2.
+    """Columns of H_U (H_W) express the chart's primed frame in the p-th
+    powers of its frame: s1', s2' over s1, s2 on the u-chart and s2', s3'
+    over s2, s3 on the w-chart, in all three components; both determinants
+    equal -2.
     """
-    cat = cd.catalog
-    f = cd.ctx.fraction
-    claims = []
-
-    p_frames_u = (_p_frame(cat["s1"], 0), _p_frame(cat["s2"], 0))
-    primed_u = (_frame(cat["s1'"], 0), _frame(cat["s2'"], 0))
-    p_frames_w = (_p_frame(cat["s2"], 2), _p_frame(cat["s3"], 2))
-    primed_w = (_frame(cat["s2'"], 2), _frame(cat["s3'"], 2))
-
-    for name, H, p_frames, primed in (
-        ("u-chart", cd.H_U, p_frames_u, primed_u),
-        ("w-chart", cd.H_W, p_frames_w, primed_w),
-    ):
-        for j in range(2):
-            for i in range(3):
-                diff = primed[j][i] - (H[0][j] * p_frames[0][i] + H[1][j] * p_frames[1][i])
-                claims.append(zero_claim(f"base change {name} col{j}[{i}]", diff))
-
+    _, (targets_u, basis_u, *_), (targets_w, basis_w, *_) = _frame_systems(cd.catalog)
+    claims = _frame_claims("base change u-chart", cd.H_U, targets_u, basis_u)
+    claims += _frame_claims("base change w-chart", cd.H_W, targets_w, basis_w)
     for name, H in (("H_U", cd.H_U), ("H_W", cd.H_W)):
-        claims.append(zero_claim(f"det {name} + 2", det(H) - f(-2)))
+        claims.append(zero_claim(f"det {name} + 2", det(H) - cd.ctx.fraction(-2)))
     return CheckOutcome("frame comparison matrices certified, det = -2", "base change mismatch", claims)
 
 

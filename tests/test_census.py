@@ -69,6 +69,23 @@ def _fiber_criterion_scan(p):
     raise RuntimeError("no census field found")
 
 
+def _order_by_walk(a, p):
+    """The multiplicative order of a mod p by its powers a, a^2, ... up to 1."""
+    k, x = 1, a % p
+    while x != 1:
+        x = x * a % p
+        k += 1
+    return k
+
+
+def test_order_by_factorisation_equals_the_walk():
+    """ord_p(2) and ord_p(-2) from the prime factors of p - 1 equal the walk
+    through the powers at every odd prime below 5000."""
+    for p in filter(is_prime, range(3, 5000, 2)):
+        for a in (2, -2):
+            assert census_module._order(a, p) == _order_by_walk(a, p), (a, p)
+
+
 def test_orders_match_the_criterion_scans():
     """m = 2 ord_p(2) and k = ord_p(-2) agree with the scans they replaced at
     every odd prime below 500."""
@@ -521,8 +538,11 @@ def test_census_skipped_above_cap(p):
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11))
 def test_census_cap_decision_equals_the_field_order_comparison(p):
-    order = p ** fiber_field_degree(p)
-    for cap in (order - 1, order, order + 1):
+    """Also at the caps 2^m - 1 and 2^m, where cap.bit_length() is m and
+    m + 1: the census compares p^min(m, cap.bit_length()) with the cap."""
+    m = fiber_field_degree(p)
+    order = p ** m
+    for cap in (order - 1, order, order + 1, 2 ** m - 1, 2 ** m):
         assert enumerate_fiber(p, cap).skipped == (order > cap), cap
 
 
@@ -536,6 +556,14 @@ def test_fiber_checks_skip_where_the_field_order_has_too_many_digits(p, m):
         ("component_structure", "skipped", "no census to tabulate"),
     ]
     assert records[2].name == "genus_hurwitz" and records[2].status == "pass"
+
+
+def test_census_skip_at_a_large_prime_names_the_degree_and_the_cap():
+    """At p = 1000003, where 2 has order p - 1, the census skips with the
+    field GF(p^(2(p-1))) and the default cap named, and no p^m formed."""
+    assert enumerate_fiber(1000003) == CensusResult(
+        1000003, 2000004, True, (), 0,
+        "census field GF(1000003^2000004) is larger than the cap 4194304")
 
 
 def test_census_cap_override():

@@ -1,7 +1,10 @@
 import math
 import random
+import re
 
 import pytest
+from catalog_mutants import flip_sign
+from cover_reference import h_matrices, transition_matrix
 
 from syzcover import cover
 from syzcover.cover import (
@@ -17,8 +20,6 @@ from syzcover.cover import (
     check_section_ring,
     check_transition,
     check_w0_specialization,
-    h_matrices,
-    transition_matrix,
 )
 from syzcover.curve import CurvePoint, LocalFraction, fermat_curve, random_curve_points
 from syzcover.formal import FormalPolynomial, binomial_residues
@@ -663,6 +664,55 @@ def test_transition_matrix_rebuild_matches(covers):
     assert transition_matrix(cat.quad) == covers[3].T
 
 
+def _representation(M):
+    return [(entry.num.terms, entry.du, entry.dw) for row in M for entry in row]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101, 1009))
+def test_solved_matrices_match_the_transcription(p):
+    """T, H_U and H_W solved from the frames equal the hand-written ones
+    entry by entry, in the same reduced representation (numerator terms
+    and the exponents of u and w in the denominator)."""
+    cd = build_cover_data(p)
+    h_u, h_w = h_matrices(cd.ctx)
+    assert _representation(cd.T) == _representation(transition_matrix(cd.ctx))
+    assert _representation(cd.H_U) == _representation(h_u)
+    assert _representation(cd.H_W) == _representation(h_w)
+
+
+@pytest.mark.parametrize("p", (3, 5, 13))
+def test_catalog_sign_flips_fail_base_change(p):
+    """Every sign flip of a nonzero component of s1, s2, s3, s1', s2', s3'
+    gives, through build_cover_data, matrices that check_base_change rejects."""
+    catalog = build_catalog(p)
+    flips = 0
+    for label in ("s1", "s2", "s3", "s1'", "s2'", "s3'"):
+        for idx, component in enumerate(catalog[label].components):
+            if component.is_zero():
+                continue
+            mutant = flip_sign(catalog, label, idx)
+            assert not check_base_change(build_cover_data(p, mutant)).ok, f"{label}[{idx}]"
+            flips += 1
+    assert flips == 15
+
+
+def test_solve_frame_rejects_a_minor_that_is_no_chart_unit():
+    """A basis whose minor on the solved components is not c x^n for the
+    chart's variable x raises ValueError naming the minor: u + v on the
+    u-chart, u^2 on the w-chart, and the zero minor of a repeated vector."""
+    ctx = fermat_curve(5)
+    u, v, w = ctx.variables()
+    f = ctx.fraction
+    target = [f(1), f(u), f(w)]
+    for basis, chart, minor in (
+        (([f(1), f(u + v), f(0)], [f(0), f(0), f(1)]), 0, "u + v"),
+        (([f(1), f(u * u), f(0)], [f(0), f(0), f(1)]), 2, "u^2"),
+        (([f(1), f(u), f(0)], [f(1), f(u), f(0)]), 0, "0"),
+    ):
+        with pytest.raises(ValueError, match=rf"frame minor {re.escape(minor)} is not a unit"):
+            cover._solve_frame((target, target), basis, 1, 2, chart)
+
+
 def _w0_points_by_pow(ctx, count):
     """Reference for cover._w0_points: a scan of v0 over GF(p^2) with u0 = 1
     and one pow per element."""
@@ -696,8 +746,8 @@ def test_h_entries_take_one_value_on_each_projective_point(p):
     chart-W entries have w in the denominator).  So the affine w = 0 points
     that _w0_points leaves out, (l*u0, l*v0, 0), repeat the values at
     (1 : v0 : 0); sampled points with w0 != 0 are checked too."""
-    ctx, field = fermat_curve(p), make_extension_field(p, 2)
-    h_u, h_w = h_matrices(ctx)
+    cd, field = build_cover_data(p), make_extension_field(p, 2)
+    ctx, h_u, h_w = cd.ctx, cd.H_U, cd.H_W
     entries = h_u[0] + h_u[1] + h_w[0] + h_w[1]
     assert all(h.num.homogeneous_degree() == h.du + h.dw for h in entries)
 

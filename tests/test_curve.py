@@ -333,10 +333,10 @@ def test_fraction_evaluate_multiplies_by_no_factor_equal_to_one(monkeypatch):
     w = 0 points scaled by 2 and by t (the w = 0 check's own points have
     u0 = 1, where every such power is one).  Products inside the numerator's
     evaluation and inside a memo's `**` or inverse are not counted here."""
-    from syzcover.cover import _w0_points, h_matrices
+    from syzcover.cover import _w0_points, build_cover_data
 
-    ctx, field = fermat_curve(13), make_extension_field(13, 2)
-    h_u, h_w = h_matrices(ctx)
+    cd, field = build_cover_data(13), make_extension_field(13, 2)
+    ctx, h_u, h_w = cd.ctx, cd.H_U, cd.H_W
     sampled = PointOracle(ctx).points
     scaled = [
         CurvePoint(ctx, tuple(lam * x for x in pt))

@@ -27,7 +27,14 @@ of each norm before it drew one, and by the w = 0 search that read affine
 points (u0, v0, 0) with u0 running over GF(P^2).
 p100003_lemmas-cover_seed0.json, the same run at P = 100003 (about 3 s),
 was made while (det A)^p still stepped each C(p, k) as an exact int; the
-CI golden loop compares it, no test here does.
+CI golden loop compares it, no test here does.  p1000003_fiber_seed0.json
+is the stdout of
+
+    syzcover verify --prime 1000003 --checks fiber
+
+made while the census still walked the powers of 2 mod p and formed
+p^m before comparing it with the cap (about 7 s); the CI golden loop
+compares it.
 
 symbolic_pP_seed0.json, for P = 101, 151 and 251 (the symbolic bench primes)
 and for P = 503 and 1009, is the stdout of
