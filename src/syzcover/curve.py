@@ -7,9 +7,9 @@ Fractions carry denominators u^a w^b only (the charts that ever get
 localized) and compare by cross multiplication, which is valid because
 u and w are nonzerodivisors in the (integral) coordinate ring.
 
-Distinct points are made by random_curve_points (on the degree-(p+1)
-curve, then mapped by x -> x^((p+1)/e)) and checked on the curve once, as
-CurvePoint, which also memoizes the coordinate powers that evaluation reads.
+Distinct points of the degree-(p+1) curve are made by random_curve_points
+and checked on the curve once, as CurvePoint, which also memoizes the
+coordinate powers that evaluation reads.
 norm_roots, the one solver of x^(p+1) = c in GF(p^2), yields roots lazily
 to the sampler and cover's w = 0 search, which read only those they use.
 curve_cone_points enumerates the affine cone; it is the sampler's test
@@ -62,9 +62,9 @@ class CurveContext(namedtuple("CurveContext", "p exponent names")):
         return LocalFraction(self, num, du, dw)
 
 
-def fermat_curve(p: int, exponent: int | None = None, names=("u", "v", "w")) -> CurveContext:
-    """The Fermat curve of the given degree (defaults to p + 1)."""
-    return CurveContext(p, p + 1 if exponent is None else exponent, tuple(names))
+def fermat_curve(p: int, exponent: int | None = None) -> CurveContext:
+    """The Fermat curve in u, v, w of the given degree (defaults to p + 1)."""
+    return CurveContext(p, p + 1 if exponent is None else exponent)
 
 
 class CurvePolynomial(RingElement):
@@ -146,17 +146,6 @@ class CurvePolynomial(RingElement):
             return None
         return degs.pop() if degs else -1
 
-    def substitute_squares(self, target: CurveContext) -> CurvePolynomial:
-        """Image under the cover map doubling every exponent.
-
-        Sends each variable to the square of the corresponding variable of
-        the target context (used to pass from the degree-d curve to the
-        degree-2d curve).
-        """
-        return CurvePolynomial(
-            target, {(2 * i, 2 * j, 2 * k): c for (i, j, k), c in self.terms.items()}
-        )
-
     def evaluate(self, point) -> FieldElement:
         """Value at a CurvePoint of this curve, or at a tuple, which is checked first.
 
@@ -197,27 +186,23 @@ class CurvePolynomial(RingElement):
     def __str__(self):
         if not self.terms:
             return "0"
-        nu, nv, nw = self.ctx.names
         parts = []
-        for (i, j, k) in sorted(
-            self.terms, key=lambda e: (-(e[0] + e[1] + e[2]), (-e[0], -e[1], -e[2]))
-        ):
-            c = self.terms[(i, j, k)]
-            factors = []
-            for name, exp in ((nu, i), (nv, j), (nw, k)):
-                if exp == 1:
-                    factors.append(name)
-                elif exp > 1:
-                    factors.append(f"{name}^{exp}")
-            if not factors:
+        for e in sorted(self.terms, key=lambda e: (-(e[0] + e[1] + e[2]), (-e[0], -e[1], -e[2]))):
+            c, mono = self.terms[e], _monomial_text(self.ctx.names, e)
+            if not mono:
                 parts.append(str(c))
             elif c == 1:
-                parts.append("*".join(factors))
+                parts.append(mono)
             else:
-                parts.append(f"{c}*" + "*".join(factors))
+                parts.append(f"{c}*{mono}")
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _monomial_text(names, exps) -> str:
+    """names[0]^exps[0]*... with exponent 1 unwritten and exponent 0 left out."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
 
 
 def _raw(ctx, terms):
@@ -367,7 +352,7 @@ class LocalFraction(RingElement):
         num = str(self.num)
         if self.du == 0 and self.dw == 0:
             return num
-        den = str(self.ctx.monomial(1, (self.du, 0, self.dw)))
+        den = _monomial_text(self.ctx.names, (self.du, 0, self.dw))
         if len(self.num.terms) > 1:
             num = f"({num})"
         if self.du and self.dw:
@@ -527,33 +512,24 @@ def curve_cone_points(ctx: CurveContext, field: GF):
 
 
 def random_curve_points(ctx: CurveContext, field: GF, count: int, rng):
-    """count distinct points with u0, w0 != 0 over GF(p^2) of a curve of
-    degree e = p + 1 or (p + 1)/2, drawn deterministically from rng.
+    """count distinct points with u0, w0 != 0 over GF(p^2) of the curve of
+    degree p + 1, drawn deterministically from rng.
 
-    Each is the image (u0^k, v0^k, w0^k), k = (p + 1)/e, of a point of the
-    degree-(p+1) curve, whose pairs (u0, v0) are drawn without repetition
-    (a lazy Fisher-Yates shuffle of the pair indices).  Of the p + 1 roots w0
-    of x^(p+1) = s = N(u0) + N(v0) != 0, each image already returned with the
-    same (u0^k, v0^k) takes k (x and -x have one square); rng picks one of the
-    rest, and norm_roots is read in index order only up to it.  A pair with
-    s = 0 or no root left is skipped without a draw.  Only returned points
-    become field elements.  Raises ValueError for another e, when the roots
-    run out before the pick (a wrong Frobenius matrix), or when the pairs run
-    out first; callers check the returned tuples with CurvePoint.
+    The pairs (u0, v0) are drawn without repetition (a lazy Fisher-Yates
+    shuffle of the pair indices).  rng picks one of the p + 1 roots w0 of
+    x^(p+1) = s = N(u0) + N(v0) != 0, and norm_roots is read in index order
+    only up to it; a pair with s = 0 is skipped without a draw.  Only
+    returned points become field elements.  Raises ValueError for another
+    degree, when the roots run out before the pick (a wrong Frobenius
+    matrix), or when the pairs run out first; callers check the returned
+    tuples with CurvePoint.
     """
     p, order = field.p, field.order
-    k, norm = (p + 1) // ctx.exponent, norm_key(field)
-    if (p + 1) % ctx.exponent or k > 2:
-        raise ValueError(
-            f"the sampler serves degrees {p + 1} and {(p + 1) // 2}, not {ctx.exponent}"
-        )
-
-    def image(i):  # the index of x or of -x, whichever is less, for k = 2
-        return min(i, -i % p + -(i // p) % p * p) if k == 2 else i
-
+    if ctx.exponent != p + 1:
+        raise ValueError(f"the sampler serves degree {p + 1} only, not {ctx.exponent}")
+    norm = norm_key(field)
     total = (order - 1) * order
     swapped: dict = {}
-    returned: dict = {}  # (image(u0), image(v0)) -> the set of image(w0) returned with it
     points = []
     for drawn in range(total):
         if len(points) == count:
@@ -563,16 +539,12 @@ def random_curve_points(ctx: CurveContext, field: GF, count: int, rng):
         swapped[pick] = swapped.get(drawn, drawn)
         ui, vi = 1 + pair // order, pair % order
         s = (norm(ui)[0] + norm(vi)[0]) % p
-        taken = returned.setdefault((image(ui), image(vi)), set())
-        left, roots = p + 1 - k * len(taken), norm_roots(field, s)
-        if not s or not left:
+        if not s:
             continue
-        free = (w for w in roots if image(w) not in taken) if taken else roots
-        wi = next(islice(free, rng.randrange(left), None), None)
+        wi = next(islice(norm_roots(field, s), rng.randrange(p + 1), None), None)
         if wi is None:
-            raise ValueError(f"x^(p+1) = {s} has fewer than {left} roots left in {field!r}")
-        taken.add(image(wi))
-        points.append(tuple(field.from_index(i) ** k for i in (ui, vi, wi)))
+            raise ValueError(f"x^(p+1) = {s} has fewer than {p + 1} roots left in {field!r}")
+        points.append(tuple(field.from_index(i) for i in (ui, vi, wi)))
     if len(points) < count:
         raise ValueError(f"only {len(points)} curve points available, wanted {count}")
     return points

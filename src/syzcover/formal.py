@@ -17,27 +17,23 @@ from .curve import CurveContext, CurvePolynomial, LocalFraction, as_curve_point
 from .gf import RingElement, power
 
 
-def binomial_residues(n: int, p: int):
-    """C(n, k) mod p for k = 0, ..., n, in order.
+def binomial_residues(n: int, p: int) -> list:
+    """(k, C(n, k) mod p) for the k in 0, ..., n with a nonzero residue, k increasing.
 
-    C(n, k + 1) = C(n, k) (n - k) / (k + 1) is stepped as p^v num / den,
-    with num and den units mod p: each factor gives up its powers of p to
-    v, so no int passes n p (C(n, k) itself grows to about n bits), and den
-    is inverted only where v = 0.
+    By Lucas' theorem C(n, k) is the product of C(n_i, k_i) mod p over the
+    base-p digits n_i of n and k_i of k, so it is nonzero exactly when every
+    k_i <= n_i.  Each digit's C(n_i, j) is stepped as C(n_i, j) (n_i - j) /
+    (j + 1), where j + 1 <= n_i < p is a unit; C(p, k) gives 2 pairs.
     """
-    num = den = 1
-    v = 0
-    yield 1
-    for k in range(n):
-        top, bottom = n - k, k + 1
-        while not top % p:
-            top //= p
-            v += 1
-        while not bottom % p:
-            bottom //= p
-            v -= 1
-        num, den = num * top % p, den * bottom % p
-        yield 0 if v else num * pow(den, -1, p) % p
+    pairs, place = [(0, 1)], 1
+    while n:
+        n, digit = divmod(n, p)
+        row = [1]
+        for j in range(digit):
+            row.append(row[j] * (digit - j) * pow(j + 1, -1, p) % p)
+        pairs = [(j * place + k, c * r % p) for j, c in enumerate(row) for k, r in pairs]
+        place *= p
+    return pairs
 
 
 class FormalPolynomial(RingElement):
@@ -109,10 +105,10 @@ class FormalPolynomial(RingElement):
         """self ** n: by the binomial theorem for one or two terms, else by
         square-and-multiply.
 
-        (s + t)^n = sum over k of C(n, k) s^k t^(n-k), with every C(n, k)
-        mod p taken from binomial_residues, and a term formed only where
-        that residue is nonzero; so (ad - bc)^p is 2 terms from p + 1 steps
-        on ints below p^2, not O(p^2) term products.  s and t have distinct
+        (s + t)^n = sum over k of C(n, k) s^k t^(n-k), with a term formed
+        only for the k that binomial_residues gives, those with C(n, k) mod p
+        nonzero; so (ad - bc)^p is 2 terms from 2 steps, not O(p^2) term
+        products.  s and t have distinct
         exponents, so each k gives its own monomial.  Nothing is assumed to
         vanish.
         """
@@ -128,10 +124,9 @@ class FormalPolynomial(RingElement):
             )
         (es, cs), (et, ct) = terms
         out = {}
-        for k, residue in enumerate(binomial_residues(n, self.ctx.p)):
-            if residue:
-                exps = tuple(k * a + (n - k) * b for a, b in zip(es, et))
-                out[exps] = residue * power(cs, k, 1) * power(ct, n - k, 1)
+        for k, residue in binomial_residues(n, self.ctx.p):
+            exps = tuple(k * a + (n - k) * b for a, b in zip(es, et))
+            out[exps] = residue * power(cs, k, 1) * power(ct, n - k, 1)
         return FormalPolynomial(self.ctx, self.vars, out)
 
     def p_power(self) -> FormalPolynomial:

@@ -4,9 +4,9 @@ Every identity the symbolic engine asserts (a polynomial, fraction or
 formal polynomial claimed to be zero, or claimed to be nonzero) is a
 Claim.  A check's verdict is derived from its claims and its structural
 problems alone.  A claim that holds symbolically can be re-checked
-numerically: evaluate at sampled curve points over a quadratic
-extension (the degree-(p+1)/2 curve's points are squares of points of the
-degree-(p+1) curve), with fresh random values for any matrix indeterminates.
+numerically: evaluate at sampled points of the degree-(p+1) curve over a
+quadratic extension, the one curve every claim lives on, with fresh random
+values for any matrix indeterminates.
 The evaluation path shares nothing with the normal-form engine beyond
 raw field arithmetic, but agreement is a narrow cross-check: a zero claim
 that holds arrives as the reduced zero normal form, which is zero at every
@@ -116,7 +116,11 @@ class PointOracle:
 
 
 class OracleSuite:
-    """Routes claims to a per-context oracle, creating them on demand."""
+    """Routes claims to a per-context oracle, creating them on demand.
+
+    Every claim of a run lives on the degree-(p+1) curve, so a run makes
+    one oracle.
+    """
 
     def __init__(self, seed: int = 0):
         self.seed = seed

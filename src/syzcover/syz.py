@@ -1,12 +1,19 @@
 """Explicit syzygy generators and the checks that certify them.
 
-Two curves are in play for a given odd prime p (write d = (p+1)/2):
-
-  * the degree-d curve in variables x, y, z, where the Frobenius pullback
-    of Syz(x, y, z) is trivialized against explicit generators;
-  * the degree-(p+1) curve in variables u, v, w, reached by the cover
-    x -> u^2, y -> v^2, z -> w^2, where the same data turns into a
-    Frobenius periodicity for Syz(u^2, v^2, w^2)(3).
+Everything lives on one curve for a given odd prime p: the degree-(p+1)
+curve u^(p+1) + v^(p+1) = w^(p+1) in variables u, v, w, where the cover is
+built.  The paper states its lemmas, the Frobenius periodicity of
+Syz(x, y, z), on the degree-d curve x^d + y^d = z^d, d = (p+1)/2; the
+catalog writes them through x = u^2, y = v^2, z = w^2 with every formula
+as the paper has it.  That certifies the same facts: k[u, v, w] is free
+over k[u^2, v^2, w^2] on the 8 monomials u^a v^b w^c, a, b, c in {0, 1},
+and the curve equation lies in that subring, so the map R_d -> R_(p+1),
+x -> u^2, y -> v^2, z -> w^2, is injective and doubles homogeneous
+degrees.  An identity holds, or fails, on the degree-d curve exactly when
+its image does on the degree-(p+1) curve; declared total degrees are
+degrees in u, v, w, twice the paper's for the triples in x, y, z.  Under
+the same substitution the Frobenius pullback of Syz(x, y, z) becomes the
+periodicity of Syz(u^2, v^2, w^2)(3) that the cover uses.
 
 The catalog below holds every generating triple, the linear forms cutting
 out the kernels of the two presentations, and the images of the
@@ -39,17 +46,13 @@ class SyzygyTriple(namedtuple("SyzygyTriple", "label components data total_degre
         return a1 * f1 + a2 * f2 + a3 * f3
 
 
-class GeneratorCatalog(
-    namedtuple(
-        "GeneratorCatalog", "base quad triples kernel_form koszul_kernel_form quad_kernel_form"
-    )
-):
+class GeneratorCatalog(namedtuple("GeneratorCatalog", "quad triples kernel_form koszul_kernel_form")):
     """The generating triples of one prime, indexed by label (catalog["R0"]).
 
-    base is the degree-d curve in x, y, z and quad the degree-(p+1) curve in
-    u, v, w; kernel_form (z, -y, x) and koszul_kernel_form (y, -x, z) cut out
-    the kernels of the pullback and Koszul presentations, and
-    quad_kernel_form (w^2, -v^2, u^2) those of s and s' on the squared curve.
+    quad is the degree-(p+1) curve in u, v, w; kernel_form
+    (z, -y, x) = (w^2, -v^2, u^2) cuts out the kernels of the pullback
+    presentation and of s and s', and koszul_kernel_form (y, -x, z) that of
+    the Koszul presentation.
     """
 
     __slots__ = ()
@@ -61,11 +64,10 @@ class GeneratorCatalog(
 def build_catalog(p: int) -> GeneratorCatalog:
     """All explicit generators for the prime p."""
     d = (p + 1) // 2
-    base = fermat_curve(p, d, ("x", "y", "z"))
-    quad = fermat_curve(p, p + 1, ("u", "v", "w"))
-    x, y, z = base.variables()
+    quad = fermat_curve(p)
     u, v, w = quad.variables()
-    zero_b, zero_q = base.zero(), quad.zero()
+    x, y, z = u ** 2, v ** 2, w ** 2
+    zero = quad.zero()
 
     mixed_data = (x ** p, y ** p, x ** d + y ** d)
     square_data = (x ** p, y ** p, (x ** d + y ** d) ** 2)
@@ -80,50 +82,50 @@ def build_catalog(p: int) -> GeneratorCatalog:
         "R0",
         (y ** (d - 1), x ** (d - 1), -((x * y) ** (d - 1))),
         mixed_data,
-        (3 * p - 1) // 2,
+        3 * p - 1,
     )
     t["R1"] = SyzygyTriple(
-        "R1", (-x, y, x ** d - y ** d), mixed_data, p + 1
+        "R1", (-x, y, x ** d - y ** d), mixed_data, 2 * p + 2
     )
     t["R2"] = SyzygyTriple(
         "R2",
         (x * y ** (d - 1), 2 * x ** d + y ** d, -(y ** (d - 1))),
         square_data,
-        (3 * p + 1) // 2,
+        3 * p + 1,
     )
     t["R3"] = SyzygyTriple(
         "R3",
         (x ** d + 2 * y ** d, x ** (d - 1) * y, -(x ** (d - 1))),
         square_data,
-        (3 * p + 1) // 2,
+        3 * p + 1,
     )
     t["phi1"] = SyzygyTriple(
         "phi1",
         (-(z ** (d - 1)) * x, y * z ** (d - 1), x ** d - y ** d),
         frob_data,
-        (3 * p + 1) // 2,
+        3 * p + 1,
     )
     t["phi2"] = SyzygyTriple(
         "phi2",
         (x * y ** (d - 1), 2 * x ** d + y ** d, -(y ** (d - 1)) * z),
         frob_data,
-        (3 * p + 1) // 2,
+        3 * p + 1,
     )
     t["phi3"] = SyzygyTriple(
         "phi3",
         (x ** d + 2 * y ** d, x ** (d - 1) * y, -(x ** (d - 1)) * z),
         frob_data,
-        (3 * p + 1) // 2,
+        3 * p + 1,
     )
-    t["psi1"] = SyzygyTriple("psi1", (x, zero_b, -z), koszul_data, 2)
-    t["psi2"] = SyzygyTriple("psi2", (y, z, zero_b), koszul_data, 2)
-    t["psi3"] = SyzygyTriple("psi3", (zero_b, x, y), koszul_data, 2)
-    t["alpha1"] = SyzygyTriple("alpha1", (-y, x, zero_b), linear_data, 2)
-    t["alpha2"] = SyzygyTriple("alpha2", (-z, zero_b, x), linear_data, 2)
-    t["alpha3"] = SyzygyTriple("alpha3", (zero_b, -z, y), linear_data, 2)
-    t["s1"] = SyzygyTriple("s1", (-(v ** 2), u ** 2, zero_q), s_data, 4)
-    t["s2"] = SyzygyTriple("s2", (-(w ** 2), zero_q, u ** 2), s_data, 4)
-    t["s3"] = SyzygyTriple("s3", (zero_q, -(w ** 2), v ** 2), s_data, 4)
+    t["psi1"] = SyzygyTriple("psi1", (x, zero, -z), koszul_data, 4)
+    t["psi2"] = SyzygyTriple("psi2", (y, z, zero), koszul_data, 4)
+    t["psi3"] = SyzygyTriple("psi3", (zero, x, y), koszul_data, 4)
+    t["alpha1"] = SyzygyTriple("alpha1", (-y, x, zero), linear_data, 4)
+    t["alpha2"] = SyzygyTriple("alpha2", (-z, zero, x), linear_data, 4)
+    t["alpha3"] = SyzygyTriple("alpha3", (zero, -z, y), linear_data, 4)
+    t["s1"] = SyzygyTriple("s1", (-(v ** 2), u ** 2, zero), s_data, 4)
+    t["s2"] = SyzygyTriple("s2", (-(w ** 2), zero, u ** 2), s_data, 4)
+    t["s3"] = SyzygyTriple("s3", (zero, -(w ** 2), v ** 2), s_data, 4)
     t["s1'"] = SyzygyTriple(
         "s1'",
         (-(w ** (p - 1)) * u ** 2, v ** 2 * w ** (p - 1), u ** (p + 1) - v ** (p + 1)),
@@ -142,7 +144,7 @@ def build_catalog(p: int) -> GeneratorCatalog:
         sp_data,
         3 * p + 1,
     )
-    return GeneratorCatalog(base, quad, t, (z, -y, x), (y, -x, z), (w ** 2, -(v ** 2), u ** 2))
+    return GeneratorCatalog(quad, t, (z, -y, x), (y, -x, z))
 
 
 def degrees_consistent(triple: SyzygyTriple) -> bool:
@@ -185,15 +187,15 @@ def check_kernel_relation(cat: GeneratorCatalog) -> CheckOutcome:
 
     The pullback presentation phi is killed by (z, -y, x); the Koszul
     presentation psi by (y, -x, z); the isomorphism images again by
-    (z, -y, x); on the squared curve the corresponding relation is
-    w^2 s1 - v^2 s2 + u^2 s3 = 0 and its primed twin.
+    (z, -y, x); the same form gives w^2 s1 - v^2 s2 + u^2 s3 = 0 and its
+    primed twin.
     """
     families = [
         ("phi", cat.kernel_form, (cat["phi1"], cat["phi2"], cat["phi3"])),
         ("psi", cat.koszul_kernel_form, (cat["psi1"], cat["psi2"], cat["psi3"])),
         ("alpha-images", cat.kernel_form, (cat["alpha1"], cat["alpha2"], cat["alpha3"])),
-        ("s", cat.quad_kernel_form, (cat["s1"], cat["s2"], cat["s3"])),
-        ("s'", cat.quad_kernel_form, (cat["s1'"], cat["s2'"], cat["s3'"])),
+        ("s", cat.kernel_form, (cat["s1"], cat["s2"], cat["s3"])),
+        ("s'", cat.kernel_form, (cat["s1'"], cat["s2'"], cat["s3'"])),
     ]
     claims = []
     for name, form, triples in families:
@@ -211,18 +213,18 @@ def _swap(triple: SyzygyTriple, data, label) -> SyzygyTriple:
 def check_alpha(cat: GeneratorCatalog) -> CheckOutcome:
     """Well-definedness of the trivializing isomorphism.
 
-    (i)  the images alpha_i are syzygies of (x, y, z), and on the squared
-         curve the s_i are syzygies of (u^2, v^2, w^2);
+    (i)  the images alpha_i are syzygies of (x, y, z), and the s_i are
+         syzygies of (u^2, v^2, w^2);
     (ii) the sources phi_i / s_i' are syzygies of the p-th (2p-th) powers;
     (iii) the defining relation of the source presentation maps to the
          defining relation of the target, so the generator assignment
          descends to the quotients;
     (iv) the component swap turns each Koszul generator psi_i into a
          syzygy of (x, y, z);
-    (v)  squaring the variables carries the whole picture onto the
-         degree-(p+1) curve: phi_i -> s_i' and alpha_i -> s_i.
+    (v)  the paper's two transcriptions of the isomorphism data agree
+         under x = u^2, y = v^2, z = w^2: phi_i = s_i' and alpha_i = s_i.
     """
-    x, y, z = cat.base.variables()
+    u, v, w = cat.quad.variables()
     claims = []
     syzygies = []  # triples whose degree bookkeeping is checked too
 
@@ -233,24 +235,23 @@ def check_alpha(cat: GeneratorCatalog) -> CheckOutcome:
 
     # (iii) both defining relations vanish; exported by check_kernel_relation
     for name, keys in (("source", ("s1'", "s2'", "s3'")), ("target", ("s1", "s2", "s3"))):
-        combo = _combine(cat.quad_kernel_form, tuple(cat[k] for k in keys))
+        combo = _combine(cat.kernel_form, tuple(cat[k] for k in keys))
         for comp, poly in enumerate(combo):
             claims.append(zero_claim(f"alpha relation {name}[{comp}]", poly))
 
     # (iv) swap sends the Koszul generators to syzygies of (x, y, z)
-    linear_data = (x, y, z)
+    linear_data = (u ** 2, v ** 2, w ** 2)
     for key in ("psi1", "psi2", "psi3"):
         swapped = _swap(cat[key], linear_data, f"swap({key})")
         syzygies.append(swapped)
         claims.append(zero_claim(f"swap {key}", swapped.combination()))
 
-    # (v) substitution x -> u^2, y -> v^2, z -> w^2 matches the squared data
+    # (v) the triples in x, y, z equal their transcriptions in u, v, w
     pairs = [("phi1", "s1'"), ("phi2", "s2'"), ("phi3", "s3'"),
              ("alpha1", "s1"), ("alpha2", "s2"), ("alpha3", "s3")]
     for src, dst in pairs:
         for comp in range(3):
-            img = cat[src].components[comp].substitute_squares(cat.quad)
-            diff = img - cat[dst].components[comp]
+            diff = cat[src].components[comp] - cat[dst].components[comp]
             claims.append(zero_claim(f"substitution {src}->{dst}[{comp}]", diff))
 
     return CheckOutcome(

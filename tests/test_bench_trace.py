@@ -17,6 +17,20 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _traced(tmp_path, operation):
+    """Run bench/traced_op.py on operation; return its stdout document and
+    the names of its spans, in the order they opened."""
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "traced_op.py"), str(trace), *operation],
+        capture_output=True, text=True, cwd=ROOT, env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    spans = json.loads(trace.read_text())["spans"]
+    return json.loads(res.stdout), [name for name, _start, _end, _parent in spans]
+
+
 @pytest.mark.parametrize(
     "operation,prime,span",
     [
@@ -28,13 +42,14 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_traced_operation_runs(tmp_path, operation, prime, span):
-    trace = tmp_path / "trace.json"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    res = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "traced_op.py"), str(trace), *operation],
-        capture_output=True, text=True, cwd=ROOT, env=env,
-    )
-    assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout)["prime"] == prime
-    spans = {name for name, _start, _end, _parent in json.loads(trace.read_text())["spans"]}
+    doc, spans = _traced(tmp_path, operation)
+    assert doc["prime"] == prime
     assert span in spans
+
+
+def test_traced_oracle_run_sets_up_one_oracle(tmp_path):
+    """Every claim of `verify --checks lemmas,cover` lives on the degree-(p+1)
+    curve: the run records one oracle setup and one sampler call."""
+    _, spans = _traced(tmp_path, ("verify", "--prime", "13", "--checks", "lemmas,cover"))
+    assert spans.count("oracle.setup") == 1
+    assert spans.count("curve.sample") == 1

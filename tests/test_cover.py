@@ -279,11 +279,12 @@ def test_formal_pow_equals_square_and_multiply(covers, p):
 
 @pytest.mark.parametrize("p", (3, 5, 7, 13))
 def test_binomial_residues_equal_exact_binomials_mod_p(p):
-    """C(n, k) mod p from the unit-and-valuation steps, against math.comb:
-    n = p^2 and p^2 + p + 1 have C(n, k) divisible by p^2, and n = p^3 - 1
-    has every residue nonzero."""
+    """The pairs (k, C(n, k) mod p) from Lucas' theorem are those of
+    math.comb with a nonzero residue, k increasing: n = p^2 and p^2 + p + 1
+    have C(n, k) divisible by p^2, and n = p^3 - 1 has every residue nonzero."""
     for n in (0, 1, p - 1, p, p + 1, p * p, p * p + p + 1, p ** 3 - 1):
-        assert list(binomial_residues(n, p)) == [math.comb(n, k) % p for k in range(n + 1)], n
+        exact = [(k, math.comb(n, k) % p) for k in range(n + 1)]
+        assert list(binomial_residues(n, p)) == [(k, r) for k, r in exact if r], n
 
 
 def test_formal_power_squares_only_for_three_or_more_terms(monkeypatch):
@@ -646,7 +647,7 @@ def test_oracle_rng_stream_is_sampler_then_every_formal_draw(p, seed):
     assert ok, msg
     for kind in ("zero", "nonzero"):
         assert any(isinstance(c.obj, FormalPolynomial) and c.kind == kind for c in claims)
-    assert len(suite._oracles) == 2
+    assert len(suite._oracles) == 1
     for ctx, oracle in suite._oracles.items():
         field = make_extension_field(p, 2)
         replay = random.Random(seed * 1000003 + p * 101 + ctx.exponent)
@@ -694,6 +695,17 @@ def test_catalog_sign_flips_fail_base_change(p):
             assert not check_base_change(build_cover_data(p, mutant)).ok, f"{label}[{idx}]"
             flips += 1
     assert flips == 15
+
+
+def test_w_chart_entries_print_their_denominator_as_a_monomial():
+    """At p = 7 the H_W entries have denominator w^8, which the normal form
+    would rewrite as u^8 + v^8; the text keeps it the monomial w^8."""
+    cd = build_cover_data(7)
+    assert [[str(h) for h in row] for row in cd.H_W] == [
+        ["6*u^2*v^6/w^8", "(6*u^8 + 5*v^8)/w^8"],
+        ["(5*u^8 + 6*v^8)/w^8", "6*u^6*v^2/w^8"],
+    ]
+    assert str(cd.ctx.fraction(cd.ctx.one(), 3, 9)) == "1/(u^3*w^9)"
 
 
 def test_solve_frame_rejects_a_minor_that_is_no_chart_unit():

@@ -18,7 +18,7 @@ from syzcover.curve import (
 from syzcover.formal import FormalPolynomial
 from syzcover.gf import GF, FieldElement, make_extension_field, power
 from syzcover.matrices import adjugate, det, mat, mat_mul
-from syzcover.oracle import ORACLE_POINTS, PointOracle
+from syzcover.oracle import PointOracle
 
 
 @pytest.fixture
@@ -559,10 +559,13 @@ def test_identity_matrix_det(quartic):
     assert det(mat([[one, zero], [zero, one]])) == one
 
 
-@pytest.mark.parametrize("p", (13, 47))
-@pytest.mark.parametrize("half", (True, False), ids=("e=(p+1)/2", "e=p+1"))
-def test_random_curve_points_contract(p, half):
-    ctx = fermat_curve(p, (p + 1) // 2 if half else p + 1)
+# the sampler serves e = p + 1 only; the test ids keep naming the degree
+SAMPLER_IDS = "e=p+1-{}".format
+
+
+@pytest.mark.parametrize("p", (13, 47), ids=SAMPLER_IDS)
+def test_random_curve_points_contract(p):
+    ctx = fermat_curve(p)
     field = make_extension_field(p, 2)
     pts = random_curve_points(ctx, field, 20, random.Random(7))
     assert all(on_curve(ctx, pt) for pt in pts)
@@ -572,7 +575,7 @@ def test_random_curve_points_contract(p, half):
 
 
 def test_random_curve_points_lie_in_reference_cone():
-    ctx = fermat_curve(13, 7)
+    ctx = fermat_curve(13)
     field = make_extension_field(13, 2)
     cone = {tuple(c.index for c in pt) for pt in curve_cone_points(ctx, field)}
     pts = random_curve_points(ctx, field, 50, random.Random(1))
@@ -682,7 +685,7 @@ def test_memoized_evaluation_equals_the_direct_formula(p, m):
 def test_checked_point_of_another_context_is_rejected(quartic):
     F3 = make_extension_field(3)
     point = CurvePoint(quartic, (F3(1), F3(0), F3(1)))
-    for other in (fermat_curve(3, 2), fermat_curve(3, names=("x", "y", "z"))):
+    for other in (fermat_curve(3, 2), CurveContext(3, 4, ("x", "y", "z"))):
         assert on_curve(other, point.coords)
         with pytest.raises(ValueError, match="different curve"):
             other.one().evaluate(point)
@@ -734,12 +737,10 @@ def test_norm_roots_raises_when_the_norm_has_no_a_squared_term():
     assert len(list(norm_roots(field, 1))) == 8
 
 
-def _table_sampler_reference(field, count, rng, k=1):
-    """The table sampler that random_curve_points was for e = p + 1 until it
-    solved norms: the same draws, completed from a table of norms over all
-    of the field, each one mul and one Frobenius.  Each point is raised to
-    the k-th power, and w0 is drawn among the roots whose point is not yet
-    returned."""
+def _table_sampler_reference(field, count, rng):
+    """The table sampler that random_curve_points was until it solved norms:
+    the same draws, completed from a table of norms over all of the field,
+    each one mul and one Frobenius."""
     order = field.order
     elements = list(field.elements())
     powers = [x * x.p_power() for x in elements]
@@ -756,40 +757,35 @@ def _table_sampler_reference(field, count, rng, k=1):
         pair = swapped.get(pick, pick)
         swapped[pick] = swapped.get(drawn, drawn)
         ui, vi = 1 + pair // order, pair % order
-        uv = (elements[ui] ** k, elements[vi] ** k)
-        roots_uv = roots.get((powers[ui] + powers[vi]).coeffs, ())
-        candidates = [w0 ** k for w0 in roots_uv if uv + (w0 ** k,) not in points]
+        candidates = roots.get((powers[ui] + powers[vi]).coeffs, ())
         if not candidates:
             continue
-        points.append(uv + (candidates[rng.randrange(len(candidates))],))
+        points.append((elements[ui], elements[vi], candidates[rng.randrange(len(candidates))]))
     if len(points) < count:
         raise ValueError(f"only {len(points)} curve points available, wanted {count}")
     return points
 
 
-@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101, 103))
-@pytest.mark.parametrize("half", (True, False), ids=("e=(p+1)/2", "e=p+1"))
-def test_sampler_matches_table_reference(p, half):
-    """The table sampler's points, squared for e = (p + 1)/2 with no point
-    returned twice, and the same final rng state; above 13, 101 is 1 mod 4
-    and 103 is 3 mod 4."""
-    ctx = fermat_curve(p, (p + 1) // 2 if half else p + 1)
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101, 103), ids=SAMPLER_IDS)
+def test_sampler_matches_table_reference(p):
+    """The table sampler's points and the same final rng state; above 13,
+    101 is 1 mod 4 and 103 is 3 mod 4."""
+    ctx = fermat_curve(p)
     field = make_extension_field(p, 2)
     for seed in range(4):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         pts = random_curve_points(ctx, field, 20, rng)
-        assert pts == _table_sampler_reference(field, 20, ref_rng, 2 if half else 1), seed
+        assert pts == _table_sampler_reference(field, 20, ref_rng), seed
         assert rng.getstate() == ref_rng.getstate(), seed
 
 
-def _root_list_sampler_reference(ctx, field, count, rng):
+def _root_list_sampler_reference(field, count, rng):
     """random_curve_points as it was with a root list per s: every root of
-    x^(p+1) = s listed, those whose k-th power was returned with the same
-    (u0^k, v0^k) dropped, and rng picks among the rest by their number."""
+    x^(p+1) = s listed, and rng picks among them by their number."""
     p, order = field.p, field.order
-    k, norm, roots = (p + 1) // ctx.exponent, norm_key(field), {}
+    norm, roots = norm_key(field), {}
     total = (order - 1) * order
-    swapped, returned, points = {}, {}, []
+    swapped, points = {}, []
     for drawn in range(total):
         if len(points) == count:
             break
@@ -800,55 +796,39 @@ def _root_list_sampler_reference(ctx, field, count, rng):
         s = (norm(ui)[0] + norm(vi)[0]) % p
         if s not in roots:
             roots[s] = list(norm_roots(field, s))
-        u, v = (field.from_index(i) ** k for i in (ui, vi))
-        taken = returned.setdefault((u.index, v.index), set())
-        candidates = [w for w in roots[s] if (field.from_index(w) ** k).index not in taken]
+        candidates = roots[s]
         if not candidates:
             continue
-        w = field.from_index(candidates[rng.randrange(len(candidates))]) ** k
-        taken.add(w.index)
-        points.append((u, v, w))
+        wi = candidates[rng.randrange(len(candidates))]
+        points.append(tuple(field.from_index(i) for i in (ui, vi, wi)))
     return points
 
 
-@pytest.mark.parametrize("p", (3, 5, 13, 101, 1009, 2003))
-@pytest.mark.parametrize("half", (True, False), ids=("e=(p+1)/2", "e=p+1"))
-def test_sampler_matches_root_list_reference(p, half):
+@pytest.mark.parametrize("p", (3, 5, 13, 101, 1009, 2003), ids=SAMPLER_IDS)
+def test_sampler_matches_root_list_reference(p):
     """The sampler that walks norm_roots only up to its pick returns the
-    points of the one that listed every root and drew among those left, and
+    points of the one that listed every root and drew among them, and
     leaves rng in the same state; 1009 is 1 mod 4 and 2003 is 3 mod 4."""
-    ctx = fermat_curve(p, (p + 1) // 2 if half else p + 1)
+    ctx = fermat_curve(p)
     field = make_extension_field(p, 2)
     for seed in range(4):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         pts = random_curve_points(ctx, field, 20, rng)
-        assert pts == _root_list_sampler_reference(ctx, field, 20, ref_rng), seed
+        assert pts == _root_list_sampler_reference(field, 20, ref_rng), seed
         assert rng.getstate() == ref_rng.getstate(), seed
 
 
-@pytest.mark.parametrize(
-    "p, seeds", ((3, range(8)), (5, (6,))), ids=("p=3-seeds0-7", "p=5-seed6")
-)
-def test_oracle_points_on_the_base_curve_are_distinct(p, seeds):
-    """The oracle's 20 points on the degree-(p+1)/2 curve are 20 distinct
-    points where squares of distinct points coincide (at p = 3 only 24
-    such images exist)."""
-    for seed in seeds:
-        oracle = PointOracle(fermat_curve(p, (p + 1) // 2), seed)
-        assert len({tuple(x.index for x in pt) for pt in oracle.points}) == ORACLE_POINTS, seed
-
-
 def test_sampler_rejects_a_degree_it_does_not_serve():
-    with pytest.raises(ValueError, match="serves degrees 8 and 4, not 2"):
-        random_curve_points(fermat_curve(7, 2), make_extension_field(7, 2), 1, random.Random(0))
+    for e in (2, 4):
+        with pytest.raises(ValueError, match=f"serves degree 8 only, not {e}"):
+            random_curve_points(fermat_curve(7, e), make_extension_field(7, 2), 1, random.Random(0))
 
 
-@pytest.mark.parametrize("p", (13, 101))
-@pytest.mark.parametrize("half", (True, False), ids=("e=(p+1)/2", "e=p+1"))
-def test_norm_sampler_makes_only_the_returned_elements(monkeypatch, p, half):
-    """20 points cost at most 3 * 20 from_index calls, 3 * 20 pows and 3 * 20
-    products (the pows' own, for e = (p + 1)/2; none for e = p + 1), and no
-    Frobenius application (the table sampler made p^2 of each)."""
+@pytest.mark.parametrize("p", (13, 101), ids=SAMPLER_IDS)
+def test_norm_sampler_makes_only_the_returned_elements(monkeypatch, p):
+    """20 points cost at most 3 * 20 from_index calls, and no pow, product
+    or Frobenius application (the table sampler made p^2 of each of the
+    last two)."""
     counts = {"from_index": 0, "frobenius": 0, "pow": 0, "mul": 0}
     from_index, p_power = GF.from_index, FieldElement.p_power
     pow_, mul = FieldElement.__pow__, FieldElement.__mul__
@@ -860,7 +840,7 @@ def test_norm_sampler_makes_only_the_returned_elements(monkeypatch, p, half):
 
         return wrapper
 
-    ctx, field = fermat_curve(p, (p + 1) // 2 if half else p + 1), make_extension_field(p, 2)
+    ctx, field = fermat_curve(p), make_extension_field(p, 2)
     field.frobenius_columns()  # built and certified once per field, with pows of its own
     monkeypatch.setattr(GF, "from_index", counted("from_index", from_index))
     monkeypatch.setattr(FieldElement, "p_power", counted("frobenius", p_power))
@@ -869,8 +849,8 @@ def test_norm_sampler_makes_only_the_returned_elements(monkeypatch, p, half):
     pts = random_curve_points(ctx, field, 20, random.Random(0))
     assert len(pts) == 20
     assert counts["from_index"] <= 60
-    assert counts["pow"] <= 60
-    assert counts["mul"] <= (60 if half else 0)
+    assert counts["pow"] == 0
+    assert counts["mul"] == 0
     assert counts["frobenius"] == 0
 
 

@@ -16,7 +16,9 @@ the stdout of
     syzcover verify --prime P --seed S --checks lemmas,cover
 
 the goldens that run the oracle's point sampler and the w = 0 search above
-p = 13 (both curves over GF(P^2); 503 is 3 mod 4 and 1009 is 1 mod 4).
+p = 13 (over GF(P^2); 503 is 3 mod 4 and 1009 is 1 mod 4; those made
+before every claim lived on the degree-(p+1) curve sampled a second,
+degree-(p+1)/2 curve too).
 The seed 0 files at 503 and 1009 were made by the sampler that read a
 table of x^e over all of GF(P^2), before norm_roots replaced it, and the
 seed 1-3 files by the sampler that solved x^e = s on the degree-(p+1)/2
@@ -25,7 +27,7 @@ p2003_lemmas-cover_seed0.json and p10007_lemmas-cover_seed0.json are the
 same run at P = 2003 and 10007, made by the sampler that listed every root
 of each norm before it drew one, and by the w = 0 search that read affine
 points (u0, v0, 0) with u0 running over GF(P^2).
-p100003_lemmas-cover_seed0.json, the same run at P = 100003 (about 3 s),
+p100003_lemmas-cover_seed0.json, the same run at P = 100003 (about 1.6 s),
 was made while (det A)^p still stepped each C(p, k) as an exact int; the
 CI golden loop compares it, no test here does.  p1000003_fiber_seed0.json
 is the stdout of

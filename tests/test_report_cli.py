@@ -441,5 +441,5 @@ def test_oracle_points_are_checked_once(monkeypatch):
 
     monkeypatch.setattr(curve, "on_curve", counted)
     assert run_verification(13, checks=("lemmas", "cover")).overall == "pass"
-    # 20 oracle points on each of the two curves and 20 w = 0 points
-    assert len(calls) <= 60
+    # 20 oracle points on the one curve and 20 w = 0 points
+    assert len(calls) <= 40

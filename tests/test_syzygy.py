@@ -33,17 +33,17 @@ def test_catalog_contains_exactly_the_named_triples(catalogs):
         "alpha1", "alpha2", "alpha3",
         "s1", "s2", "s3", "s1'", "s2'", "s3'",
     ]
-    x, y, z = cat.base.variables()
-    assert cat.kernel_form == (z, -y, x)
-    assert cat.koszul_kernel_form == (y, -x, z)
     u, v, w = cat.quad.variables()
-    assert cat.quad_kernel_form == (w ** 2, -(v ** 2), u ** 2)
+    x, y, z = u ** 2, v ** 2, w ** 2
+    assert cat.kernel_form == (z, -y, x) == (w ** 2, -(v ** 2), u ** 2)
+    assert cat.koszul_kernel_form == (y, -x, z)
 
 
 def test_r0_expands_to_zero_for_p3(catalogs):
     cat = catalogs[3]
     r0 = cat["R0"]
-    x, y, z = cat.base.variables()
+    u, v, w = cat.quad.variables()
+    x, y, z = u ** 2, v ** 2, w ** 2
     assert r0.components == (y, x, -(x * y))
     assert r0.data == (x ** 3, y ** 3, x ** 2 + y ** 2)
     assert r0.combination().is_zero()
@@ -77,15 +77,16 @@ def test_degree_bookkeeping(catalogs, p):
 
 
 def test_declared_degrees(catalogs):
+    """Degrees in u, v, w: twice the paper's degrees in x, y, z."""
     for p in PRIMES:
         cat = catalogs[p]
-        assert cat["R0"].total_degree == (3 * p - 1) // 2
-        assert cat["R1"].total_degree == p + 1
-        assert cat["R2"].total_degree == (3 * p + 1) // 2
-        assert cat["R3"].total_degree == (3 * p + 1) // 2
+        assert cat["R0"].total_degree == 2 * ((3 * p - 1) // 2)
+        assert cat["R1"].total_degree == 2 * (p + 1)
+        assert cat["R2"].total_degree == 2 * ((3 * p + 1) // 2)
+        assert cat["R3"].total_degree == 2 * ((3 * p + 1) // 2)
         for i in (1, 2, 3):
-            assert cat[f"phi{i}"].total_degree == (3 * p + 1) // 2
-            assert cat[f"psi{i}"].total_degree == 2
+            assert cat[f"phi{i}"].total_degree == 2 * ((3 * p + 1) // 2)
+            assert cat[f"psi{i}"].total_degree == 2 * 2
             # degree 1 relative to the twisted bundles (base twists 3 and 3p)
             assert cat[f"s{i}"].total_degree - 3 == 1
             assert cat[f"s{i}'"].total_degree - 3 * p == 1
@@ -144,7 +145,8 @@ def test_independence(catalogs, p):
 
 def test_independence_minor_value_p3(catalogs):
     cat = catalogs[3]
-    x, y, z = cat.base.variables()
+    u, v, w = cat.quad.variables()
+    x, y, z = u ** 2, v ** 2, w ** 2
     r0, r1 = cat["R0"], cat["R1"]
     minor = r0.components[0] * r1.components[1] - r0.components[1] * r1.components[0]
     assert minor == x ** 2 + y ** 2
