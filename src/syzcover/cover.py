@@ -124,7 +124,7 @@ def _solve_frame(targets, basis, i: int, k: int, chart: int):
     x_n = ctx.monomial(1, [n * (axis == chart) for axis in range(3)])
     c = num.terms.get(next(iter(x_n.terms)), 0)
     if not c or num != x_n * c:
-        raise ValueError(f"frame minor {minor} is not a unit on the {ctx.names[chart]}-chart")
+        raise ValueError(f"frame minor {minor} is not a unit on the {'uvw'[chart]}-chart")
     inverse = ctx.monomial(pow(c, -1, p), (minor.du, 0, minor.dw))
     inverse = LocalFraction(ctx, inverse, n * (chart == 0), n * (chart == 2))
     columns = [((t[i] * b1[k] - b1[i] * t[k]) * inverse, (b0[i] * t[k] - t[i] * b0[k]) * inverse) for t in targets]

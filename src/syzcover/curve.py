@@ -25,17 +25,17 @@ from itertools import islice
 from .gf import GF, FieldElement, RingElement, is_prime, power
 
 
-class CurveContext(namedtuple("CurveContext", "p exponent names")):
-    """A curve u^e + v^e = w^e over F_p, with display names for the variables."""
+class CurveContext(namedtuple("CurveContext", "p exponent")):
+    """A curve u^e + v^e = w^e over F_p."""
 
     __slots__ = ()
 
-    def __new__(cls, p: int, exponent: int, names=("u", "v", "w")):
+    def __new__(cls, p: int, exponent: int):
         if not is_prime(p) or p < 3:
             raise ValueError(f"characteristic must be an odd prime, got {p}")
         if exponent < 2:
             raise ValueError("curve degree must be at least 2")
-        return super().__new__(cls, p, exponent, names)
+        return super().__new__(cls, p, exponent)
 
     def zero(self) -> CurvePolynomial:
         return CurvePolynomial(self, {})
@@ -62,9 +62,9 @@ class CurveContext(namedtuple("CurveContext", "p exponent names")):
         return LocalFraction(self, num, du, dw)
 
 
-def fermat_curve(p: int, exponent: int | None = None) -> CurveContext:
-    """The Fermat curve in u, v, w of the given degree (defaults to p + 1)."""
-    return CurveContext(p, p + 1 if exponent is None else exponent)
+def fermat_curve(p: int) -> CurveContext:
+    """The Fermat curve u^(p+1) + v^(p+1) = w^(p+1) over F_p."""
+    return CurveContext(p, p + 1)
 
 
 class CurvePolynomial(RingElement):
@@ -188,7 +188,7 @@ class CurvePolynomial(RingElement):
             return "0"
         parts = []
         for e in sorted(self.terms, key=lambda e: (-(e[0] + e[1] + e[2]), (-e[0], -e[1], -e[2]))):
-            c, mono = self.terms[e], _monomial_text(self.ctx.names, e)
+            c, mono = self.terms[e], _monomial_text(e)
             if not mono:
                 parts.append(str(c))
             elif c == 1:
@@ -200,9 +200,9 @@ class CurvePolynomial(RingElement):
     __repr__ = __str__
 
 
-def _monomial_text(names, exps) -> str:
-    """names[0]^exps[0]*... with exponent 1 unwritten and exponent 0 left out."""
-    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
+def _monomial_text(exps) -> str:
+    """u^exps[0]*v^exps[1]*w^exps[2] with exponent 1 unwritten and exponent 0 left out."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip("uvw", exps) if e)
 
 
 def _raw(ctx, terms):
@@ -352,7 +352,7 @@ class LocalFraction(RingElement):
         num = str(self.num)
         if self.du == 0 and self.dw == 0:
             return num
-        den = _monomial_text(self.ctx.names, (self.du, 0, self.dw))
+        den = _monomial_text((self.du, 0, self.dw))
         if len(self.num.terms) > 1:
             num = f"({num})"
         if self.du and self.dw:
@@ -420,11 +420,10 @@ class CurvePoint:
         if u0.field.p != ctx.p:
             raise ValueError("evaluation field has wrong characteristic")
         if not on_curve(ctx, coords):
-            nu, nv, nw = ctx.names
             e = ctx.exponent
             raise ValueError(
                 f"point ({u0!r}, {v0!r}, {w0!r}) does not lie on the curve "
-                f"{nu}^{e} + {nv}^{e} = {nw}^{e}"
+                f"u^{e} + v^{e} = w^{e}"
             )
         self.ctx = ctx
         self.coords = (u0, v0, w0)
@@ -543,7 +542,7 @@ def random_curve_points(ctx: CurveContext, field: GF, count: int, rng):
             continue
         wi = next(islice(norm_roots(field, s), rng.randrange(p + 1), None), None)
         if wi is None:
-            raise ValueError(f"x^(p+1) = {s} has fewer than {p + 1} roots left in {field!r}")
+            raise ValueError(f"x^(p+1) = {s} has fewer than {p + 1} roots in {field!r}")
         points.append(tuple(field.from_index(i) for i in (ui, vi, wi)))
     if len(points) < count:
         raise ValueError(f"only {len(points)} curve points available, wanted {count}")

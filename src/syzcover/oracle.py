@@ -116,30 +116,25 @@ class PointOracle:
 
 
 class OracleSuite:
-    """Routes claims to a per-context oracle, creating them on demand.
+    """Checks a run's claims with one PointOracle, built at the first claim.
 
-    Every claim of a run lives on the degree-(p+1) curve, so a run makes
-    one oracle.
+    Every claim of a run lives on the degree-(p+1) curve; a claim of another
+    curve is rejected by its own evaluate.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self._oracles: dict[CurveContext, PointOracle] = {}
-
-    def oracle_for(self, ctx: CurveContext) -> PointOracle:
-        oracle = self._oracles.get(ctx)
-        if oracle is None:
-            oracle = self._oracles[ctx] = PointOracle(ctx, self.seed)
-        return oracle
+        self._oracle: PointOracle | None = None
 
     def check_all(self, claims) -> tuple[bool, str]:
         count = 0
         for claim in claims:
-            try:
-                oracle = self.oracle_for(claim.obj.ctx)
-            except ValueError as exc:
-                return False, f"oracle setup failed: {exc}"
-            if not oracle.check(claim):
+            if self._oracle is None:
+                try:
+                    self._oracle = PointOracle(claim.obj.ctx, self.seed)
+                except ValueError as exc:
+                    return False, f"oracle setup failed: {exc}"
+            if not self._oracle.check(claim):
                 return False, f"oracle mismatch on {claim.name}"
             count += 1
         return True, f"{count} identities re-checked at {ORACLE_POINTS} points each"

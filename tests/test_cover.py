@@ -632,8 +632,8 @@ def test_oracle_confirms_cover_checks(covers, p):
 @pytest.mark.parametrize("p", (5, 13))
 @pytest.mark.parametrize("seed", range(4))
 def test_oracle_rng_stream_is_sampler_then_every_formal_draw(p, seed):
-    """After the lemmas and cover claims, each oracle's rng stands where the
-    sampler's draws and then ORACLE_POINTS * len(vars) element draws per
+    """After the lemmas and cover claims, all on one curve, the oracle's rng
+    stands where the sampler's draws and then ORACLE_POINTS * len(vars) element draws per
     formal claim, in claim order, leave it, whatever the claims' kinds and
     values: a zero formal claim draws too, and a nonzero one draws all its
     values before it stops at the first nonzero one."""
@@ -647,17 +647,16 @@ def test_oracle_rng_stream_is_sampler_then_every_formal_draw(p, seed):
     assert ok, msg
     for kind in ("zero", "nonzero"):
         assert any(isinstance(c.obj, FormalPolynomial) and c.kind == kind for c in claims)
-    assert len(suite._oracles) == 1
-    for ctx, oracle in suite._oracles.items():
-        field = make_extension_field(p, 2)
-        replay = random.Random(seed * 1000003 + p * 101 + ctx.exponent)
-        random_curve_points(ctx, field, ORACLE_POINTS, replay)
-        for claim in claims:
-            obj = claim.obj
-            if isinstance(obj, FormalPolynomial) and obj.ctx == ctx:
-                for _ in range(ORACLE_POINTS * len(obj.vars)):
-                    field.random_element(replay)
-        assert oracle.rng.getstate() == replay.getstate()
+    ctx = fermat_curve(p)
+    assert all(c.obj.ctx == ctx for c in claims)
+    field = make_extension_field(p, 2)
+    replay = random.Random(seed * 1000003 + p * 101 + ctx.exponent)
+    random_curve_points(ctx, field, ORACLE_POINTS, replay)
+    for claim in claims:
+        if isinstance(claim.obj, FormalPolynomial):
+            for _ in range(ORACLE_POINTS * len(claim.obj.vars)):
+                field.random_element(replay)
+    assert suite._oracle.rng.getstate() == replay.getstate()
 
 
 def test_transition_matrix_rebuild_matches(covers):

@@ -685,7 +685,7 @@ def test_memoized_evaluation_equals_the_direct_formula(p, m):
 def test_checked_point_of_another_context_is_rejected(quartic):
     F3 = make_extension_field(3)
     point = CurvePoint(quartic, (F3(1), F3(0), F3(1)))
-    for other in (fermat_curve(3, 2), CurveContext(3, 4, ("x", "y", "z"))):
+    for other in (CurveContext(3, 2), CurveContext(3, 8)):
         assert on_curve(other, point.coords)
         with pytest.raises(ValueError, match="different curve"):
             other.one().evaluate(point)
@@ -821,7 +821,7 @@ def test_sampler_matches_root_list_reference(p):
 def test_sampler_rejects_a_degree_it_does_not_serve():
     for e in (2, 4):
         with pytest.raises(ValueError, match=f"serves degree 8 only, not {e}"):
-            random_curve_points(fermat_curve(7, e), make_extension_field(7, 2), 1, random.Random(0))
+            random_curve_points(CurveContext(7, e), make_extension_field(7, 2), 1, random.Random(0))
 
 
 @pytest.mark.parametrize("p", (13, 101), ids=SAMPLER_IDS)
@@ -857,9 +857,9 @@ def test_norm_sampler_makes_only_the_returned_elements(monkeypatch, p):
 def test_curve_context_is_a_validated_immutable_value():
     ctx = CurveContext(5, 6)
     assert ctx == fermat_curve(5) and hash(ctx) == hash(fermat_curve(5))
-    assert ctx != CurveContext(5, 6, ("x", "y", "z")) and ctx != CurveContext(5, 3)
-    assert repr(ctx) == "CurveContext(p=5, exponent=6, names=('u', 'v', 'w'))"
-    assert CurveContext(p=5, exponent=6, names=("u", "v", "w")) == ctx
+    assert ctx != CurveContext(5, 3) and ctx != CurveContext(7, 6)
+    assert repr(ctx) == "CurveContext(p=5, exponent=6)"
+    assert CurveContext(p=5, exponent=6) == ctx
     assert {ctx: 1}[fermat_curve(5)] == 1
     with pytest.raises(AttributeError):
         ctx.p = 7

@@ -416,7 +416,7 @@ def test_corrupted_frobenius_matrix_fails_oracle_run():
                 assert transition.status == "fail", (i, j)
                 assert transition.detail == (
                     "transition matrix certified against the frames; oracle setup failed: "
-                    f"x^(p+1) = {short_s[i, j]} has fewer than 14 roots left in GF(13^2)"
+                    f"x^(p+1) = {short_s[i, j]} has fewer than 14 roots in GF(13^2)"
                 ), (i, j)
     finally:
         field._frobenius = columns
