@@ -48,6 +48,19 @@ def test_cli_import_loads_no_heavy_module():
     assert out.split() == []
 
 
+def test_cli_runs_load_no_option_parser():
+    """A verify run, a usage error and `-h` through `cli.main` load neither
+    argparse nor the gettext and locale modules it imports."""
+    out = _fresh(
+        "import os, sys; from syzcover import cli; "
+        "assert cli.main(['verify', '--prime', '3', '--checks', 'lemmas', '--output', os.devnull]) == 0; "
+        "assert cli.main(['verify', '--prime', 'x']) == 2; "
+        "assert cli.main(['-h']) == 0; "
+        f"print(' '.join(m for m in ('argparse', 'gettext', 'locale', *{HEAVY!r}) if m in sys.modules))"
+    )
+    assert out.splitlines()[-1].split() == []
+
+
 def test_package_import_loads_no_submodule():
     assert _loaded_submodules("import syzcover") == []
 

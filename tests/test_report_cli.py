@@ -11,6 +11,7 @@ from catalog_mutants import flip_sign
 
 import syzcover.cli as cli
 from syzcover import curve, oracle, report
+from syzcover.census import CENSUS_CAP
 from syzcover.gf import make_extension_field
 from syzcover.oracle import OracleSuite, PointOracle
 from syzcover.report import (
@@ -167,9 +168,70 @@ def test_cli_invalid_prime_exit_two():
     assert "error" in res.stderr
 
 
-def test_cli_bad_flag_exit_two():
-    res = _run_cli("verify", "--prime", "3", "--format", "xml")
-    assert res.returncode == 2
+def _main(capsys, *argv):
+    """(exit code, stdout, stderr) of cli.main run in-process on argv."""
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+USAGE_ERRORS = [
+    ("verify", "--prime", "3", "--bogus", "1"),
+    ("verify", "--prim", "5"),
+    ("verify", "--prime", "3", "--seed"),
+    ("verify", "--prime", "x"),
+    ("verify", "--prime", "3", "--seed", "x"),
+    ("verify", "--prime", "3", "--max-field-size", "x"),
+    ("verify",),
+    ("verify", "--prime", "3", "--primes", "5"),
+    ("verify", "--prime", "3", "--format", "xml"),
+    ("verify", "--prime", "3", "stray"),
+    (),
+    ("check", "--prime", "3"),
+]
+
+
+def test_cli_usage_errors_exit_two(capsys):
+    for argv in USAGE_ERRORS:
+        code, out, err = _main(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert _main(capsys, "verify", "--prime", "3", "--seed", "x")[2] == (
+        "error: --seed: 'x' is not an integer\n"
+    )
+
+
+def test_cli_accepted_spellings_match_the_canonical_one(capsys):
+    lemmas_p3 = ("verify", "--prime", "3", "--checks", "lemmas")
+    spellings = {
+        lemmas_p3: [
+            ("verify", "--prime=3", "--checks", "lemmas"),
+            ("verify", "-p", "3", "--checks", "lemmas"),
+            ("verify", "-p3", "--checks", "lemmas"),
+            ("verify", "-p=3", "--checks", "lemmas"),
+        ],
+        (*lemmas_p3, "--seed", "1"): [
+            (*lemmas_p3, "--se", "1"),
+            (*lemmas_p3, "--seed", "0", "--seed", "1"),
+        ],
+        ("verify", "--prime", "5", "--checks", "fiber", "--max-field-size", "1000"): [
+            ("verify", "--prime", "5", "--checks", "fiber", "--max", "1000"),
+        ],
+    }
+    for canonical, variants in spellings.items():
+        expected = _main(capsys, *canonical)
+        assert expected[0] == 0 and expected[1], canonical
+        for argv in variants:
+            assert _main(capsys, *argv) == expected, argv
+
+
+def test_cli_help_names_every_option(capsys):
+    for argv in (("-h",), ("--help",), ("-h", "verify"), ("verify", "--help"), ("verify", "-h"),
+                 ("verify", "--he")):
+        code, out, err = _main(capsys, *argv)
+        assert (code, out, err) == (0, cli.HELP, ""), argv
+    assert all(f"--{name}" in cli.HELP for name in cli.OPTIONS)
+    assert str(CENSUS_CAP) in cli.HELP
 
 
 def test_cli_output_file(tmp_path):
