@@ -24,8 +24,11 @@ enumeration runs only when the census field has at most cap elements (by
 default CENSUS_CAP, which admits p <= 7).
 
 component_stats gives the closed-form invariants (counts, degrees,
-genera) that a report carries as its stats at every prime; the fiber
-checks compare the census against the same formulas.
+genera) that a report carries as its stats at every prime.  fiber_checks
+yields the outcomes of the three fiber checks, which hold the census to
+the same formulas and certify the Kummer presentation it is held in
+(gamma's power, eta, and the Frobenius matrix of GF(p^2)); above the cap
+the first two carry a skip reason.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .gf import is_prime, make_extension_field, prime_factors
+from .oracle import CheckOutcome
 
 # Largest census field by default: GF(5^8) and GF(7^6) fit, GF(11^20) does not.
 # A field-size proxy from when the census scanned the field; the census now
@@ -197,3 +201,57 @@ def component_stats(p: int) -> ReportStats:
 def hurwitz_consistent(stats: ReportStats) -> bool:
     """2 g_X - 2 = deg * (2 g_Y - 2) for the unramified cover."""
     return 2 * stats.genus_component - 2 == stats.degree * (2 * stats.genus_base - 2)
+
+
+def _unmet(*conditions) -> list:
+    """The notes of the (note, holds) pairs whose condition does not hold."""
+    return [note for note, holds in conditions if not holds]
+
+
+def fiber_checks(p: int, cap: int, stats: ReportStats):
+    """Yield (name, CheckOutcome) for fiber_census, component_structure and
+    genus_hurwitz, in that order; the census is held to stats, and the
+    first two are skipped when the census field is larger than cap."""
+    census = enumerate_fiber(p, cap)
+    if census.skipped:
+        yield "fiber_census", CheckOutcome(skipped=census.reason)
+        yield "component_structure", CheckOutcome(skipped="no census to tabulate")
+    else:
+        field = make_extension_field(p, 2)
+        o, gamma, eta = kummer_presentation(p)
+        verified, classes = reverify_census(census)
+        yield "fiber_census", CheckOutcome(
+            f"{census.total} fiber points enumerated in GF({p}^{census.field_degree}), "
+            f"equal to (p^2-1)p(p-1), every point re-verified",
+            problems=_unmet(
+                ("Frobenius matrix not certified", not field.frobenius_mismatches()),
+                ("Kummer presentation not certified",
+                 gamma ** ((p * p - 1) // o) == 2 and eta == gamma ** ((p - 1) // o)),
+                ("census total off the formula", census.total == stats.total_fiber),
+                ("a fiber point is listed twice",
+                 len(set(census.points)) == len(census.points)),
+                ("point re-verification failed", verified),
+            ),
+        )
+        theta2 = gamma ** (2 * (p - 1) // o)  # a key k stands for k theta^2; (theta^2)^(p-1)
+        yield "component_structure", CheckOutcome(
+            f"ad-bc takes exactly {stats.components} values, each with (p-1)-th power -2, "
+            f"each on {stats.degree} points",
+            problems=_unmet(
+                ("wrong number of determinant values", len(classes) == stats.components),
+                ("a class size differs from the degree",
+                 all(len(v) == stats.degree for v in classes.values())),
+                ("a determinant value's (p-1)-th power is not -2",
+                 all(field.element(k) ** (p - 1) * theta2 == -2 for k in classes)),
+            ),
+        )
+    yield "genus_hurwitz", CheckOutcome(
+        f"2g-2 = {stats.degree}*(2*{stats.genus_base}-2) gives genus "
+        f"{stats.genus_component}",
+        "Hurwitz bookkeeping failed",
+        problems=_unmet(
+            ("unramified Hurwitz formula fails", hurwitz_consistent(stats)),
+            ("fiber does not split into equal components",
+             stats.total_fiber == stats.components * stats.degree),
+        ),
+    )

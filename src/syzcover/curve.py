@@ -1,15 +1,16 @@
-"""Exact arithmetic on Fermat-type plane curves and monomial localizations.
+"""Exact arithmetic on the Fermat curve of degree p + 1 and its monomial localizations.
 
-The coordinate ring k[u, v, w] / (u^e + v^e - w^e) over F_p is represented
-in the normal form obtained by eliminating powers w^k with k >= e through
-the defining equation, i.e. on the monomial basis {u^i v^j w^k : k < e}.
+A CurveContext is its odd prime p.  The coordinate ring k[u, v, w] /
+(u^e + v^e - w^e), e = p + 1, over F_p is represented in the normal form
+obtained by eliminating powers w^k with k >= e through the defining
+equation, i.e. on the monomial basis {u^i v^j w^k : k < e}.
 Fractions carry denominators u^a w^b only (the charts that ever get
 localized) and compare by cross multiplication, which is valid because
 u and w are nonzerodivisors in the (integral) coordinate ring.
 
-Distinct points of the degree-(p+1) curve are made by random_curve_points
+Distinct points of the curve are made by random_curve_points as tuples
 and checked on the curve once, as CurvePoint, which also memoizes the
-coordinate powers that evaluation reads.
+coordinate powers that evaluation reads; evaluation takes a CurvePoint only.
 norm_roots, the one solver of x^(p+1) = c in GF(p^2), yields roots lazily
 to the sampler and cover's w = 0 search, which read only those they use.
 curve_cone_points enumerates the affine cone; it is the sampler's test
@@ -25,17 +26,15 @@ from itertools import islice
 from .gf import GF, FieldElement, RingElement, is_prime, power
 
 
-class CurveContext(namedtuple("CurveContext", "p exponent")):
-    """A curve u^e + v^e = w^e over F_p."""
+class CurveContext(namedtuple("CurveContext", "p")):
+    """The Fermat curve u^(p+1) + v^(p+1) = w^(p+1) over F_p."""
 
     __slots__ = ()
 
-    def __new__(cls, p: int, exponent: int):
+    def __new__(cls, p: int):
         if not is_prime(p) or p < 3:
             raise ValueError(f"characteristic must be an odd prime, got {p}")
-        if exponent < 2:
-            raise ValueError("curve degree must be at least 2")
-        return super().__new__(cls, p, exponent)
+        return super().__new__(cls, p)
 
     def zero(self) -> CurvePolynomial:
         return CurvePolynomial(self, {})
@@ -60,11 +59,6 @@ class CurveContext(namedtuple("CurveContext", "p exponent")):
         if isinstance(num, int):
             num = self.const(num)
         return LocalFraction(self, num, du, dw)
-
-
-def fermat_curve(p: int) -> CurveContext:
-    """The Fermat curve u^(p+1) + v^(p+1) = w^(p+1) over F_p."""
-    return CurveContext(p, p + 1)
 
 
 class CurvePolynomial(RingElement):
@@ -146,8 +140,8 @@ class CurvePolynomial(RingElement):
             return None
         return degs.pop() if degs else -1
 
-    def evaluate(self, point) -> FieldElement:
-        """Value at a CurvePoint of this curve, or at a tuple, which is checked first.
+    def evaluate(self, point: CurvePoint) -> FieldElement:
+        """Value at a CurvePoint of this curve; a point of another curve raises ValueError.
 
         Each term reads its coordinate powers from the point's memo, and a
         term in which a zero coordinate has a positive exponent is skipped;
@@ -156,7 +150,8 @@ class CurvePolynomial(RingElement):
         powers that are not one (the memo holds every such power as the
         field's own `one`), and a coefficient 1 is not multiplied at all.
         """
-        point = as_curve_point(self.ctx, point)
+        if point.ctx != self.ctx:
+            raise ValueError("point was checked on a different curve")
         field = point.coords[0].field
         acc, one = field.zero, field.one
         zu, zv, zw = point.zeros
@@ -215,7 +210,7 @@ def _raw(ctx, terms):
 
 def _normalize(ctx, terms):
     """Rewrite w^(e*q + r) as (u^e + v^e)^q w^r and drop zero coefficients."""
-    p, e = ctx.p, ctx.exponent
+    p, e = ctx.p, ctx.p + 1
     out = {}
     for (i, j, k), c in terms.items():
         c %= p
@@ -331,18 +326,18 @@ class LocalFraction(RingElement):
             other.num, self.du, self.dw
         )
 
-    def evaluate(self, point) -> FieldElement:
-        """Value at a CurvePoint of this curve, or at a tuple, which is checked first.
+    def evaluate(self, point: CurvePoint) -> FieldElement:
+        """Value at a CurvePoint of this curve; the numerator's evaluate
+        rejects a point of another curve.
 
         Raises ZeroDivisionError where the denominator vanishes.  The
         numerator's value is multiplied by the memoized powers of 1/u0 and
         1/w0 (each inverse taken once per point) that are not `one`.
         """
-        point = as_curve_point(self.ctx, point)
+        val, one = self.num.evaluate(point), point.coords[0].field.one
         zu, _, zw = point.zeros
         if (self.du and zu) or (self.dw and zw):
             raise ZeroDivisionError("denominator vanishes at this point")
-        val, one = self.num.evaluate(point), point.coords[0].field.one
         for x in (point.powers[0, -self.du], point.powers[2, -self.dw]):
             if x is not one:
                 val = val * x
@@ -371,7 +366,7 @@ def _times_monomial(num, du, dw):
 
 def on_curve(ctx: CurveContext, point) -> bool:
     u0, v0, w0 = point
-    e = ctx.exponent
+    e = ctx.p + 1
     return (u0 ** e) + (v0 ** e) == (w0 ** e)
 
 
@@ -420,7 +415,7 @@ class CurvePoint:
         if u0.field.p != ctx.p:
             raise ValueError("evaluation field has wrong characteristic")
         if not on_curve(ctx, coords):
-            e = ctx.exponent
+            e = ctx.p + 1
             raise ValueError(
                 f"point ({u0!r}, {v0!r}, {w0!r}) does not lie on the curve "
                 f"u^{e} + v^{e} = w^{e}"
@@ -435,15 +430,6 @@ class CurvePoint:
 
     def __iter__(self):
         return iter(self.coords)
-
-
-def as_curve_point(ctx: CurveContext, point) -> CurvePoint:
-    """point itself if it was checked on ctx, else a newly checked CurvePoint."""
-    if isinstance(point, CurvePoint):
-        if point.ctx is not ctx and point.ctx != ctx:
-            raise ValueError("point was checked on a different curve")
-        return point
-    return CurvePoint(ctx, point)
 
 
 def norm_key(field: GF):
@@ -495,7 +481,7 @@ def curve_cone_points(ctx: CurveContext, field: GF):
     is the reference enumeration that the sampler is tested against, and
     the benchmark's tracer binds it by name.
     """
-    e = ctx.exponent
+    e = ctx.p + 1
     power_to_elems: dict = {}
     for w0 in field.elements():
         power_to_elems.setdefault((w0 ** e).coeffs, []).append(w0)
@@ -511,21 +497,18 @@ def curve_cone_points(ctx: CurveContext, field: GF):
 
 
 def random_curve_points(ctx: CurveContext, field: GF, count: int, rng):
-    """count distinct points with u0, w0 != 0 over GF(p^2) of the curve of
-    degree p + 1, drawn deterministically from rng.
+    """count distinct points with u0, w0 != 0 over GF(p^2) of ctx's curve,
+    drawn deterministically from rng, as tuples.
 
     The pairs (u0, v0) are drawn without repetition (a lazy Fisher-Yates
     shuffle of the pair indices).  rng picks one of the p + 1 roots w0 of
     x^(p+1) = s = N(u0) + N(v0) != 0, and norm_roots is read in index order
     only up to it; a pair with s = 0 is skipped without a draw.  Only
-    returned points become field elements.  Raises ValueError for another
-    degree, when the roots run out before the pick (a wrong Frobenius
-    matrix), or when the pairs run out first; callers check the returned
-    tuples with CurvePoint.
+    returned points become field elements.  Raises ValueError when the
+    roots run out before the pick (a wrong Frobenius matrix), or when the
+    pairs run out first; callers check the returned tuples with CurvePoint.
     """
     p, order = field.p, field.order
-    if ctx.exponent != p + 1:
-        raise ValueError(f"the sampler serves degree {p + 1} only, not {ctx.exponent}")
     norm = norm_key(field)
     total = (order - 1) * order
     swapped: dict = {}

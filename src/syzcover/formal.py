@@ -13,7 +13,7 @@ landing on the same exponents are summed in the order the pairs come.
 
 from __future__ import annotations
 
-from .curve import CurveContext, CurvePolynomial, LocalFraction, as_curve_point
+from .curve import CurveContext, CurvePoint, CurvePolynomial, LocalFraction
 from .gf import RingElement, power
 
 
@@ -57,10 +57,10 @@ class FormalPolynomial(RingElement):
         return cls(ctx, variables, {(0,) * len(variables): value})
 
     @classmethod
-    def variable(cls, ctx, variables, name, coeff=1):
+    def variable(cls, ctx, variables, name):
         exps = [0] * len(variables)
         exps[list(variables).index(name)] = 1
-        return cls(ctx, variables, {tuple(exps): coeff})
+        return cls(ctx, variables, {tuple(exps): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -141,13 +141,11 @@ class FormalPolynomial(RingElement):
     def formal_degrees(self) -> set[int]:
         return {sum(e) for e in self.terms}
 
-    def evaluate(self, assignment: dict, point):
-        """Value at a curve point with field values assigned to the variables.
-
-        A tuple is checked on the curve once, here, and the coefficients
-        are evaluated at the resulting CurvePoint without checking again.
-        """
-        point = as_curve_point(self.ctx, point)
+    def evaluate(self, assignment: dict, point: CurvePoint):
+        """Value at a CurvePoint of this curve with field values assigned to
+        the variables; a point of another curve raises ValueError."""
+        if point.ctx != self.ctx:
+            raise ValueError("point was checked on a different curve")
         values = [assignment[name] for name in self.vars]
         field = values[0].field
         acc = field.zero

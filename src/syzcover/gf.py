@@ -36,18 +36,7 @@ import math
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and prime_factors(n) == (n,)
 
 
 def prime_factors(n: int) -> tuple[int, ...]:

@@ -3,10 +3,11 @@
 Every identity the symbolic engine asserts (a polynomial, fraction or
 formal polynomial claimed to be zero, or claimed to be nonzero) is a
 Claim.  A check's verdict is derived from its claims and its structural
-problems alone.  A claim that holds symbolically can be re-checked
-numerically: evaluate at sampled points of the degree-(p+1) curve over a
-quadratic extension, the one curve every claim lives on, with fresh random
-values for any matrix indeterminates.
+problems alone, unless the check was skipped: then its CheckOutcome
+carries the reason and nothing is evaluated.  A claim that holds
+symbolically can be re-checked numerically: evaluate at sampled points of
+the degree-(p+1) curve over a quadratic extension, the one curve every
+claim lives on, with fresh random values for any matrix indeterminates.
 The evaluation path shares nothing with the normal-form engine beyond
 raw field arithmetic, but agreement is a narrow cross-check: a zero claim
 that holds arrives as the reduced zero normal form, which is zero at every
@@ -17,9 +18,10 @@ The random stream is the sampler's draws, then ORACLE_POINTS * len(vars)
 draws per formal claim, in claim order, each claim's made before any of
 its values is evaluated, so no claim's value moves the stream.
 
-Each sampled point is checked on the curve once, at oracle setup, and
-every evaluation trusts that check.  A point that fails it (or too few
-points) makes the check being served fail; it never aborts the run.
+Each sampled point is checked on the curve once, at oracle setup, as a
+CurvePoint, the only kind of point evaluation takes, and every evaluation
+trusts that check.  A point that fails it (or too few points) makes the
+check being served fail; it never aborts the run.
 """
 
 from __future__ import annotations
@@ -53,18 +55,25 @@ def nonzero_claim(name, obj):
 
 
 class CheckOutcome:
-    """A check's claims and structural problems, with its pass and fail texts.
+    """A check's claims and structural problems, with its pass and fail texts,
+    or the reason it was skipped.
 
     It passes when every claim holds and no problem was found.  In the fail
     text, {problems} stands for the problems joined by "; " and {failures}
-    for the failing claims' names and the problems, joined by ",".
+    for the failing claims' names and the problems, joined by ",".  A
+    nonempty skipped is the reason the check did not run: the report
+    records it as skipped and hands nothing to the oracle.
     """
 
-    def __init__(self, passed: str, failed: str = "{problems}", claims=None, problems=None):
+    def __init__(
+        self, passed: str = "", failed: str = "{problems}", claims=None, problems=None,
+        skipped: str = "",
+    ):
         self.passed = passed
         self.failed = failed
         self.claims = [] if claims is None else claims
         self.problems = [] if problems is None else problems
+        self.skipped = skipped
 
     @property
     def ok(self) -> bool:
@@ -88,7 +97,7 @@ class PointOracle:
     def __init__(self, ctx: CurveContext, seed: int = 0):
         self.ctx = ctx
         self.field = make_extension_field(ctx.p, 2)
-        rng = random.Random(seed * 1000003 + ctx.p * 101 + ctx.exponent)
+        rng = random.Random(seed * 1000003 + ctx.p * 101 + (ctx.p + 1))
         self.rng = rng
         sampled = random_curve_points(ctx, self.field, ORACLE_POINTS, rng)
         self.points = [CurvePoint(ctx, pt) for pt in sampled]

@@ -1,14 +1,13 @@
 """Verification pipeline and machine-readable reports.
 
 run_verification executes the symbolic identity checks, the numeric
-oracle cross-checks and (when the census field fits under the cap) the
-fiber enumeration for one prime, and collects everything into a report
-that serializes byte-identically for a fixed (prime, seed, version).
-The report's stats are the closed-form values of census.component_stats;
-the fiber checks compare the census against the same formulas.  The
-census is held in the Kummer presentation of its field, which the
-fiber_census check certifies (gamma's power, eta, and the Frobenius matrix
-of GF(p^2)), so no run builds a field of degree above 2 for it.
+oracle cross-checks and the fiber checks of census.fiber_checks for one
+prime, and collects everything into a report that serializes
+byte-identically for a fixed (prime, seed, version).  Every check reaches
+its record through one path, run: a skip reason gives "skipped", else the
+symbolic verdict, then the oracle on the claims of a check that holds,
+gives "pass" or "fail".  The report's stats are the closed-form values of
+census.component_stats.
 """
 
 from __future__ import annotations
@@ -18,15 +17,7 @@ import random
 from collections import namedtuple
 
 from . import __version__
-from .census import (
-    CENSUS_CAP,
-    ReportStats,
-    component_stats,
-    enumerate_fiber,
-    hurwitz_consistent,
-    kummer_presentation,
-    reverify_census,
-)
+from .census import CENSUS_CAP, ReportStats, component_stats, fiber_checks
 from .cover import (
     build_cover_data,
     check_base_change,
@@ -89,61 +80,6 @@ def parse_selection(text: str) -> tuple[str, ...]:
     return tuple(t for t in SELECTIONS if t in tokens)
 
 
-def _unmet(*conditions) -> list:
-    """The notes of the (note, holds) pairs whose condition does not hold."""
-    return [note for note, holds in conditions if not holds]
-
-
-def _fiber_checks(p: int, cap: int, stats: ReportStats):
-    """Skipped records, then (name, outcome) pairs; the census is held to stats."""
-    census = enumerate_fiber(p, cap)
-    skipped, outcomes = [], []
-    if census.skipped:
-        skipped.append(CheckRecord("fiber_census", "skipped", census.reason))
-        skipped.append(CheckRecord("component_structure", "skipped", "no census to tabulate"))
-    else:
-        field = make_extension_field(p, 2)
-        o, gamma, eta = kummer_presentation(p)
-        verified, classes = reverify_census(census)
-        outcomes.append(("fiber_census", CheckOutcome(
-            f"{census.total} fiber points enumerated in GF({p}^{census.field_degree}), "
-            f"equal to (p^2-1)p(p-1), every point re-verified",
-            problems=_unmet(
-                ("Frobenius matrix not certified", not field.frobenius_mismatches()),
-                ("Kummer presentation not certified",
-                 gamma ** ((p * p - 1) // o) == 2 and eta == gamma ** ((p - 1) // o)),
-                ("census total off the formula", census.total == stats.total_fiber),
-                ("a fiber point is listed twice",
-                 len(set(census.points)) == len(census.points)),
-                ("point re-verification failed", verified),
-            ),
-        )))
-        theta2 = gamma ** (2 * (p - 1) // o)  # a key k stands for k theta^2; (theta^2)^(p-1)
-        outcomes.append(("component_structure", CheckOutcome(
-            f"ad-bc takes exactly {stats.components} values, each with (p-1)-th power -2, "
-            f"each on {stats.degree} points",
-            problems=_unmet(
-                ("wrong number of determinant values", len(classes) == stats.components),
-                ("a class size differs from the degree",
-                 all(len(v) == stats.degree for v in classes.values())),
-                ("a determinant value's (p-1)-th power is not -2",
-                 all(field.element(k) ** (p - 1) * theta2 == -2 for k in classes)),
-            ),
-        )))
-
-    outcomes.append(("genus_hurwitz", CheckOutcome(
-        f"2g-2 = {stats.degree}*(2*{stats.genus_base}-2) gives genus "
-        f"{stats.genus_component}",
-        "Hurwitz bookkeeping failed",
-        problems=_unmet(
-            ("unramified Hurwitz formula fails", hurwitz_consistent(stats)),
-            ("fiber does not split into equal components",
-             stats.total_fiber == stats.components * stats.degree),
-        ),
-    )))
-    return skipped, outcomes
-
-
 def run_verification(
     p: int,
     checks: str | tuple = "all",
@@ -162,7 +98,11 @@ def run_verification(
     oracles = OracleSuite(seed=seed)
 
     def run(name: str, outcome: CheckOutcome):
-        """The symbolic verdict, then the oracle on the claims of a check that holds."""
+        """The skip reason, or the symbolic verdict and then the oracle on
+        the claims of a check that holds."""
+        if outcome.skipped:
+            records.append(CheckRecord(name, "skipped", outcome.skipped))
+            return
         ok, detail = outcome.ok, outcome.detail
         if ok and outcome.claims:
             ok, oracle_msg = oracles.check_all(outcome.claims)
@@ -194,9 +134,7 @@ def run_verification(
         )
 
     if "fiber" in selection:
-        skipped, outcomes = _fiber_checks(p, max_field_size, stats)
-        records.extend(skipped)
-        for name, outcome in outcomes:
+        for name, outcome in fiber_checks(p, max_field_size, stats):
             run(name, outcome)
 
     overall = "pass" if all(r.status != "fail" for r in records) else "fail"

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .curve import CurvePolynomial, fermat_curve
+from .curve import CurveContext, CurvePolynomial
 from .oracle import CheckOutcome, nonzero_claim, zero_claim
 
 
@@ -64,7 +64,7 @@ class GeneratorCatalog(namedtuple("GeneratorCatalog", "quad triples kernel_form 
 def build_catalog(p: int) -> GeneratorCatalog:
     """All explicit generators for the prime p."""
     d = (p + 1) // 2
-    quad = fermat_curve(p)
+    quad = CurveContext(p)
     u, v, w = quad.variables()
     x, y, z = u ** 2, v ** 2, w ** 2
     zero = quad.zero()

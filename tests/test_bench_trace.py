@@ -7,7 +7,6 @@ span that holds the operation's checks.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,10 +20,9 @@ def _traced(tmp_path, operation):
     """Run bench/traced_op.py on operation; return its stdout document and
     the names of its spans, in the order they opened."""
     trace = tmp_path / "trace.json"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     res = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "traced_op.py"), str(trace), *operation],
-        capture_output=True, text=True, cwd=ROOT, env=env,
+        capture_output=True, text=True, cwd=ROOT,
     )
     assert res.returncode == 0, res.stderr
     spans = json.loads(trace.read_text())["spans"]

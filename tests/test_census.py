@@ -2,7 +2,6 @@ import pytest
 from fiber_reference import Embedding, reference_enumeration, reference_reverify
 
 from syzcover import census as census_module
-from syzcover import report
 from syzcover.census import (
     CensusResult,
     FiberPoint,
@@ -387,7 +386,7 @@ def _fiber_census_status(monkeypatch, p, corrupt):
     census = enumerate_fiber(p)
     bad = CensusResult(p, census.field_degree, False, tuple(corrupt(census.points)), census.total)
     _same_outcome(bad)
-    monkeypatch.setattr(report, "enumerate_fiber", lambda p, cap: bad)
+    monkeypatch.setattr(census_module, "enumerate_fiber", lambda p, cap: bad)
     out = run_verification(p, checks=("fiber",))
     return {c.name: (c.status, c.detail) for c in out.checks}["fiber_census"]
 
@@ -441,9 +440,7 @@ def test_duplicate_point_fails_census(monkeypatch, p):
 
 def _with_presentation(monkeypatch, p, gamma, eta):
     o = kummer_presentation(p).order
-    for module in (census_module, report):
-        monkeypatch.setattr(
-            module, "kummer_presentation", lambda q: Presentation(o, gamma, eta))
+    monkeypatch.setattr(census_module, "kummer_presentation", lambda q: Presentation(o, gamma, eta))
 
 
 def _norm_one_unit(p):
@@ -623,7 +620,7 @@ def test_census_one_point_short_fails_the_fiber_checks(monkeypatch):
     the report still carries the formula's stats and the run does not raise."""
     census = enumerate_fiber(3)
     short = CensusResult(3, 4, False, census.points[:-1], census.total - 1)
-    monkeypatch.setattr(report, "enumerate_fiber", lambda p, cap: short)
+    monkeypatch.setattr(census_module, "enumerate_fiber", lambda p, cap: short)
     out = run_verification(3, checks=("fiber",))
     status = {c.name: (c.status, c.detail) for c in out.checks}
     assert status["fiber_census"][0] == "fail"
@@ -639,3 +636,16 @@ def test_rejects_non_prime():
         component_stats(9)
     with pytest.raises(ValueError):
         enumerate_fiber(2)
+
+
+@pytest.mark.parametrize("p, cap", ((3, 81), (5, 1 << 22), (3, 80), (11, 1 << 22)))
+def test_fiber_checks_yield_the_three_checks_in_order(p, cap):
+    """Below the cap (GF(3^4) at 81 and GF(5^8)) every outcome carries a
+    verdict, and above it (at 80 and for GF(11^20)) the first two carry the
+    census's skip reason; all of them hold."""
+    census = enumerate_fiber(p, cap)
+    outcomes = list(census_module.fiber_checks(p, cap, component_stats(p)))
+    assert [name for name, _ in outcomes] == ["fiber_census", "component_structure", "genus_hurwitz"]
+    reasons = [census.reason, "no census to tabulate"] if census.skipped else ["", ""]
+    assert [outcome.skipped for _, outcome in outcomes] == [*reasons, ""]
+    assert all(outcome.ok and not outcome.claims for _, outcome in outcomes)

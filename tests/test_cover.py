@@ -21,7 +21,7 @@ from syzcover.cover import (
     check_transition,
     check_w0_specialization,
 )
-from syzcover.curve import CurvePoint, LocalFraction, fermat_curve, random_curve_points
+from syzcover.curve import CurveContext, CurvePoint, LocalFraction, random_curve_points
 from syzcover.formal import FormalPolynomial, binomial_residues
 from syzcover.gf import make_extension_field, power
 from syzcover.matrices import (
@@ -376,7 +376,7 @@ def _random_formal(ctx, rng):
             num = ctx.zero()
             for _ in range(rng.randrange(1, 4)):
                 c = rng.randrange(1, ctx.p)
-                i, j, k = rng.randrange(3), rng.randrange(3), rng.randrange(ctx.exponent + 2)
+                i, j, k = rng.randrange(3), rng.randrange(3), rng.randrange(ctx.p + 3)
                 num = num + c * u ** i * v ** j * w ** k
             terms[exps] = ctx.fraction(num, rng.randrange(3), rng.randrange(3))
     return FormalPolynomial(ctx, U_VARS, terms)
@@ -384,7 +384,7 @@ def _random_formal(ctx, rng):
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_formal_product_equals_pairwise_fraction_product(p):
-    ctx = fermat_curve(p)
+    ctx = CurveContext(p)
     cancelled = 0
     for seed in range(60):
         rng = random.Random(seed)
@@ -402,7 +402,7 @@ def test_formal_product_equals_sum_of_term_slices(p):
     """The product agrees with a reference that shares no loop with it, on
     random pairs (whose sums cancel for some seeds) and on det A times its
     powers and the entries of A^(p)."""
-    ctx = fermat_curve(p)
+    ctx = CurveContext(p)
     pairs = []
     for seed in range(60):
         rng = random.Random(seed)
@@ -434,7 +434,7 @@ def test_formal_product_and_det_power_evaluate_pointwise(covers, p):
 
 
 def test_formal_product_cancels_constant_and_mixed_sums():
-    ctx = fermat_curve(5)
+    ctx = CurveContext(5)
     u, _, w = ctx.variables()
     a, b, c, d = (FormalPolynomial.variable(ctx, U_VARS, n) for n in U_VARS)
     F, F_inv = ctx.fraction(u, 0, 1), ctx.fraction(w, 1, 0)
@@ -467,7 +467,7 @@ def test_formal_product_on_det_powers_and_p_powers(p):
 def test_formal_product_sums_fill_the_packing_width(top_f, top_g):
     """Exponent sums reach top_f + top_g in every variable at once and next
     to zero exponents, and each lands on the monomial it sums to."""
-    ctx = fermat_curve(5)
+    ctx = CurveContext(5)
     u, _, w = ctx.variables()
     n = len(U_VARS)
     ones = lambda e: tuple(e for _ in range(n))
@@ -486,7 +486,7 @@ def test_formal_product_sums_fill_the_packing_width(top_f, top_g):
 
 
 def test_formal_product_of_constants_and_zero():
-    ctx = fermat_curve(5)
+    ctx = CurveContext(5)
     three, four = (FormalPolynomial.constant(ctx, U_VARS, k) for k in (3, 4))
     zero = FormalPolynomial(ctx, U_VARS, {})
     assert _layout(three * four) == [((0, 0, 0, 0), {(0, 0, 0): 2}, 0, 0)]
@@ -647,10 +647,10 @@ def test_oracle_rng_stream_is_sampler_then_every_formal_draw(p, seed):
     assert ok, msg
     for kind in ("zero", "nonzero"):
         assert any(isinstance(c.obj, FormalPolynomial) and c.kind == kind for c in claims)
-    ctx = fermat_curve(p)
+    ctx = CurveContext(p)
     assert all(c.obj.ctx == ctx for c in claims)
     field = make_extension_field(p, 2)
-    replay = random.Random(seed * 1000003 + p * 101 + ctx.exponent)
+    replay = random.Random(seed * 1000003 + p * 101 + (p + 1))
     random_curve_points(ctx, field, ORACLE_POINTS, replay)
     for claim in claims:
         if isinstance(claim.obj, FormalPolynomial):
@@ -711,7 +711,7 @@ def test_solve_frame_rejects_a_minor_that_is_no_chart_unit():
     """A basis whose minor on the solved components is not c x^n for the
     chart's variable x raises ValueError naming the minor: u + v on the
     u-chart, u^2 on the w-chart, and the zero minor of a repeated vector."""
-    ctx = fermat_curve(5)
+    ctx = CurveContext(5)
     u, v, w = ctx.variables()
     f = ctx.fraction
     target = [f(1), f(u), f(w)]
@@ -730,7 +730,7 @@ def _w0_points_by_pow(ctx, count):
     field = make_extension_field(ctx.p, 2)
     pts = []
     for v0 in field.elements():
-        if v0 ** ctx.exponent == -field.one:
+        if v0 ** (ctx.p + 1) == -field.one:
             pts.append((field.one, v0, field.zero))
             if len(pts) == count:
                 break
@@ -741,7 +741,7 @@ def _w0_points_by_pow(ctx, count):
 def test_w0_points_match_pow_scan(p):
     """min(20, p + 1) points (1 : v0 : 0) in the pow scan's order, pairwise
     distinct up to scaling; asked for more, all p + 1 and no others."""
-    ctx = fermat_curve(p)
+    ctx = CurveContext(p)
     count = min(20, p + 1)
     pts = cover._w0_points(ctx, count)
     assert all(isinstance(pt, CurvePoint) and pt.ctx == ctx for pt in pts)
@@ -804,15 +804,3 @@ def test_w0_specialization_fails_on_a_root_off_the_curve(covers, monkeypatch):
     out = check_w0_specialization(covers[13])
     assert not out.ok
     assert out.detail == "w = 0 sample: point (1, 2, 0) does not lie on the curve u^14 + v^14 = w^14"
-
-
-@pytest.mark.parametrize("p", (3, 13))
-def test_formal_evaluate_at_checked_point_equals_tuple(covers, p):
-    cd = covers[p]
-    field = make_extension_field(p, 2)
-    rng = random.Random(p)
-    for pt in random_curve_points(cd.ctx, field, 5, rng):
-        assignment = {name: field.random_element(rng) for name in U_VARS}
-        checked = CurvePoint(cd.ctx, pt)
-        for rel in cd.relations_U:
-            assert rel.evaluate(assignment, checked) == rel.evaluate(assignment, pt)

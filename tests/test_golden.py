@@ -51,7 +51,6 @@ alters any of these bytes for a fixed (prime, seed, version) must fail
 here; regenerate the files only when that change is intended.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -65,9 +64,7 @@ GOLDEN = ROOT / "tests" / "golden"
 
 
 def _stdout(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    res = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    res = subprocess.run([sys.executable, *args], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     return res.stdout
 

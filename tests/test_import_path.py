@@ -14,21 +14,15 @@ without `site`, so nothing but the package itself loads modules.  A fresh
 interpreter also shows every field a run builds, in `gf._FIELDS`.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
 
 
 def _fresh(code: str) -> str:
     """stdout of code run in a fresh interpreter without `site`."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    res = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
-    )
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     return res.stdout
 

@@ -13,7 +13,7 @@ import syzcover.cli as cli
 from syzcover import curve, oracle, report
 from syzcover.census import CENSUS_CAP
 from syzcover.gf import make_extension_field
-from syzcover.oracle import OracleSuite, PointOracle
+from syzcover.oracle import CheckOutcome, OracleSuite, PointOracle, nonzero_claim
 from syzcover.report import (
     CheckRecord,
     CoverReport,
@@ -86,6 +86,24 @@ def test_census_skip_is_not_failure():
     assert statuses["genus_hurwitz"] == "pass"
     assert report.overall == "pass"
     assert report.stats.total_fiber == 13200  # formula value still reported
+
+
+def test_skipped_outcome_reaches_no_oracle(monkeypatch):
+    """A CheckOutcome with a skip reason is recorded as skipped with that
+    reason through run, like pass and fail: its claim, which holds, goes to
+    no oracle, and overall stays pass."""
+
+    def refuse(self, claims):
+        raise AssertionError("a skipped check reached the oracle")
+
+    claim = nonzero_claim("one", curve.CurveContext(3).one())
+    outcome = CheckOutcome("held", claims=[claim], skipped="over the cap")
+    assert outcome.ok
+    monkeypatch.setattr(OracleSuite, "check_all", refuse)
+    monkeypatch.setattr(report, "fiber_checks", lambda p, cap, stats: [("capped", outcome)])
+    out = run_verification(3, checks=("fiber",))
+    assert out.checks == (CheckRecord("capped", "skipped", "over the cap"),)
+    assert out.overall == "pass"
 
 
 def test_fiber_and_stats_only_runs_build_no_catalog(monkeypatch):
@@ -299,12 +317,10 @@ _FORCE_FAILURE = (
 def _run_entry(entry, *args, setup="pass"):
     """(exit code, stdout, stderr lines before the probe's) of one fresh
     interpreter started through `entry`; asserts that the probe saw a freeze."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     res = subprocess.run(
         [sys.executable, "-c", f"{_PROBE}\n{setup}\n{ENTRIES[entry]}", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
     *stderr, probe = res.stderr.splitlines()
     assert probe == "frozen True", res.stderr
@@ -453,7 +469,8 @@ def test_cli_output_into_missing_directory_exit_two(tmp_path):
 
 
 def test_cli_prime_47_passes():
-    # smallest prime whose GF(p^2) cone, |F|^2 pairs, exceeds the default scan cap
+    # the smallest prime whose GF(p^2) cone, |F|^2 pairs, exceeds CENSUS_CAP: the
+    # oracle once scanned that cone under the cap; it now samples without a scan
     res = _run_cli("verify", "--prime", "47", "--checks", "lemmas,cover")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["overall"] == "pass"
