@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import islice, repeat
 
-from .curve import CurvePoint, LocalFraction, norm_roots
+from .curve import CurvePoint, CurvePolynomial, norm_roots
 from .formal import FormalPolynomial
 from .gf import GF, make_extension_field
 from .matrices import adjugate, det, entrywise_p_power, mat, mat_mul
@@ -99,7 +99,7 @@ def _frame_systems(cat: GeneratorCatalog):
     on components i and k.
     """
     def frame(label, chart):
-        return [LocalFraction(cat.quad, a, int(chart == 0), int(chart == 2)) for a in cat[label].components]
+        return [cat.quad.fraction(a, int(chart == 0), int(chart == 2)) for a in cat[label].components]
 
     def p_frame(label, chart):
         return [x.p_power() for x in frame(label, chart)]
@@ -120,13 +120,12 @@ def _solve_frame(targets, basis, i: int, k: int, chart: int):
     """
     (b0, b1), ctx = basis, basis[0][i].ctx
     minor = b0[i] * b1[k] - b1[i] * b0[k]
-    num, p, n = minor.num, ctx.p, max(minor.num.homogeneous_degree() or 0, 0)
+    p, n = ctx.p, max(minor.homogeneous_degree() or 0, 0)
     x_n = ctx.monomial(1, [n * (axis == chart) for axis in range(3)])
-    c = num.terms.get(next(iter(x_n.terms)), 0)
-    if not c or num != x_n * c:
+    c = minor.terms.get(next(iter(x_n.terms)), 0)
+    if not c or minor.terms != (x_n * c).terms:
         raise ValueError(f"frame minor {minor} is not a unit on the {'uvw'[chart]}-chart")
-    inverse = ctx.monomial(pow(c, -1, p), (minor.du, 0, minor.dw))
-    inverse = LocalFraction(ctx, inverse, n * (chart == 0), n * (chart == 2))
+    inverse = ctx.fraction(ctx.monomial(pow(c, -1, p), (minor.du, 0, minor.dw)), n * (chart == 0), n * (chart == 2))
     columns = [((t[i] * b1[k] - b1[i] * t[k]) * inverse, (b0[i] * t[k] - t[i] * b0[k]) * inverse) for t in targets]
     return mat(zip(*columns))
 
@@ -304,11 +303,11 @@ def _w0_reduce(p, terms):
     return out
 
 
-def _w0_equal_const(frac: LocalFraction, value: int) -> bool:
+def _w0_equal_const(frac: CurvePolynomial, value: int) -> bool:
     """Does the fraction (u-power denominator) specialize to the given constant at w = 0?"""
     if frac.dw:
         raise ValueError("fraction has a w in the denominator; undefined at w = 0")
-    terms = {(i, j): c for (i, j, k), c in frac.num.terms.items() if k == 0}
+    terms = {(i, j): c for (i, j, k), c in frac.terms.items() if k == 0}
     terms[frac.du, 0] = terms.get((frac.du, 0), 0) - value  # num - value * u^du
     return not _w0_reduce(frac.ctx.p, terms)
 

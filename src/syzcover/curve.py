@@ -4,9 +4,12 @@ A CurveContext is its odd prime p.  The coordinate ring k[u, v, w] /
 (u^e + v^e - w^e), e = p + 1, over F_p is represented in the normal form
 obtained by eliminating powers w^k with k >= e through the defining
 equation, i.e. on the monomial basis {u^i v^j w^k : k < e}.
-Fractions carry denominators u^a w^b only (the charts that ever get
-localized) and compare by cross multiplication, which is valid because
-u and w are nonzerodivisors in the (integral) coordinate ring.
+One type, CurvePolynomial, holds the ring and its localizations at u and
+w: a normal form over a denominator u^a w^b (a = b = 0 for a polynomial,
+ctx.fraction for any other; the charts are the only places that ever get
+localized).  Over different denominators elements compare by cross
+multiplication, which is valid because u and w are nonzerodivisors in
+the (integral) coordinate ring.
 
 Distinct points of the curve are made by random_curve_points as tuples
 and checked on the curve once, as CurvePoint, which also memoizes the
@@ -55,25 +58,35 @@ class CurveContext(namedtuple("CurveContext", "p")):
             self.monomial(1, (0, 0, 1)),
         )
 
-    def fraction(self, num, du: int = 0, dw: int = 0) -> LocalFraction:
+    def fraction(self, num, du: int = 0, dw: int = 0) -> CurvePolynomial:
+        """num / (u^du * w^dw), reduced; num is an int or an element of this ring."""
         if isinstance(num, int):
             num = self.const(num)
-        return LocalFraction(self, num, du, dw)
+        if num.ctx is not self and num.ctx != self:
+            raise ValueError("numerator from a different context")
+        if du < 0 or dw < 0:
+            raise ValueError("denominator exponents must be >= 0")
+        return _raw(self, num.terms, num.du + du, num.dw + dw)
 
 
 class CurvePolynomial(RingElement):
-    """Sparse normal-form element of the curve's coordinate ring.
+    """Sparse normal-form element of the curve's coordinate ring over a
+    monomial u^du * w^dw; du = dw = 0 is a polynomial.
 
     Terms map exponent triples (i, j, k) with k < e to coefficients in
-    [1, p).  Equality is representation equality, which is decisive because
-    the normal form is canonical on the basis {u^i v^j w^k : k < e}.
+    [1, p).  An element is reduced on construction: shared powers of u and
+    w are cancelled, and zero is 0/1.  Over equal denominators equality is
+    representation equality, which is decisive because the normal form is
+    canonical on the basis {u^i v^j w^k : k < e}; over different ones it
+    is cross multiplication.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "du", "dw")
 
     def __init__(self, ctx: CurveContext, terms: dict):
         self.ctx = ctx
         self.terms = _normalize(ctx, terms)
+        self.du = self.dw = 0
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -87,23 +100,30 @@ class CurvePolynomial(RingElement):
             return self.ctx.const(other)
         return None
 
+    def _shifted(self, su: int, sw: int) -> dict:
+        """The numerator's terms times u^su * w^sw, in normal form."""
+        if su or sw:
+            return _normalize(self.ctx, {(i + su, j, k + sw): c for (i, j, k), c in self.terms.items()})
+        return self.terms
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         p = self.ctx.p
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        du, dw = max(self.du, other.du), max(self.dw, other.dw)
+        out = dict(self._shifted(du - self.du, dw - self.dw))
+        for e, c in other._shifted(du - other.du, dw - other.dw).items():
             new = (out.get(e, 0) + c) % p
             if new:
                 out[e] = new
             else:
                 out.pop(e, None)
-        return _raw(self.ctx, out)
+        return _raw(self.ctx, out, du, dw)
 
     def __neg__(self):
         p = self.ctx.p
-        return _raw(self.ctx, {e: p - c for e, c in self.terms.items()})
+        return _raw(self.ctx, {e: p - c for e, c in self.terms.items()}, self.du, self.dw)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -115,7 +135,7 @@ class CurvePolynomial(RingElement):
             for (i2, j2, k2), c2 in other.terms.items():
                 e = (i1 + i2, j1 + j2, k1 + k2)
                 out[e] = (out.get(e, 0) + c1 * c2) % p
-        return CurvePolynomial(self.ctx, out)
+        return _raw(self.ctx, _normalize(self.ctx, out), self.du + other.du, self.dw + other.dw)
 
     def __pow__(self, n: int):
         """One term c*m with n >= 1 gives the term c^n * m^n, normalised once; else gf.power."""
@@ -123,25 +143,37 @@ class CurvePolynomial(RingElement):
             return NotImplemented
         if n and len(self.terms) == 1:
             (e, c), = self.terms.items()
-            return CurvePolynomial(self.ctx, {tuple(n * x for x in e): pow(c, n, self.ctx.p)})
+            terms = _normalize(self.ctx, {tuple(n * x for x in e): pow(c, n, self.ctx.p)})
+            return _raw(self.ctx, terms, n * self.du, n * self.dw)
         return power(self, n, self.ctx.one())
 
     def p_power(self) -> CurvePolynomial:
         """f**p computed termwise; valid since coefficients sit in F_p."""
         p = self.ctx.p
-        return CurvePolynomial(
-            self.ctx, {(i * p, j * p, k * p): c for (i, j, k), c in self.terms.items()}
-        )
+        terms = {(i * p, j * p, k * p): c for (i, j, k), c in self.terms.items()}
+        return _raw(self.ctx, _normalize(self.ctx, terms), self.du * p, self.dw * p)
+
+    def mul_monomial(self, cu: int, cw: int) -> CurvePolynomial:
+        """Multiply by u^cu * w^cw, cancelling against the denominator first.
+
+        Plain multiplication would push w-powers into the numerator where
+        the defining relation rewrites them, hiding the cancellation; this
+        keeps denominator clearing exact at the exponent level.
+        """
+        ku, kw = min(cu, self.du), min(cw, self.dw)
+        return _raw(self.ctx, self._shifted(cu - ku, cw - kw), self.du - ku, self.dw - kw)
 
     def homogeneous_degree(self) -> int | None:
-        """The common total degree of all terms, or None if inhomogeneous."""
+        """The common total degree of the numerator's terms, or None if inhomogeneous."""
         degs = {i + j + k for (i, j, k) in self.terms}
         if len(degs) > 1:
             return None
         return degs.pop() if degs else -1
 
     def evaluate(self, point: CurvePoint) -> FieldElement:
-        """Value at a CurvePoint of this curve; a point of another curve raises ValueError.
+        """Value at a CurvePoint of this curve; a point of another curve
+        raises ValueError, and one where the denominator vanishes raises
+        ZeroDivisionError.
 
         Each term reads its coordinate powers from the point's memo, and a
         term in which a zero coordinate has a positive exponent is skipped;
@@ -149,12 +181,16 @@ class CurvePolynomial(RingElement):
         A term starts from its coefficient and is multiplied only by the
         powers that are not one (the memo holds every such power as the
         field's own `one`), and a coefficient 1 is not multiplied at all.
+        The numerator's value is then multiplied by the memoized powers of
+        1/u0 and 1/w0 (each inverse taken once per point) that are not one.
         """
         if point.ctx != self.ctx:
             raise ValueError("point was checked on a different curve")
+        zu, zv, zw = point.zeros
+        if self.du and zu or self.dw and zw:
+            raise ZeroDivisionError("denominator vanishes at this point")
         field = point.coords[0].field
         acc, one = field.zero, field.one
-        zu, zv, zw = point.zeros
         pows = point.powers
         for (i, j, k), c in self.terms.items():
             if i and zu or j and zv or k and zw:
@@ -164,19 +200,19 @@ class CurvePolynomial(RingElement):
                 if x is not one:
                     val = x if val is None else x * val
             acc = acc + (one if val is None else val)
+        if self.du or self.dw:
+            for x in (pows[0, -self.du], pows[2, -self.dw]):
+                if x is not one:
+                    acc = x * acc
         return acc
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ctx.const(other)
-        return (
-            isinstance(other, CurvePolynomial)
-            and (self.ctx is other.ctx or self.ctx == other.ctx)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if self.du == other.du and self.dw == other.dw:
+            return self.terms == other.terms
+        return self._shifted(other.du, other.dw) == other._shifted(self.du, self.dw)
 
     def __str__(self):
         if not self.terms:
@@ -190,7 +226,15 @@ class CurvePolynomial(RingElement):
                 parts.append(mono)
             else:
                 parts.append(f"{c}*{mono}")
-        return " + ".join(parts)
+        num = " + ".join(parts)
+        if not (self.du or self.dw):
+            return num
+        den = _monomial_text((self.du, 0, self.dw))
+        if len(parts) > 1:
+            num = f"({num})"
+        if self.du and self.dw:
+            den = f"({den})"
+        return f"{num}/{den}"
 
     __repr__ = __str__
 
@@ -200,11 +244,22 @@ def _monomial_text(exps) -> str:
     return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip("uvw", exps) if e)
 
 
-def _raw(ctx, terms):
-    # terms already in normal form with no zero coefficients
+def _raw(ctx, terms, du=0, dw=0):
+    """terms / (u^du * w^dw), reduced; terms already in normal form with no zero coefficients."""
+    if not terms:
+        du = dw = 0
+    elif du or dw:
+        shift_u = min(du, min(i for (i, _, _) in terms))
+        shift_w = min(dw, min(k for (_, _, k) in terms))
+        if shift_u or shift_w:
+            terms = {(i - shift_u, j, k - shift_w): c for (i, j, k), c in terms.items()}
+            du -= shift_u
+            dw -= shift_w
     poly = CurvePolynomial.__new__(CurvePolynomial)
     poly.ctx = ctx
     poly.terms = terms
+    poly.du = du
+    poly.dw = dw
     return poly
 
 
@@ -236,132 +291,6 @@ def _normalize(ctx, terms):
             else:
                 del out[key]
     return out
-
-
-class LocalFraction(RingElement):
-    """A curve polynomial divided by a monomial u^du * w^dw.
-
-    Reduced on construction: shared powers of u and w are cancelled, and
-    the zero fraction is 0/1.  Two fractions are equal when cross
-    multiplication gives equal normal forms.
-    """
-
-    __slots__ = ("ctx", "num", "du", "dw")
-
-    def __init__(self, ctx: CurveContext, num: CurvePolynomial, du: int = 0, dw: int = 0):
-        if num.ctx is not ctx and num.ctx != ctx:
-            raise ValueError("numerator from a different context")
-        if du < 0 or dw < 0:
-            raise ValueError("denominator exponents must be >= 0")
-        if num.is_zero():
-            du = dw = 0
-        elif du or dw:
-            shift_u = min(du, min(i for (i, _, _) in num.terms))
-            shift_w = min(dw, min(k for (_, _, k) in num.terms))
-            if shift_u or shift_w:
-                num = _raw(
-                    ctx,
-                    {(i - shift_u, j, k - shift_w): c for (i, j, k), c in num.terms.items()},
-                )
-                du -= shift_u
-                dw -= shift_w
-        self.ctx = ctx
-        self.num = num
-        self.du = du
-        self.dw = dw
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, LocalFraction):
-            if other.ctx is not self.ctx and other.ctx != self.ctx:
-                raise ValueError("fractions from different curve contexts")
-            return other
-        if isinstance(other, (int, CurvePolynomial)):
-            return self.ctx.fraction(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        du = max(self.du, other.du)
-        dw = max(self.dw, other.dw)
-        a = _times_monomial(self.num, du - self.du, dw - self.dw)
-        b = _times_monomial(other.num, du - other.du, dw - other.dw)
-        return LocalFraction(self.ctx, a + b, du, dw)
-
-    def __neg__(self):
-        return LocalFraction(self.ctx, -self.num, self.du, self.dw)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return LocalFraction(
-            self.ctx, self.num * other.num, self.du + other.du, self.dw + other.dw
-        )
-
-    def p_power(self) -> LocalFraction:
-        p = self.ctx.p
-        return LocalFraction(self.ctx, self.num.p_power(), self.du * p, self.dw * p)
-
-    def mul_monomial(self, cu: int, cw: int) -> LocalFraction:
-        """Multiply by u^cu * w^cw, cancelling against the denominator first.
-
-        Plain multiplication would push w-powers into the numerator where
-        the defining relation rewrites them, hiding the cancellation; this
-        keeps denominator clearing exact at the exponent level.
-        """
-        ku, kw = min(cu, self.du), min(cw, self.dw)
-        num = _times_monomial(self.num, cu - ku, cw - kw)
-        return LocalFraction(self.ctx, num, self.du - ku, self.dw - kw)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return _times_monomial(self.num, other.du, other.dw) == _times_monomial(
-            other.num, self.du, self.dw
-        )
-
-    def evaluate(self, point: CurvePoint) -> FieldElement:
-        """Value at a CurvePoint of this curve; the numerator's evaluate
-        rejects a point of another curve.
-
-        Raises ZeroDivisionError where the denominator vanishes.  The
-        numerator's value is multiplied by the memoized powers of 1/u0 and
-        1/w0 (each inverse taken once per point) that are not `one`.
-        """
-        val, one = self.num.evaluate(point), point.coords[0].field.one
-        zu, _, zw = point.zeros
-        if (self.du and zu) or (self.dw and zw):
-            raise ZeroDivisionError("denominator vanishes at this point")
-        for x in (point.powers[0, -self.du], point.powers[2, -self.dw]):
-            if x is not one:
-                val = val * x
-        return val
-
-    def __str__(self):
-        num = str(self.num)
-        if self.du == 0 and self.dw == 0:
-            return num
-        den = _monomial_text((self.du, 0, self.dw))
-        if len(self.num.terms) > 1:
-            num = f"({num})"
-        if self.du and self.dw:
-            den = f"({den})"
-        return f"{num}/{den}"
-
-    __repr__ = __str__
-
-
-def _times_monomial(num, du, dw):
-    """num * u^du * w^dw; num itself when both exponents are 0."""
-    if du or dw:
-        return num * num.ctx.monomial(1, (du, 0, dw))
-    return num
 
 
 def on_curve(ctx: CurveContext, point) -> bool:
@@ -496,9 +425,10 @@ def curve_cone_points(ctx: CurveContext, field: GF):
     return points
 
 
-def random_curve_points(ctx: CurveContext, field: GF, count: int, rng):
-    """count distinct points with u0, w0 != 0 over GF(p^2) of ctx's curve,
-    drawn deterministically from rng, as tuples.
+def random_curve_points(field: GF, count: int, rng):
+    """count distinct points with u0, w0 != 0 over field = GF(p^2) of the
+    curve u^(p+1) + v^(p+1) = w^(p+1), drawn deterministically from rng, as
+    tuples.
 
     The pairs (u0, v0) are drawn without repetition (a lazy Fisher-Yates
     shuffle of the pair indices).  rng picks one of the p + 1 roots w0 of

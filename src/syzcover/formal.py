@@ -2,18 +2,19 @@
 
 These carry the presentations of the cover's chart algebras: variables are
 the entries of a 2x2 matrix of indeterminates, coefficients live in the
-monomial localization of the curve ring.  Coefficients are not canonical
-(fractions compare by cross multiplication), so equality compares
+monomial localization of the curve ring, as CurvePolynomials over
+monomial denominators.  Coefficients are not canonical (over different
+denominators they compare by cross multiplication), so equality compares
 coefficients pairwise rather than by dictionary identity.
 
 A product is one loop over pairs of terms: the exponents of each pair
-add as tuples, its coefficients multiply as LocalFractions, and products
+add as tuples, its coefficients multiply as CurvePolynomials, and products
 landing on the same exponents are summed in the order the pairs come.
 """
 
 from __future__ import annotations
 
-from .curve import CurveContext, CurvePoint, CurvePolynomial, LocalFraction
+from .curve import CurveContext, CurvePoint, CurvePolynomial
 from .gf import RingElement, power
 
 
@@ -44,10 +45,12 @@ class FormalPolynomial(RingElement):
         self.vars = tuple(variables)
         cleaned = {}
         for exps, coeff in terms.items():
-            if not isinstance(coeff, LocalFraction):
-                if not isinstance(coeff, (int, CurvePolynomial)):
+            if not isinstance(coeff, CurvePolynomial):
+                if not isinstance(coeff, int):
                     raise TypeError(f"cannot use {type(coeff).__name__} as a coefficient")
-                coeff = ctx.fraction(coeff)
+                coeff = ctx.const(coeff)
+            elif coeff.ctx is not ctx and coeff.ctx != ctx:
+                raise ValueError("coefficient from a different context")
             if not coeff.is_zero():
                 cleaned[tuple(exps)] = coeff
         self.terms = cleaned
@@ -71,7 +74,7 @@ class FormalPolynomial(RingElement):
             if not same_ctx or other.vars != self.vars:
                 raise ValueError("formal polynomials over different rings")
             return other
-        if isinstance(other, (int, CurvePolynomial, LocalFraction)):
+        if isinstance(other, (int, CurvePolynomial)):
             return FormalPolynomial.constant(self.ctx, self.vars, other)
         return None
 

@@ -18,11 +18,11 @@ product of x's other conjugates over the norm of x, an int mod p.  The
 pipeline builds no field of degree above 2: the oracle works in GF(p^2),
 and the census holds its field as GF(p^2)[theta]/(theta^o - gamma).
 
-RingElement is the one arithmetic protocol of the engine's ring types,
-FieldElement here, CurvePolynomial and LocalFraction in curve and
-FormalPolynomial in formal: each defines is_zero, _coerce (the other
-operand in its own ring, or None), +, unary -, * and p_power (x -> x^p),
-and takes truth, - and the reflected +, - and * from the base.
+RingElement is the one arithmetic protocol of the engine's three ring
+types, FieldElement here, CurvePolynomial (over a monomial denominator)
+in curve and FormalPolynomial in formal: each defines is_zero, _coerce
+(the other operand in its own ring, or None), +, unary -, * and p_power
+(x -> x^p), and takes truth, - and the reflected +, - and * from the base.
 
 find_generator and solve_power_equation scan the whole field.  The
 pipeline calls neither: they are references that the census tests and the
@@ -36,22 +36,26 @@ import math
 
 
 def is_prime(n: int) -> bool:
-    return n > 1 and prime_factors(n) == (n,)
+    """n > 1 whose least prime factor is n; trial division stops at that factor."""
+    return n > 1 and next(_trial_division(n)) == n
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of n, ascending (trial division)."""
-    out = []
+    return tuple(_trial_division(n))
+
+
+def _trial_division(n: int):
+    """Yield the distinct prime factors of n, ascending, each as it is found."""
     for f in itertools.chain((2,), itertools.count(3, 2)):
         if f * f > n:
             break
         if n % f == 0:
-            out.append(f)
+            yield f
             while n % f == 0:
                 n //= f
     if n > 1:
-        out.append(n)
-    return tuple(out)
+        yield n
 
 
 # -- dense univariate polynomials over F_p (ascending coefficient lists) --

@@ -2,9 +2,9 @@
 
 Matrices are tuples of tuples of ring elements, of size 2 or 3 only.
 Entries need only +, -, * and p_power (for entrywise Frobenius), so the
-same code serves field elements, localized curve fractions and formal
-polynomials; a fraction times a formal polynomial is the latter's
-reflected *.
+same code serves field elements, curve-ring elements over monomial
+denominators and formal polynomials; a curve-ring element times a formal
+polynomial is the latter's reflected *.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Claims, check verdicts and the point-evaluation oracle.
 
-Every identity the symbolic engine asserts (a polynomial, fraction or
-formal polynomial claimed to be zero, or claimed to be nonzero) is a
-Claim.  A check's verdict is derived from its claims and its structural
-problems alone, unless the check was skipped: then its CheckOutcome
-carries the reason and nothing is evaluated.  A claim that holds
-symbolically can be re-checked numerically: evaluate at sampled points of
+Every identity the symbolic engine asserts (a curve-ring element, that
+is a polynomial or a fraction over a monomial, or a formal polynomial,
+claimed to be zero, or claimed to be nonzero) is a Claim.  A check's
+verdict is derived from its claims and its structural problems alone,
+unless the check was skipped: then its CheckOutcome carries the reason
+and nothing is evaluated.  A claim that holds symbolically can be
+re-checked numerically: evaluate at sampled points of
 the degree-(p+1) curve over a quadratic extension, the one curve every
 claim lives on, with fresh random values for any matrix indeterminates.
 The evaluation path shares nothing with the normal-form engine beyond
@@ -29,7 +30,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .curve import CurveContext, CurvePoint, CurvePolynomial, LocalFraction, random_curve_points
+from .curve import CurveContext, CurvePoint, CurvePolynomial, random_curve_points
 from .formal import FormalPolynomial
 from .gf import make_extension_field
 
@@ -99,11 +100,11 @@ class PointOracle:
         self.field = make_extension_field(ctx.p, 2)
         rng = random.Random(seed * 1000003 + ctx.p * 101 + (ctx.p + 1))
         self.rng = rng
-        sampled = random_curve_points(ctx, self.field, ORACLE_POINTS, rng)
+        sampled = random_curve_points(self.field, ORACLE_POINTS, rng)
         self.points = [CurvePoint(ctx, pt) for pt in sampled]
 
     def _values(self, obj):
-        if isinstance(obj, (CurvePolynomial, LocalFraction)):
+        if isinstance(obj, CurvePolynomial):
             for pt in self.points:
                 yield obj.evaluate(pt)
         elif isinstance(obj, FormalPolynomial):

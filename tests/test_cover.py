@@ -21,7 +21,7 @@ from syzcover.cover import (
     check_transition,
     check_w0_specialization,
 )
-from syzcover.curve import CurveContext, CurvePoint, LocalFraction, random_curve_points
+from syzcover.curve import CurveContext, CurvePoint, CurvePolynomial, random_curve_points
 from syzcover.formal import FormalPolynomial, binomial_residues
 from syzcover.gf import make_extension_field, power
 from syzcover.matrices import (
@@ -319,7 +319,7 @@ def test_det_periodicity_multiplies_few_fractions(monkeypatch):
     # the fraction operand's *, which returns NotImplemented (8 times at
     # p = 101, where 47 products are made).
     calls = []
-    mul = LocalFraction.__mul__
+    mul = CurvePolynomial.__mul__
 
     def counted(self, other):
         result = mul(self, other)
@@ -327,14 +327,14 @@ def test_det_periodicity_multiplies_few_fractions(monkeypatch):
             calls.append(other)
         return result
 
-    monkeypatch.setattr(LocalFraction, "__mul__", counted)
-    monkeypatch.setattr(LocalFraction, "__rmul__", counted)
+    monkeypatch.setattr(CurvePolynomial, "__mul__", counted)
+    monkeypatch.setattr(CurvePolynomial, "__rmul__", counted)
     assert check_det_periodicity(cd).ok
     assert len(calls) <= 50
 
 
 def _pairwise_fraction_product(f, g):
-    """f * g with every coefficient pair multiplied and summed as LocalFractions."""
+    """f * g with every coefficient pair multiplied and summed as CurvePolynomials."""
     out = {}
     for e1, c1 in f.terms.items():
         for e2, c2 in g.terms.items():
@@ -356,7 +356,7 @@ def _sum_of_slice_products(f, g):
 
 def _layout(f):
     """Terms in insertion order, each with its coefficient's representation."""
-    return [(e, c.num.terms, c.du, c.dw) for e, c in f.terms.items()]
+    return [(e, c.terms, c.du, c.dw) for e, c in f.terms.items()]
 
 
 def _random_formal(ctx, rng):
@@ -422,7 +422,7 @@ def test_formal_product_and_det_power_evaluate_pointwise(covers, p):
     dA_p = det(covers[p].A) ** p
     field = make_extension_field(p, 2)
     rng = random.Random(p)
-    pts = [CurvePoint(ctx, pt) for pt in random_curve_points(ctx, field, 5, rng)]
+    pts = [CurvePoint(ctx, pt) for pt in random_curve_points(field, 5, rng)]
     for _ in range(20):
         f, g = _random_formal(ctx, rng), _random_formal(ctx, rng)
         fg = f * g
@@ -651,7 +651,7 @@ def test_oracle_rng_stream_is_sampler_then_every_formal_draw(p, seed):
     assert all(c.obj.ctx == ctx for c in claims)
     field = make_extension_field(p, 2)
     replay = random.Random(seed * 1000003 + p * 101 + (p + 1))
-    random_curve_points(ctx, field, ORACLE_POINTS, replay)
+    random_curve_points(field, ORACLE_POINTS, replay)
     for claim in claims:
         if isinstance(claim.obj, FormalPolynomial):
             for _ in range(ORACLE_POINTS * len(claim.obj.vars)):
@@ -665,7 +665,7 @@ def test_transition_matrix_rebuild_matches(covers):
 
 
 def _representation(M):
-    return [(entry.num.terms, entry.du, entry.dw) for row in M for entry in row]
+    return [(entry.terms, entry.du, entry.dw) for row in M for entry in row]
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101, 1009))
@@ -760,7 +760,7 @@ def test_h_entries_take_one_value_on_each_projective_point(p):
     cd, field = build_cover_data(p), make_extension_field(p, 2)
     ctx, h_u, h_w = cd.ctx, cd.H_U, cd.H_W
     entries = h_u[0] + h_u[1] + h_w[0] + h_w[1]
-    assert all(h.num.homogeneous_degree() == h.du + h.dw for h in entries)
+    assert all(h.homogeneous_degree() == h.du + h.dw for h in entries)
 
     def value(h, pt):
         try:
@@ -768,7 +768,7 @@ def test_h_entries_take_one_value_on_each_projective_point(p):
         except ZeroDivisionError:
             return "pole"
 
-    sampled = [CurvePoint(ctx, pt) for pt in random_curve_points(ctx, field, 5, random.Random(p))]
+    sampled = [CurvePoint(ctx, pt) for pt in random_curve_points(field, 5, random.Random(p))]
     for pt in cover._w0_points(ctx, min(20, p + 1)) + sampled:
         for lam in (field.from_index(2), field.from_index(p)):
             scaled = CurvePoint(ctx, tuple(lam * x for x in pt))

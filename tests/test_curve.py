@@ -7,7 +7,6 @@ from syzcover.curve import (
     CurveContext,
     CurvePoint,
     CurvePolynomial,
-    LocalFraction,
     curve_cone_points,
     norm_key,
     norm_roots,
@@ -59,7 +58,7 @@ def _formal_pair(ctx, rng):
 @pytest.mark.parametrize(
     "make_pair",
     (_field_pair, _polynomial_pair, _fraction_pair, _formal_pair),
-    ids=("FieldElement", "CurvePolynomial", "LocalFraction", "FormalPolynomial"),
+    ids=("FieldElement", "CurvePolynomial", "CurveFraction", "FormalPolynomial"),
 )
 def test_ring_types_derive_the_shared_operators(make_pair, p):
     """-, the reflected +, - and *, and truth, which every ring type takes
@@ -224,7 +223,7 @@ def test_fraction_inequality_detected_by_evaluation(quartic):
     assert w_over_u != v_over_u
     F9 = make_extension_field(3, 2)
     rng = random.Random(7)
-    pts = [CurvePoint(quartic, pt) for pt in random_curve_points(quartic, F9, 20, rng)]
+    pts = [CurvePoint(quartic, pt) for pt in random_curve_points(F9, 20, rng)]
     assert any(w_over_u.evaluate(pt) != v_over_u.evaluate(pt) for pt in pts)
 
 
@@ -323,12 +322,13 @@ def test_evaluate_multiplies_by_no_factor_equal_to_one(monkeypatch):
 
 
 def test_fraction_evaluate_multiplies_by_no_factor_equal_to_one(monkeypatch):
-    """LocalFraction.evaluate multiplies its numerator's value by no power of
-    1/u0 or 1/w0 that is one.  Evaluated are the 8 H entries at p = 13 at the
-    oracle's points of the degree-14 curve, and the chart-U ones also at the
-    w = 0 points scaled by 2 and by t (the w = 0 check's own points have
-    u0 = 1, where every such power is one).  Products inside the numerator's
-    evaluation and inside a memo's `**` or inverse are not counted here."""
+    """CurvePolynomial.evaluate over a denominator u^du w^dw multiplies by
+    no power of a coordinate or of its inverse that is one, and takes each
+    coordinate's inverse at most once per point.  Evaluated are the 8 H
+    entries at p = 13 at the oracle's points of the degree-14 curve, and the
+    chart-U ones also at the w = 0 points scaled by 2 and by t (the w = 0
+    check's own points have u0 = 1, where every such power is one).
+    Products inside a memo's `**` or inverse are not counted here."""
     from syzcover.cover import _w0_points, build_cover_data
 
     cd, field = build_cover_data(13), make_extension_field(13, 2)
@@ -339,25 +339,40 @@ def test_fraction_evaluate_multiplies_by_no_factor_equal_to_one(monkeypatch):
         for lam in (field.from_index(2), field.from_index(13))
         for pt in _w0_points(ctx, 14)
     ]
+    assert all(h.du or h.dw for h in h_u[0] + h_u[1] + h_w[0] + h_w[1])
+    inverted, inverse = [], FieldElement.inverse
+
+    def counted_inverse(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counted_inverse)
+    taken = []
 
     def run():
-        for h in h_u[0] + h_u[1]:
-            for pt in sampled + scaled:
-                h.evaluate(pt)
-        for h in h_w[0] + h_w[1]:
-            for pt in sampled:
-                h.evaluate(pt)
+        for points, entries in ((sampled, h_u[0] + h_u[1] + h_w[0] + h_w[1]), (scaled, h_u[0] + h_u[1])):
+            for pt in points:
+                before = len(inverted)
+                for h in entries:
+                    h.evaluate(pt)
+                taken.append((pt, len(inverted) - before))
 
     factors = _products_made_by(
         monkeypatch,
-        (LocalFraction, "evaluate"),
-        [(CurvePolynomial, "evaluate"), (FieldElement, "__pow__"), (FieldElement, "inverse")],
+        (CurvePolynomial, "evaluate"),
+        [(FieldElement, "__pow__"), (FieldElement, "inverse")],
         run,
     )
-    assert factors
-    # each product is (numerator's value) * (power); the value is one at a
-    # few of the oracle's points, and only the power is skipped when it is one
-    assert [(x, y) for x, y in factors if y == 1] == []
+    # each product is (a memoized power) * (a coefficient, or the value so
+    # far, which is one at a few of the oracle's points); only the power and
+    # a coefficient 1 are skipped when they are one
+    assert [(x, y) for x, y in factors if x == 1 or isinstance(y, int) and y == 1] == []
+    assert sum(n for _, n in taken) > 0
+    for pt, n in taken:
+        assert n <= sum((axis, -1) in pt.powers for axis in range(3))
+    # the denominator's factors are the memo's own powers of 1/u0 and 1/w0
+    inverse_powers = {id(x) for pt, _ in taken for (_, e), x in pt.powers.items() if e < 0}
+    assert any(id(x) in inverse_powers for x, _ in factors)
 
 
 def test_evaluate_skips_terms_a_zero_coordinate_kills(monkeypatch, rng):
@@ -403,7 +418,7 @@ def test_evaluate_skips_terms_a_zero_coordinate_kills(monkeypatch, rng):
 
 def test_evaluation_is_multiplicative(rng, quartic):
     F9 = make_extension_field(3, 2)
-    pts = [CurvePoint(quartic, pt) for pt in random_curve_points(quartic, F9, 10, rng)]
+    pts = [CurvePoint(quartic, pt) for pt in random_curve_points(F9, 10, rng)]
     for _ in range(20):
         f = random_poly(quartic, rng)
         g = random_poly(quartic, rng)
@@ -435,10 +450,10 @@ def test_cone_point_count_matches_cube_scan():
     assert len(pts) == brute
 
 
-def test_random_curve_points_deterministic(quartic):
+def test_random_curve_points_deterministic():
     F9 = make_extension_field(3, 2)
-    a = random_curve_points(quartic, F9, 20, random.Random(3))
-    b = random_curve_points(quartic, F9, 20, random.Random(3))
+    a = random_curve_points(F9, 20, random.Random(3))
+    b = random_curve_points(F9, 20, random.Random(3))
     assert a == b
     assert len(set((p[0].index, p[1].index, p[2].index) for p in a)) == 20
 
@@ -458,7 +473,9 @@ def test_context_mismatch_rejected():
     with pytest.raises(ValueError):
         a.fraction(1, 1, 0) + b.fraction(1, 1, 0)
     with pytest.raises(ValueError):
-        LocalFraction(a, b.one())
+        a.fraction(b.one())
+    with pytest.raises(ValueError):
+        FormalPolynomial.constant(a, ("x",), b.fraction(1, 1, 0))
     with pytest.raises(ValueError):
         FormalPolynomial.variable(a, ("x",), "x") + FormalPolynomial.variable(b, ("x",), "x")
     # equal contexts that are distinct objects still combine
@@ -467,18 +484,23 @@ def test_context_mismatch_rejected():
     assert a.one() + b.one() == a.const(2)
     assert a.one() == b.one()
     assert a.fraction(1, 1, 0) + b.fraction(1, 1, 0) == a.fraction(2, 1, 0)
-    assert LocalFraction(a, b.one()) == b.fraction(1)
+    assert a.fraction(b.one()) == b.fraction(1)
     x_a = FormalPolynomial.variable(a, ("x",), "x")
     x_b = FormalPolynomial.variable(b, ("x",), "x")
     assert x_a + x_b == 2 * FormalPolynomial.variable(a, ("x",), "x")
+
+
+def _numerator(x):
+    """x's numerator as a polynomial."""
+    return CurvePolynomial(x.ctx, x.terms)
 
 
 def _cleared_numerators(x, y):
     """Both numerators over the common denominator u^(x.du + y.du) w^(x.dw + y.dw)."""
     ctx = x.ctx
     return (
-        x.num * ctx.monomial(1, (y.du, 0, y.dw)),
-        y.num * ctx.monomial(1, (x.du, 0, x.dw)),
+        _numerator(x) * ctx.monomial(1, (y.du, 0, y.dw)),
+        _numerator(y) * ctx.monomial(1, (x.du, 0, x.dw)),
     )
 
 
@@ -494,27 +516,39 @@ def test_fraction_sum_and_equality_match_cross_multiplication(p):
     for trial in range(60):
         x, y = _random_fraction(ctx, rng), _random_fraction(ctx, rng)
         if trial % 4 == 0:
-            x = ctx.fraction(x.num)
+            x = _numerator(x)
         if trial % 3 == 0:
-            y = ctx.fraction(y.num)
+            y = _numerator(y)
         if trial % 5 == 0:  # an equal fraction written with a larger denominator
-            y = LocalFraction(ctx, x.num * ctx.monomial(1, (1, 0, 2)), x.du + 1, x.dw + 2)
+            y = ctx.fraction(_numerator(x) * ctx.monomial(1, (1, 0, 2)), x.du + 1, x.dw + 2)
         left, right = _cleared_numerators(x, y)
         assert (x == y) == (left == right)
         total = x + y
-        reference = LocalFraction(ctx, left + right, x.du + y.du, x.dw + y.dw)
+        reference = ctx.fraction(left + right, x.du + y.du, x.dw + y.dw)
         lhs, rhs = _cleared_numerators(total, reference)
         assert lhs == rhs
         # the stored form is the one over the least common denominator
         du, dw = max(x.du, y.du), max(x.dw, y.dw)
-        lcd = LocalFraction(
-            ctx,
-            x.num * ctx.monomial(1, (du - x.du, 0, dw - x.dw))
-            + y.num * ctx.monomial(1, (du - y.du, 0, dw - y.dw)),
+        lcd = ctx.fraction(
+            _numerator(x) * ctx.monomial(1, (du - x.du, 0, dw - x.dw))
+            + _numerator(y) * ctx.monomial(1, (du - y.du, 0, dw - y.dw)),
             du,
             dw,
         )
-        assert (total.num.terms, total.du, total.dw) == (lcd.num.terms, lcd.du, lcd.dw)
+        assert (total.terms, total.du, total.dw) == (lcd.terms, lcd.du, lcd.dw)
+
+
+def test_fraction_of_a_polynomial_is_that_polynomial():
+    """ctx.fraction(f) over the denominator 1 is f's own type, with f's
+    terms and text, and so is every sum and product of such elements."""
+    ctx = CurveContext(5)
+    u, v, w = ctx.variables()
+    for f in (u * u + 2 * v * w, w ** 6, ctx.zero(), ctx.const(3)):
+        g = ctx.fraction(f)
+        assert type(g) is type(f) is CurvePolynomial
+        assert (g.terms, g.du, g.dw, str(g)) == (f.terms, 0, 0, str(f))
+        assert type(g * u + g) is CurvePolynomial
+    assert ctx.fraction(u * v, 1, 0) == v and str(ctx.fraction(u * v, 1, 0)) == "v"
 
 
 def test_matrix_adjugate_contract(rng, quartic):
@@ -563,28 +597,28 @@ SAMPLER_IDS = "e=p+1-{}".format
 def test_random_curve_points_contract(p):
     ctx = CurveContext(p)
     field = make_extension_field(p, 2)
-    pts = random_curve_points(ctx, field, 20, random.Random(7))
+    pts = random_curve_points(field, 20, random.Random(7))
     assert all(on_curve(ctx, pt) for pt in pts)
     assert len({tuple(c.index for c in pt) for pt in pts}) == 20
     assert all(not pt[0].is_zero() and not pt[2].is_zero() for pt in pts)
-    assert pts == random_curve_points(ctx, field, 20, random.Random(7))
+    assert pts == random_curve_points(field, 20, random.Random(7))
 
 
 def test_random_curve_points_lie_in_reference_cone():
     ctx = CurveContext(13)
     field = make_extension_field(13, 2)
     cone = {tuple(c.index for c in pt) for pt in curve_cone_points(ctx, field)}
-    pts = random_curve_points(ctx, field, 50, random.Random(1))
+    pts = random_curve_points(field, 50, random.Random(1))
     assert {tuple(c.index for c in pt) for pt in pts} <= cone
 
 
-def test_random_curve_points_exhausted_raises_plain_value_error(quartic):
+def test_random_curve_points_exhausted_raises_plain_value_error():
     # over GF(9), u^4 and v^4 are norms in {0, 1, 2}: of the 8 * 9 pairs with
     # u != 0, the 8 * 4 with u^4 + v^4 = 0 have no root w, the other 40 have one
     F9 = make_extension_field(3, 2)
-    assert len(random_curve_points(quartic, F9, 40, random.Random(0))) == 40
+    assert len(random_curve_points(F9, 40, random.Random(0))) == 40
     with pytest.raises(ValueError) as info:
-        random_curve_points(quartic, F9, 41, random.Random(0))
+        random_curve_points(F9, 41, random.Random(0))
     assert type(info.value) is ValueError
 
 
@@ -605,7 +639,7 @@ def _memo_test_points(ctx, field, rng):
     e = ctx.p + 1
     units = [x for x in field.elements() if not x.is_zero()]
     if field.m == 2:
-        sampled = random_curve_points(ctx, field, 2, rng)
+        sampled = random_curve_points(field, 2, rng)
     else:  # the sampler serves GF(p^2) only; the cone reference covers the prime field
         cone = curve_cone_points(ctx, field)
         sampled = rng.sample([pt for pt in cone if not (pt[0].is_zero() or pt[2].is_zero())], 2)
@@ -648,12 +682,12 @@ def test_memoized_evaluation_equals_the_direct_formula(p, m):
                     with pytest.raises(ZeroDivisionError):
                         frac.evaluate(pt)
                 else:
-                    direct = _direct_value(frac.num, pt) * u0 ** -frac.du * w0 ** -frac.dw
+                    direct = _direct_value(frac, pt) * u0 ** -frac.du * w0 ** -frac.dw
                     assert frac.evaluate(pt) == direct
             if not (zu or zw):
                 direct = field.zero
                 for exps, coeff in formal.terms.items():
-                    term = _direct_value(coeff.num, pt) * u0 ** -coeff.du * w0 ** -coeff.dw
+                    term = _direct_value(coeff, pt) * u0 ** -coeff.du * w0 ** -coeff.dw
                     for name, k in zip(names, exps):
                         term = term * assignment[name] ** k
                     direct = direct + term
@@ -754,11 +788,10 @@ def _table_sampler_reference(field, count, rng):
 def test_sampler_matches_table_reference(p):
     """The table sampler's points and the same final rng state; above 13,
     101 is 1 mod 4 and 103 is 3 mod 4."""
-    ctx = CurveContext(p)
     field = make_extension_field(p, 2)
     for seed in range(4):
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        pts = random_curve_points(ctx, field, 20, rng)
+        pts = random_curve_points(field, 20, rng)
         assert pts == _table_sampler_reference(field, 20, ref_rng), seed
         assert rng.getstate() == ref_rng.getstate(), seed
 
@@ -793,11 +826,10 @@ def test_sampler_matches_root_list_reference(p):
     """The sampler that walks norm_roots only up to its pick returns the
     points of the one that listed every root and drew among them, and
     leaves rng in the same state; 1009 is 1 mod 4 and 2003 is 3 mod 4."""
-    ctx = CurveContext(p)
     field = make_extension_field(p, 2)
     for seed in range(4):
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        pts = random_curve_points(ctx, field, 20, rng)
+        pts = random_curve_points(field, 20, rng)
         assert pts == _root_list_sampler_reference(field, 20, ref_rng), seed
         assert rng.getstate() == ref_rng.getstate(), seed
 
@@ -818,13 +850,13 @@ def test_norm_sampler_makes_only_the_returned_elements(monkeypatch, p):
 
         return wrapper
 
-    ctx, field = CurveContext(p), make_extension_field(p, 2)
+    field = make_extension_field(p, 2)
     field.frobenius_columns()  # built and certified once per field, with pows of its own
     monkeypatch.setattr(GF, "from_index", counted("from_index", from_index))
     monkeypatch.setattr(FieldElement, "p_power", counted("frobenius", p_power))
     monkeypatch.setattr(FieldElement, "__pow__", counted("pow", pow_))
     monkeypatch.setattr(FieldElement, "__mul__", counted("mul", mul))
-    pts = random_curve_points(ctx, field, 20, random.Random(0))
+    pts = random_curve_points(field, 20, random.Random(0))
     assert len(pts) == 20
     assert counts["from_index"] <= 60
     assert counts["pow"] == 0

@@ -1,5 +1,6 @@
 import itertools
 import operator
+import time
 
 import pytest
 from fiber_reference import linear_kernel
@@ -42,6 +43,15 @@ def test_is_prime_small():
 def test_prime_factors():
     assert prime_factors(390624) == (2, 3, 13, 313)
     assert prime_factors(80) == (2, 5)
+
+
+def test_is_prime_stops_at_the_least_factor():
+    """2q and 3q, q = 10^16 + 61 prime, are refused at their factor 2 or 3:
+    factoring them fully would trial-divide up to sqrt(q) = 10^8."""
+    q = 10**16 + 61
+    start = time.perf_counter()
+    assert not is_prime(2 * q) and not is_prime(3 * q)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_rejects_bad_parameters():
