@@ -5,7 +5,7 @@ bundle Syz(u^2, v^2, w^2)(3) on Fermat curves in odd characteristic.
 module on first access (PEP 562), so a caller compiles only what it runs.
 """
 
-__version__ = "0.1.1"
+__version__ = "0.1.2"
 
 # exported name -> the submodule that defines it
 _EXPORTS = {

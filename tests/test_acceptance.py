@@ -199,13 +199,19 @@ def test_criterion_4_mutation_sensitivity(p):
 # x^2 + y^2 = z^2, which vanishes at every GF(9)-point with x, z != 0: the
 # nonzero squares of GF(9) are the fourth roots of unity, and x^2 + y^2 is one
 # of them only when y = 0 or y^2 = x^2.  No sample over GF(p^2) can see that
-# flip; the symbolic check does.
+# flip; the symbolic check does.  s2' shares R2's middle component
+# 2x^d + y^d, so its flip s2'[1] is blind in the lemma claims for the same
+# reason; the cover claims see it (det H_U + 2 fails at the sampled points),
+# which is why each mutant's oracle gets the claims of the whole
+# lemmas,cover run.
 ORACLE_BLIND_FLIPS = {3: {"R2[1]"}}
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
 def test_criterion_4_oracle_mutation_sensitivity(p):
-    """The oracle alone rejects the claims of each sign-flipped catalog."""
+    """The oracle alone rejects the claims of each sign-flipped catalog,
+    given the claims of the lemmas and cover checks as verify --checks
+    lemmas,cover makes them."""
     catalog = build_catalog(p)
     missed = set()
     mutations = 0
@@ -215,6 +221,8 @@ def test_criterion_4_oracle_mutation_sensitivity(p):
                 continue
             mutated = flip_sign(catalog, label, idx)
             claims = [claim for chk in SYMBOLIC_CHECKS for claim in chk(mutated).claims]
+            cd = build_cover_data(p, mutated)
+            claims += [claim for chk in COVER_CHECKS for claim in chk(cd).claims]
             ok, _ = OracleSuite(seed=0).check_all(claims)
             if ok:
                 missed.add(f"{label}[{idx}]")

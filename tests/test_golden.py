@@ -16,47 +16,37 @@ the stdout of
     syzcover verify --prime P --seed S --checks lemmas,cover
 
 the goldens that run the oracle's point sampler and the w = 0 search above
-p = 13 (over GF(P^2); 503 is 3 mod 4 and 1009 is 1 mod 4; those made
-before every claim lived on the degree-(p+1) curve sampled a second,
-degree-(p+1)/2 curve too).
-The seed 0 files at 503 and 1009 were made by the sampler that read a
-table of x^e over all of GF(P^2), before norm_roots replaced it, and the
-seed 1-3 files by the sampler that solved x^e = s on the degree-(p+1)/2
-curve itself, before its points became squares of degree-(p+1) points.
-p2003_lemmas-cover_seed0.json and p10007_lemmas-cover_seed0.json are the
-same run at P = 2003 and 10007, made by the sampler that listed every root
-of each norm before it drew one, and by the w = 0 search that read affine
-points (u0, v0, 0) with u0 running over GF(P^2).
-p100003_lemmas-cover_seed0.json, the same run at P = 100003 (about 1.6 s),
-was made while (det A)^p still stepped each C(p, k) as an exact int; the
-CI golden loop compares it, no test here does.  p1000003_fiber_seed0.json
-is the stdout of
+p = 13 (over GF(P^2); 503 is 3 mod 4 and 1009 is 1 mod 4).
+p2003_lemmas-cover_seed0.json, p10007_lemmas-cover_seed0.json and
+p100003_lemmas-cover_seed0.json are the same run at seed 0; the CI golden
+loop compares the one at 100003 (about 1.6 s), no test here does.
+p1000003_fiber_seed0.json is the stdout of
 
     syzcover verify --prime 1000003 --checks fiber
 
-made while the census still walked the powers of 2 mod p and formed
-p^m before comparing it with the cap (about 7 s); the CI golden loop
-compares it.
+which the CI golden loop compares.
 
 symbolic_pP_seed0.json, for P = 101, 151 and 251 (the symbolic bench primes)
 and for P = 503 and 1009, is the stdout of
 
     PYTHONPATH=src python3 bench/symbolic_op.py P 0
 
-the lemma and cover checks at a prime the oracle never sees.  At 503 and
-1009, (det A)^p is the largest power check_det_periodicity expands; the
-files there were made by the square-and-multiply that the binomial
-expansion replaced.  A change that
-alters any of these bytes for a fixed (prime, seed, version) must fail
-here; regenerate the files only when that change is intended.
+the lemma and cover checks at a prime the oracle never sees; at 503 and
+1009, (det A)^p is the largest power check_det_periodicity expands.  A
+change that alters any of these bytes for a fixed (prime, seed, version)
+must fail here; regenerate the files only when that change is intended,
+and then bump the version, which every report names.
 """
 
+import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import syzcover
 from syzcover.report import render_json, render_text, run_verification
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -110,3 +100,25 @@ def test_oracle_report_matches_golden_at_other_seeds(p, seed):
 def test_symbolic_checks_match_golden(p):
     out = _stdout(str(ROOT / "bench" / "symbolic_op.py"), str(p), "0")
     assert out == _golden(f"symbolic_p{p}_seed0.json")
+
+
+def _named_versions(path):
+    """The engine versions a golden report or README names, in order."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        doc = json.loads(text)
+        return [r["engine"]["version"] for r in (doc if isinstance(doc, list) else [doc]) if "engine" in r]
+    pattern = r"\(engine ([^,]+), seed" if path.suffix == ".txt" else r'"engine": \{"version": "([^"]+)"'
+    return re.findall(pattern, text)
+
+
+def test_every_named_version_is_the_engine_version():
+    """Every report golden and README's example report name __version__,
+    so a version bump leaves none of them behind; only the symbolic files,
+    which print no engine block, name none."""
+    for path in [*sorted(GOLDEN.iterdir()), ROOT / "README.md"]:
+        versions = _named_versions(path)
+        if path.name.startswith("symbolic_"):
+            assert versions == [], path.name
+        else:
+            assert versions and set(versions) == {syzcover.__version__}, (path.name, versions)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from catalog_mutants import flip_sign, replace_triple
 
@@ -28,15 +30,22 @@ def test_catalog_contains_exactly_the_named_triples(catalogs):
     cat = catalogs[3]
     assert list(cat.triples) == [
         "R0", "R1", "R2", "R3",
-        "phi1", "phi2", "phi3",
         "psi1", "psi2", "psi3",
-        "alpha1", "alpha2", "alpha3",
         "s1", "s2", "s3", "s1'", "s2'", "s3'",
     ]
     u, v, w = cat.quad.variables()
     x, y, z = u ** 2, v ** 2, w ** 2
     assert cat.kernel_form == (z, -y, x) == (w ** 2, -(v ** 2), u ** 2)
     assert cat.koszul_kernel_form == (y, -x, z)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_catalog_holds_each_triple_once(catalogs, p):
+    """No two triples agree in components, data and declared degree."""
+    triples = catalogs[p].triples.values()
+    for t1, t2 in combinations(triples, 2):
+        same = (t1.components, t1.data, t1.total_degree) == (t2.components, t2.data, t2.total_degree)
+        assert not same, (t1.label, t2.label)
 
 
 def test_r0_expands_to_zero_for_p3(catalogs):
@@ -85,7 +94,7 @@ def test_declared_degrees(catalogs):
         assert cat["R2"].total_degree == 2 * ((3 * p + 1) // 2)
         assert cat["R3"].total_degree == 2 * ((3 * p + 1) // 2)
         for i in (1, 2, 3):
-            assert cat[f"phi{i}"].total_degree == 2 * ((3 * p + 1) // 2)
+            assert cat[f"s{i}'"].total_degree == 2 * ((3 * p + 1) // 2)
             assert cat[f"psi{i}"].total_degree == 2 * 2
             # degree 1 relative to the twisted bundles (base twists 3 and 3p)
             assert cat[f"s{i}"].total_degree - 3 == 1
@@ -121,7 +130,7 @@ def test_kernel_relation(catalogs, p):
 
 def test_kernel_relation_detects_sign_flip(catalogs):
     cat = catalogs[3]
-    mutated = flip_sign(cat, "phi1", 0)
+    mutated = flip_sign(cat, "s1'", 0)
     assert not check_kernel_relation(mutated).ok
 
 
@@ -135,7 +144,9 @@ def test_alpha_detects_wrong_image(catalogs):
     u, v, w = cat.quad.variables()
     zero = cat.quad.zero()
     wrong = replace_triple(cat, "s2", components=(-(w ** 2), zero, v ** 2))
-    assert not check_alpha(wrong).ok
+    assert not check_catalog(wrong).ok
+    assert not check_kernel_relation(wrong).ok
+    assert not check_alpha(flip_sign(cat, "psi2", 1)).ok
 
 
 @pytest.mark.parametrize("p", PRIMES)
