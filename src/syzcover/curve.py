@@ -14,8 +14,11 @@ the (integral) coordinate ring.
 Distinct points of the curve are made by random_curve_points as tuples
 and checked on the curve once, as CurvePoint, which also memoizes the
 coordinate powers that evaluation reads; evaluation takes a CurvePoint only.
-norm_roots, the one solver of x^(p+1) = c in GF(p^2), yields roots lazily
-to the sampler and cover's w = 0 search, which read only those they use.
+Over GF(p^2) the curve is Hermitian: x^(p+1) is the norm N(x), in F_p, so
+a point's last coordinate solves x^(p+1) = c = N(u0) + N(v0).  norm_root,
+the one solver, gives the p + 1 roots of c != 0 in closed form as
+r * zeta^j, O(log p) field products each, to the sampler and to cover's
+w = 0 points.
 curve_cone_points enumerates the affine cone; it is the sampler's test
 reference, not part of the pipeline.
 """
@@ -24,9 +27,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import islice
 
-from .gf import GF, FieldElement, RingElement, is_prime, power
+from .gf import GF, FieldElement, RingElement, is_prime, power, prime_factors
 
 
 class CurveContext(namedtuple("CurveContext", "p")):
@@ -361,45 +363,70 @@ class CurvePoint:
         return iter(self.coords)
 
 
-def norm_key(field: GF):
-    """k -> the coefficient pair of the norm x^(p+1) = x * Frob(x), for x =
-    field.from_index(k) in GF(p^2), computed on the int pair (a, b) of
-    x = a + b*t from the field's Frobenius columns and modulus, with no field
-    element made."""
-    p = field.p
-    (f00, f01), (f10, f11) = field.frobenius_columns()
-    m0, m1 = field.modulus[:2]  # t^2 = -m1*t - m0
-
-    def norm(k):
-        a, b = k % p, k // p
-        c, d = a * f00 + b * f10, a * f01 + b * f11
-        return (a * c - m0 * b * d) % p, (a * d + b * c - m1 * b * d) % p
-
-    return norm
+def _norm(x: FieldElement) -> int:
+    """N(x) = x * x^p in GF(p^2), as an int mod p; ValueError when it is not in
+    F_p, which only a wrong Frobenius matrix makes."""
+    n, rest = (x * x.p_power()).coeffs
+    if rest:
+        raise ValueError(f"the norm of {x!r} in {x.field!r} is not in F_p")
+    return n
 
 
-def norm_roots(field: GF, c: int):
-    """Yield the indices k >= 1, increasing, of the x in GF(p^2) with x^(p+1) = c in F_p.
+def _sqrt_mod(c: int, p: int) -> int:
+    """A square root of c mod p, for c a square or 0, by Tonelli-Shanks."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    g = pow(next(n for n in range(2, p) if pow(n, p >> 1, p) == p - 1), q, p)
+    t, r = pow(c, q, p), pow(c, (q + 1) >> 1, p)
+    while t > 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(g, 1 << (s - i - 1), p)
+        s, g, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
-    The norm's first coordinate at index a + b*p is a quadratic form Q(a, b),
-    read off norm_key at 1, p and p + 1.  Row b is solved, as the caller reads
-    on, by a table of square roots mod p; the full norm confirms each root.
-    The first next() raises ValueError when Q has no a^2 term.
+
+def norm_root(field: GF):
+    """root(c, j) for GF(p^2): the j-th of the p + 1 roots of x^(p+1) = c, for c != 0 mod p.
+
+    The roots are r * zeta^j for j < p + 1, where zeta = x^(p-1) has order
+    p + 1 and r is one root: sqrt(c) in F_p when c is a square mod p (N is
+    squaring on F_p), else z * sqrt(c / N(z)) for a z whose norm is not a
+    square.  x and z are the first qualifying a + t, a < p, and z is sought
+    only when a non-square c first asks for it.  c = 0 gives its one root 0.
+    Only ValueError leaves a root: for a search that runs out, or a norm
+    outside F_p.
     """
-    p = field.p
-    norm = norm_key(field)
-    qa, qc = norm(1)[0], norm(p)[0]
-    if not qa:
-        raise ValueError(f"the norm of {field!r} has no a^2 term")
-    qb, half = (norm(p + 1)[0] - qa - qc) % p, pow(2 * qa, p - 2, p)
-    roots = {x * x % p: {x, -x % p} for x in range(p)}
-    target = (c % p, 0)
-    for b in range(p):
-        lin = qb * b % p
-        disc = (lin * lin - 4 * qa * (qc * b * b - c)) % p
-        for k in sorted((r - lin) * half % p + b * p for r in roots.get(disc, ())):
-            if k and norm(k) == target:
-                yield k
+    p, one = field.p, field.one
+    cofactors = [(p + 1) // ell for ell in prime_factors(p + 1)]
+    zeta = _first_unit(
+        field, lambda x: all(x ** ((p - 1) * k) != one for k in cofactors), "x^(p-1) of order p + 1"
+    ) ** (p - 1)
+    twist = None
+
+    def root(c: int, j: int) -> FieldElement:
+        nonlocal twist
+        if pow(c, p >> 1, p) < 2:
+            r = field(_sqrt_mod(c, p))
+        else:
+            if twist is None:
+                z = _first_unit(field, lambda x: pow(_norm(x), p >> 1, p) == p - 1, "a non-square norm")
+                twist = z, pow(_norm(z), -1, p)
+            z, inverse_norm = twist
+            r = z * _sqrt_mod(c * inverse_norm, p)
+        return r * zeta ** j
+
+    return root
+
+
+def _first_unit(field: GF, test, wanted: str) -> FieldElement:
+    """The first a + t, a < p, in GF(p^2) that passes test; ValueError if none does."""
+    for a in range(field.p):
+        x = field.element((a, 1))
+        if test(x):
+            return x
+    raise ValueError(f"no x = a + t in {field!r} has {wanted}")
 
 
 def curve_cone_points(ctx: CurveContext, field: GF):
@@ -432,14 +459,13 @@ def random_curve_points(field: GF, count: int, rng):
 
     The pairs (u0, v0) are drawn without repetition (a lazy Fisher-Yates
     shuffle of the pair indices).  rng picks one of the p + 1 roots w0 of
-    x^(p+1) = s = N(u0) + N(v0) != 0, and norm_roots is read in index order
-    only up to it; a pair with s = 0 is skipped without a draw.  Only
-    returned points become field elements.  Raises ValueError when the
-    roots run out before the pick (a wrong Frobenius matrix), or when the
-    pairs run out first; callers check the returned tuples with CurvePoint.
+    x^(p+1) = s = N(u0) + N(v0) != 0 by its j in norm_root; a pair with
+    s = 0 is skipped without a draw.  Raises ValueError when the roots
+    cannot be made (a wrong Frobenius matrix), or when the pairs run out;
+    callers check the returned tuples with CurvePoint.
     """
     p, order = field.p, field.order
-    norm = norm_key(field)
+    root = norm_root(field)
     total = (order - 1) * order
     swapped: dict = {}
     points = []
@@ -449,14 +475,10 @@ def random_curve_points(field: GF, count: int, rng):
         pick = rng.randrange(drawn, total)
         pair = swapped.get(pick, pick)
         swapped[pick] = swapped.get(drawn, drawn)
-        ui, vi = 1 + pair // order, pair % order
-        s = (norm(ui)[0] + norm(vi)[0]) % p
-        if not s:
-            continue
-        wi = next(islice(norm_roots(field, s), rng.randrange(p + 1), None), None)
-        if wi is None:
-            raise ValueError(f"x^(p+1) = {s} has fewer than {p + 1} roots in {field!r}")
-        points.append(tuple(field.from_index(i) for i in (ui, vi, wi)))
+        u0, v0 = field.from_index(1 + pair // order), field.from_index(pair % order)
+        s = (_norm(u0) + _norm(v0)) % p
+        if s:
+            points.append((u0, v0, root(s, rng.randrange(p + 1))))
     if len(points) < count:
         raise ValueError(f"only {len(points)} curve points available, wanted {count}")
     return points

@@ -59,16 +59,6 @@ class CoverReport(namedtuple("CoverReport", "prime overall checks stats engine")
             "engine": self.engine._asdict(),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> CoverReport:
-        return cls(
-            prime=data["prime"],
-            overall=data["overall"],
-            checks=tuple(CheckRecord(**c) for c in data["checks"]),
-            stats=ReportStats(**data["stats"]),
-            engine=EngineInfo(**data["engine"]),
-        )
-
 
 def parse_selection(text: str) -> tuple[str, ...]:
     tokens = [t.strip() for t in text.split(",") if t.strip()]
@@ -167,13 +157,6 @@ def render_text(report: CoverReport | list) -> str:
         lines.append(f"{c.name:<28} {c.status:<8} {c.detail}")
     lines.append("stats: " + " ".join(f"{k}={v}" for k, v in report.stats._asdict().items()))
     return "\n".join(lines) + "\n"
-
-
-def parse_json(text: str):
-    data = json.loads(text)
-    if isinstance(data, list):
-        return [CoverReport.from_dict(d) for d in data]
-    return CoverReport.from_dict(data)
 
 
 def emit_report(report, fmt: str = "json", destination=None) -> str:

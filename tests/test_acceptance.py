@@ -20,6 +20,7 @@ import time
 
 import pytest
 from catalog_mutants import flip_sign
+from report_reference import parse_json
 
 import syzcover.cli as cli
 from syzcover.census import (
@@ -48,7 +49,6 @@ from syzcover.report import (
     CoverReport,
     EngineInfo,
     ReportStats,
-    parse_json,
     render_json,
     run_verification,
 )

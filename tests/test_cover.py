@@ -724,30 +724,28 @@ def test_solve_frame_rejects_a_minor_that_is_no_chart_unit():
             cover._solve_frame((target, target), basis, 1, 2, chart)
 
 
-def _w0_points_by_pow(ctx, count):
+def _w0_points_by_pow(ctx):
     """Reference for cover._w0_points: a scan of v0 over GF(p^2) with u0 = 1
     and one pow per element."""
     field = make_extension_field(ctx.p, 2)
-    pts = []
-    for v0 in field.elements():
-        if v0 ** (ctx.p + 1) == -field.one:
-            pts.append((field.one, v0, field.zero))
-            if len(pts) == count:
-                break
-    return pts
+    return [(field.one, v0, field.zero) for v0 in field.elements() if v0 ** (ctx.p + 1) == -field.one]
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 19, 101, 103, 251, 1009))
 def test_w0_points_match_pow_scan(p):
-    """min(20, p + 1) points (1 : v0 : 0) in the pow scan's order, pairwise
-    distinct up to scaling; asked for more, all p + 1 and no others."""
+    """min(20, p + 1) points (1 : v0 : 0), pairwise distinct up to scaling;
+    asked for more, p + 1 distinct roots of v0 ** (p + 1) == -1, so all of
+    them, which up to p = 103 are the pow scan's points up to order."""
     ctx = CurveContext(p)
     count = min(20, p + 1)
     pts = cover._w0_points(ctx, count)
     assert all(isinstance(pt, CurvePoint) and pt.ctx == ctx for pt in pts)
-    assert [pt.coords for pt in pts] == _w0_points_by_pow(ctx, count)
     assert len({(v0 * u0.inverse(), w0 * u0.inverse()) for u0, v0, w0 in pts}) == count
-    assert len(cover._w0_points(ctx, p + 2)) == p + 1
+    every = [pt.coords for pt in cover._w0_points(ctx, p + 2)]
+    assert len({v0.index for _, v0, _ in every}) == p + 1
+    assert all(v0 ** (p + 1) == -1 for _, v0, _ in every)
+    if p <= 103:
+        assert sorted(every, key=lambda pt: pt[1].index) == _w0_points_by_pow(ctx)
 
 
 @pytest.mark.parametrize("p", (3, 5, 13, 101))
@@ -775,32 +773,27 @@ def test_h_entries_take_one_value_on_each_projective_point(p):
             assert [value(h, scaled) for h in entries] == [value(h, pt) for h in entries]
 
 
-def test_w0_specialization_fails_on_too_few_points(covers, monkeypatch):
-    few = cover._w0_points(covers[5].ctx, 5)
-    monkeypatch.setattr(cover, "_w0_points", lambda ctx, count: few)
-    out = check_w0_specialization(covers[5])
-    assert not out.ok
-    assert out.detail == "only 5 of 6 curve points with w = 0 found"
-
-
 def test_w0_specialization_fails_on_off_curve_point(covers):
-    """A corrupted Frobenius matrix (column 0) leaves the norm with no root of
-    -1, so the w = 0 search finds no point: a fail, not a crash."""
-    field = make_extension_field(13, 2)
-    columns = field.frobenius_columns()
-    try:
-        field._frobenius = ((columns[0][0] + 1, columns[0][1]), columns[1])
-        out = check_w0_specialization(covers[13])
-    finally:
-        field._frobenius = columns
-    assert not out.ok
-    assert out.detail == "only 0 of 14 curve points with w = 0 found"
-    assert check_w0_specialization(covers[13]).ok
+    """A corrupted Frobenius matrix (column 0) takes the norm of a candidate z
+    out of F_p at p = 11, where -1 is not a square and its roots go through
+    z: a fail, not a crash.  At p = 13, where -1 = 5^2, the roots use no
+    Frobenius and pass."""
+    for p, detail in ((11, "w = 0 sample: the norm of 1 + t in GF(11^2) is not in F_p"), (13, None)):
+        field = make_extension_field(p, 2)
+        columns = field.frobenius_columns()
+        try:
+            field._frobenius = ((columns[0][0] + 1, columns[0][1]), columns[1])
+            out = check_w0_specialization(covers[p])
+        finally:
+            field._frobenius = columns
+        assert out.ok is (detail is None), p
+        assert detail is None or out.detail == detail
+        assert check_w0_specialization(covers[p]).ok
 
 
 def test_w0_specialization_fails_on_a_root_off_the_curve(covers, monkeypatch):
     """A v0 that is no root of x^14 = -1 is rejected by the point check: a fail, not a crash."""
-    monkeypatch.setattr(cover, "norm_roots", lambda field, c: iter((2,)))
+    monkeypatch.setattr(cover, "norm_root", lambda field: lambda c, j: field.from_index(2))
     out = check_w0_specialization(covers[13])
     assert not out.ok
     assert out.detail == "w = 0 sample: point (1, 2, 0) does not lie on the curve u^14 + v^14 = w^14"

@@ -7,14 +7,15 @@ from syzcover.curve import (
     CurveContext,
     CurvePoint,
     CurvePolynomial,
+    _first_unit,
+    _sqrt_mod,
     curve_cone_points,
-    norm_key,
-    norm_roots,
+    norm_root,
     on_curve,
     random_curve_points,
 )
 from syzcover.formal import FormalPolynomial
-from syzcover.gf import GF, FieldElement, make_extension_field, power
+from syzcover.gf import GF, FieldElement, make_extension_field, power, prime_factors
 from syzcover.matrices import adjugate, det, mat, mat_mul
 from syzcover.oracle import PointOracle
 
@@ -717,128 +718,162 @@ def test_checked_point_of_another_context_is_rejected(quartic):
     assert quartic.one().evaluate(point) == F3.one
 
 
-@pytest.mark.parametrize("p", (3, 5, 7, 13))
-def test_norm_table_equals_pow(p):
-    """norm_key's int-pair norm is x^(p + 1) at every index of GF(p^2)."""
+# 1 mod 8 (the Tonelli-Shanks loop runs), then 3 mod 4 (it does not)
+SQRT_PRIMES = (17, 41, 73, 97, 113, 193, 3, 7, 11, 19, 23, 103)
+
+
+@pytest.mark.parametrize("p", SQRT_PRIMES)
+def test_sqrt_mod_matches_brute_force(p):
+    """Every square c mod p, 0 included, gets one of its square roots."""
+    roots = {}
+    for x in range(p):
+        roots.setdefault(x * x % p, set()).add(x)
+    for c, expected in roots.items():
+        assert _sqrt_mod(c, p) in expected, c
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101, 103))
+def test_norm_root_gives_the_pow_scan_roots(p):
+    """For every c != 0 in F_p, root(c, j) for j < p + 1 is each x in GF(p^2)
+    with x ** (p + 1) == c exactly once; c = 0 gives its one root 0."""
     field = make_extension_field(p, 2)
-    key = norm_key(field)
-    for k, x in enumerate(field.elements()):
-        product = field.one
-        for _ in range(p + 1):
-            product = product * x
-        assert key(k) == product.coeffs, k
+    scan = {}
+    for k in range(1, p * p):
+        scan.setdefault((field.from_index(k) ** (p + 1)).coeffs, []).append(k)
+    root = norm_root(field)
+    for c in range(1, p):
+        assert sorted(root(c, j).index for j in range(p + 1)) == scan[c, 0], c
+    assert sum(len(ks) for ks in scan.values()) == (p - 1) * (p + 1) == p * p - 1
+    assert root(0, 0) == root(0, p) == field.zero
 
 
-@pytest.mark.parametrize("p", (3, 5, 7, 13))
-def test_norm_roots_match_pow_scan(p):
-    """Every c in F_p: the indices k >= 1 with from_index(k) ** (p + 1) == c,
-    in increasing order; p + 1 of them for c != 0, none for c = 0."""
+@pytest.mark.parametrize("p", (3, 5, 7, 13, 101, 1009, 2003, 10007, 100003, 1000003))
+def test_zeta_has_order_p_plus_1(p):
+    """zeta = root(1, 1) (r = 1 for c = 1) has order exactly p + 1."""
     field = make_extension_field(p, 2)
-    norms = {k: (field.from_index(k) ** (p + 1)).coeffs for k in range(1, p * p)}
-    for c in range(p):
-        expected = [k for k, n in norms.items() if n == (c, 0)]
-        assert list(norm_roots(field, c)) == expected, c
-        assert len(expected) == (p + 1 if c else 0)
+    zeta = norm_root(field)(1, 1)
+    assert zeta ** (p + 1) == field.one
+    assert all(zeta ** ((p + 1) // ell) != field.one for ell in prime_factors(p + 1))
 
 
-def test_norm_roots_raises_when_the_norm_has_no_a_squared_term():
-    """A Frobenius matrix whose column 0 (the image of 1) starts with 0 makes
-    the norm's quadratic form lose its a^2 term: a ValueError, not a division."""
-    field = make_extension_field(7, 2)
+@pytest.mark.parametrize("p", (7, 13))
+def test_norm_root_raises_only_value_error(p):
+    """Under each single-entry corruption of the Frobenius matrix, every root
+    is made or refused with ValueError; an exhausted search is a ValueError too."""
+    field = make_extension_field(p, 2)
     columns = field.frobenius_columns()
+    refused = 0
     try:
-        field._frobenius = ((0, columns[0][1]), columns[1])
-        with pytest.raises(ValueError, match="has no a\\^2 term"):
-            list(norm_roots(field, 1))
+        for i in range(2):
+            for j in range(2):
+                bad = [list(col) for col in columns]
+                bad[i][j] = (bad[i][j] + 1) % p
+                field._frobenius = tuple(tuple(col) for col in bad)
+                root = norm_root(field)
+                for c in range(1, p):
+                    try:
+                        root(c, 0)
+                    except ValueError:
+                        refused += 1
     finally:
         field._frobenius = columns
-    assert len(list(norm_roots(field, 1))) == 8
+    assert refused
+    with pytest.raises(ValueError, match="no x = a \\+ t in GF\\(7\\^2\\) has nothing"):
+        _first_unit(make_extension_field(7, 2), lambda x: False, "nothing")
+
+
+def _norm_by_pow(x):
+    """N(x) = x ** (p + 1) as an int, with no Frobenius matrix."""
+    n0, n1 = (x ** (x.field.p + 1)).coeffs
+    assert not n1
+    return n0
+
+
+def _check_w0(points):
+    """Each w0 solves w0 ** (p + 1) == N(u0) + N(v0), the norms taken by pow."""
+    for u0, v0, w0 in points:
+        assert _norm_by_pow(w0) == (_norm_by_pow(u0) + _norm_by_pow(v0)) % u0.field.p
 
 
 def _table_sampler_reference(field, count, rng):
     """The table sampler that random_curve_points was until it solved norms:
-    the same draws, completed from a table of norms over all of the field,
-    each one mul and one Frobenius."""
-    order = field.order
+    the same draws, completed from a table of the pow norms over all of the
+    field; (u0, v0) pairs only, since the roots are listed in another order."""
+    order, p = field.order, field.p
     elements = list(field.elements())
-    powers = [x * x.p_power() for x in elements]
-    roots = {}
-    for x, px in zip(elements[1:], powers[1:]):
-        roots.setdefault(px.coeffs, []).append(x)
+    norms = [_norm_by_pow(x) if k else 0 for k, x in enumerate(elements)]
+    roots = Counter(norms[1:])
     total = (order - 1) * order
     swapped = {}
-    points = []
+    pairs = []
     for drawn in range(total):
-        if len(points) == count:
+        if len(pairs) == count:
             break
         pick = rng.randrange(drawn, total)
         pair = swapped.get(pick, pick)
         swapped[pick] = swapped.get(drawn, drawn)
         ui, vi = 1 + pair // order, pair % order
-        candidates = roots.get((powers[ui] + powers[vi]).coeffs, ())
+        candidates = roots[(norms[ui] + norms[vi]) % p]
         if not candidates:
             continue
-        points.append((elements[ui], elements[vi], candidates[rng.randrange(len(candidates))]))
-    if len(points) < count:
-        raise ValueError(f"only {len(points)} curve points available, wanted {count}")
-    return points
+        rng.randrange(candidates)
+        pairs.append((elements[ui], elements[vi]))
+    return pairs
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101, 103), ids=SAMPLER_IDS)
 def test_sampler_matches_table_reference(p):
-    """The table sampler's points and the same final rng state; above 13,
-    101 is 1 mod 4 and 103 is 3 mod 4."""
+    """The table sampler's (u0, v0) pairs and the same final rng state, so
+    each s it drew for had p + 1 roots in the table; above 13, 101 is 1 mod
+    4 and 103 is 3 mod 4."""
     field = make_extension_field(p, 2)
     for seed in range(4):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         pts = random_curve_points(field, 20, rng)
-        assert pts == _table_sampler_reference(field, 20, ref_rng), seed
+        assert [pt[:2] for pt in pts] == _table_sampler_reference(field, 20, ref_rng), seed
         assert rng.getstate() == ref_rng.getstate(), seed
+        _check_w0(pts)
 
 
 def _root_list_sampler_reference(field, count, rng):
-    """random_curve_points as it was with a root list per s: every root of
-    x^(p+1) = s listed, and rng picks among them by their number."""
+    """random_curve_points as it was with a root list per s: the pow norms of
+    each drawn pair, and for s != 0 a pick among its p + 1 roots."""
     p, order = field.p, field.order
-    norm, roots = norm_key(field), {}
     total = (order - 1) * order
-    swapped, points = {}, []
+    swapped, pairs = {}, []
     for drawn in range(total):
-        if len(points) == count:
+        if len(pairs) == count:
             break
         pick = rng.randrange(drawn, total)
         pair = swapped.get(pick, pick)
         swapped[pick] = swapped.get(drawn, drawn)
-        ui, vi = 1 + pair // order, pair % order
-        s = (norm(ui)[0] + norm(vi)[0]) % p
-        if s not in roots:
-            roots[s] = list(norm_roots(field, s))
-        candidates = roots[s]
-        if not candidates:
-            continue
-        wi = candidates[rng.randrange(len(candidates))]
-        points.append(tuple(field.from_index(i) for i in (ui, vi, wi)))
-    return points
+        u0, v0 = field.from_index(1 + pair // order), field.from_index(pair % order)
+        if (_norm_by_pow(u0) + _norm_by_pow(v0)) % p:
+            rng.randrange(p + 1)
+            pairs.append((u0, v0))
+    return pairs
 
 
 @pytest.mark.parametrize("p", (3, 5, 13, 101, 1009, 2003), ids=SAMPLER_IDS)
 def test_sampler_matches_root_list_reference(p):
-    """The sampler that walks norm_roots only up to its pick returns the
-    points of the one that listed every root and drew among them, and
-    leaves rng in the same state; 1009 is 1 mod 4 and 2003 is 3 mod 4."""
+    """The sampler draws the (u0, v0) pairs and root picks of the one that
+    listed every root and drew among them, and leaves rng in the same
+    state; 1009 is 1 mod 4 and 2003 is 3 mod 4."""
     field = make_extension_field(p, 2)
     for seed in range(4):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         pts = random_curve_points(field, 20, rng)
-        assert pts == _root_list_sampler_reference(field, 20, ref_rng), seed
+        assert [pt[:2] for pt in pts] == _root_list_sampler_reference(field, 20, ref_rng), seed
         assert rng.getstate() == ref_rng.getstate(), seed
+        _check_w0(pts)
 
 
-@pytest.mark.parametrize("p", (13, 101), ids=SAMPLER_IDS)
-def test_norm_sampler_makes_only_the_returned_elements(monkeypatch, p):
-    """20 points cost at most 3 * 20 from_index calls, and no pow, product
-    or Frobenius application (the table sampler made p^2 of each of the
-    last two)."""
+@pytest.mark.parametrize("p", (13, 101, 1000003), ids=SAMPLER_IDS)
+def test_sampler_makes_o_log_p_products(monkeypatch, p):
+    """20 points cost O(log p) field products and pows each (the row walk it
+    replaced made O(p) work per point, the table sampler p^2 products), two
+    from_index calls per drawn pair and two Frobenius applications per pair
+    plus the one non-square norm search."""
     counts = {"from_index": 0, "frobenius": 0, "pow": 0, "mul": 0}
     from_index, p_power = GF.from_index, FieldElement.p_power
     pow_, mul = FieldElement.__pow__, FieldElement.__mul__
@@ -858,10 +893,10 @@ def test_norm_sampler_makes_only_the_returned_elements(monkeypatch, p):
     monkeypatch.setattr(FieldElement, "__mul__", counted("mul", mul))
     pts = random_curve_points(field, 20, random.Random(0))
     assert len(pts) == 20
-    assert counts["from_index"] <= 60
-    assert counts["pow"] == 0
-    assert counts["mul"] == 0
-    assert counts["frobenius"] == 0
+    assert counts["from_index"] <= 50
+    assert counts["frobenius"] <= counts["from_index"] + 10
+    assert counts["pow"] <= 20 + 15
+    assert counts["mul"] <= 3 * 20 * p.bit_length()
 
 
 def test_curve_context_is_a_validated_immutable_value():

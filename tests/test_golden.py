@@ -19,10 +19,11 @@ the goldens that run the oracle's point sampler and the w = 0 search above
 p = 13 (over GF(P^2); 503 is 3 mod 4 and 1009 is 1 mod 4).
 p2003_lemmas-cover_seed0.json, p10007_lemmas-cover_seed0.json and
 p100003_lemmas-cover_seed0.json are the same run at seed 0; the CI golden
-loop compares the one at 100003 (about 1.6 s), no test here does.
-p1000003_fiber_seed0.json is the stdout of
+loop compares the one at 100003 (about 0.1 s), no test here does.
+p1000003_fiber_seed0.json and p1000003_seed0.json are the stdout of
 
     syzcover verify --prime 1000003 --checks fiber
+    syzcover verify --prime 1000003
 
 which the CI golden loop compares.
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from catalog_mutants import flip_sign
+from report_reference import parse_json
 
 import syzcover.cli as cli
 from syzcover import curve, oracle, report
@@ -20,7 +21,6 @@ from syzcover.report import (
     EngineInfo,
     ReportStats,
     emit_report,
-    parse_json,
     parse_selection,
     render_json,
     render_text,
@@ -477,12 +477,11 @@ def test_cli_prime_47_passes():
 
 
 def test_corrupted_frobenius_matrix_fails_oracle_run():
-    """Each single-entry corruption of the GF(13^2) Frobenius matrix leaves
-    the sampler's norm with fewer than p + 1 roots of some s: the oracle
-    setup, and so the run, fails instead of raising."""
+    """Each single-entry corruption of the GF(13^2) Frobenius matrix takes
+    the norm x * x^p of the first drawn u0 out of F_p: the oracle setup,
+    and so the run, fails instead of raising."""
     field = make_extension_field(13, 2)
     columns = field.frobenius_columns()
-    short_s = {(0, 0): 8, (0, 1): 10, (1, 0): 3, (1, 1): 7}
     try:
         for i in range(2):
             for j in range(2):
@@ -495,7 +494,7 @@ def test_corrupted_frobenius_matrix_fails_oracle_run():
                 assert transition.status == "fail", (i, j)
                 assert transition.detail == (
                     "transition matrix certified against the frames; oracle setup failed: "
-                    f"x^(p+1) = {short_s[i, j]} has fewer than 14 roots in GF(13^2)"
+                    "the norm of 7 + 3*t in GF(13^2) is not in F_p"
                 ), (i, j)
     finally:
         field._frobenius = columns
