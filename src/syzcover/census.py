@@ -1,34 +1,30 @@
-"""Census of the cover's fiber over the point (1 : 0 : 1), in the Kummer presentation.
+"""Census of the cover's fiber over the point (1 : 0 : 1), over GF(p^2) only.
 
 At that point the chart relations collapse to
     a = c^p,  b = d^p,  c^(q) - 2c = 0,  d^(q) - 2d = 0  (q = p^2)
-together with (ad - bc)^(p-1) = -2.  Let o be the order of 2 mod p and
-gamma the first element of GF(p^2), in index order, with
-gamma^((p^2-1)/o) = 2.  A root theta of x^o - gamma has theta^(p^2) =
-2 theta, so its conjugates 2^j theta over GF(p^2) are distinct and
-GF(p^2)[theta]/(theta^o - gamma) is the census field GF(p^m), m = 2o (the
-binomial criterion, Lidl-Niederreiter Thm 3.75).  As o divides p - 1,
-theta^p = eta theta with eta = gamma^((p-1)/o), so Frobenius maps
-x theta^j to x^p eta^j theta^j, and Frob^2 multiplies theta^j by 2^j.
-The solutions of c^(p^2) = 2c are therefore GF(p^2) theta: a fiber point
-is held as its pair of theta-coefficients (x, y), y = z x with x a unit
-and z in GF(p^2) outside F_p, and ad - bc = D theta^2 with
-D = eta (x^p y - x y^p).  No field of degree above 2 is built.
+together with (ad - bc)^(p-1) = -2.  The twist eta = norm_root(GF(p^2))(2, 0)
+has norm eta^(p+1) = 2, and theta is a root of x^(p-1) = eta: then
+theta^p = eta theta and theta^(p^2) = eta^(p+1) theta = 2 theta, so
+Frobenius maps x theta to x^p eta theta and Frob^2 multiplies theta by 2.
+theta lies in the census field GF(p^m), m = 2 ord_p(2) (fiber_field_degree),
+and the solutions of c^(p^2) = 2c are GF(p^2) theta: a fiber point is held
+as its pair of theta-coefficients (x, y), y = z x with x a unit and z in
+GF(p^2) outside F_p, and ad - bc = D theta^2 with D = eta (x^p y - x y^p).
+No field of degree above 2 is built.
 
-Re-verification checks the equations once per call, with the Kummer
-Frobenius on a basis (they are F_p-linear and bilinear; see _reverify).
-Per point only ad - bc != 0 remains, and the class key, the
-theta^2-coefficient of ad - bc whose values give the component
-structure, is int arithmetic on the point's coefficients.  The
-enumeration runs only when the census field has at most cap elements (by
-default CENSUS_CAP, which admits p <= 7).
+Re-verification checks the equations once per call, with the twisted
+Frobenius on a basis (they are F_p-linear and bilinear; see _reverify); on
+{theta, t theta} Frob^2 = 2 is exactly N(eta) = 2.  Per point only
+ad - bc != 0 remains, and the class key, the theta^2-coefficient of ad - bc
+whose values give the component structure, is int arithmetic on the
+point's coefficients.  The enumeration runs only when the census field has
+at most cap elements (by default CENSUS_CAP, which admits p <= 7).
 
 component_stats gives the closed-form invariants (counts, degrees,
 genera) that a report carries as its stats at every prime.  fiber_checks
 yields the outcomes of the three fiber checks, which hold the census to
-the same formulas and certify the Kummer presentation it is held in
-(gamma's power, eta, and the Frobenius matrix of GF(p^2)); above the cap
-the first two carry a skip reason.
+the same formulas and certify the Frobenius matrix of GF(p^2) it is
+computed with; above the cap the first two carry a skip reason.
 """
 
 from __future__ import annotations
@@ -36,6 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
+from .curve import norm_root
 from .gf import is_prime, make_extension_field, prime_factors
 from .oracle import CheckOutcome
 
@@ -55,8 +52,6 @@ class FiberPoint(namedtuple("FiberPoint", "c d")):
 CensusResult = namedtuple(
     "CensusResult", "prime field_degree skipped points total reason", defaults=("",)
 )
-
-Presentation = namedtuple("Presentation", "order gamma eta")
 
 ReportStats = namedtuple(
     "ReportStats",
@@ -102,18 +97,10 @@ def fiber_field_degree(p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def kummer_presentation(p: int) -> Presentation:
-    """(o, gamma, eta): the census field is GF(p^2)[theta]/(theta^o - gamma).
-
-    o = ord_p(2), gamma is the first element of GF(p^2) in index order with
-    gamma^((p^2-1)/o) = 2, and eta = gamma^((p-1)/o), so theta^p = eta theta.
-    """
+def frobenius_twist(p: int):
+    """eta in GF(p^2) with eta^(p+1) = 2: Frob(x theta) = x^p eta theta."""
     _require_odd_prime(p)
-    o = _order(2, p)
-    field = make_extension_field(p, 2)
-    two, e = field.element([2]), (p * p - 1) // o
-    gamma = next(g for g in field.elements() if g ** e == two)
-    return Presentation(o, gamma, gamma ** ((p - 1) // o))
+    return norm_root(make_extension_field(p, 2))(2, 0)
 
 
 def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
@@ -151,7 +138,7 @@ def _reverify(p: int, points) -> tuple:
     d = 0 and d/c in F_p.  Points are filed in point order.
     """
     field = make_extension_field(p, 2)
-    eta = kummer_presentation(p).eta
+    eta = frobenius_twist(p)
     one, t = field.one, field.element([0, 1])
     f1, ft = one.p_power() * eta, t.p_power() * eta
     k = f1 * t - ft
@@ -218,22 +205,19 @@ def fiber_checks(p: int, cap: int, stats: ReportStats):
         yield "component_structure", CheckOutcome(skipped="no census to tabulate")
     else:
         field = make_extension_field(p, 2)
-        o, gamma, eta = kummer_presentation(p)
         verified, classes = reverify_census(census)
         yield "fiber_census", CheckOutcome(
             f"{census.total} fiber points enumerated in GF({p}^{census.field_degree}), "
             f"equal to (p^2-1)p(p-1), every point re-verified",
             problems=_unmet(
                 ("Frobenius matrix not certified", not field.frobenius_mismatches()),
-                ("Kummer presentation not certified",
-                 gamma ** ((p * p - 1) // o) == 2 and eta == gamma ** ((p - 1) // o)),
                 ("census total off the formula", census.total == stats.total_fiber),
                 ("a fiber point is listed twice",
                  len(set(census.points)) == len(census.points)),
                 ("point re-verification failed", verified),
             ),
         )
-        theta2 = gamma ** (2 * (p - 1) // o)  # a key k stands for k theta^2; (theta^2)^(p-1)
+        theta2 = frobenius_twist(p) ** 2  # a key k stands for k theta^2; (theta^2)^(p-1) = eta^2
         yield "component_structure", CheckOutcome(
             f"ad-bc takes exactly {stats.components} values, each with (p-1)-th power -2, "
             f"each on {stats.degree} points",

@@ -16,7 +16,7 @@ Frobenius x -> x^p is F_p-linear, so it is applied as an m x m matrix over
 F_p, built and certified once per field.  Inverses use it too: x^-1 is the
 product of x's other conjugates over the norm of x, an int mod p.  The
 pipeline builds no field of degree above 2: the oracle works in GF(p^2),
-and the census holds its field as GF(p^2)[theta]/(theta^o - gamma).
+and the census holds its points as theta-coefficients in GF(p^2).
 
 RingElement is the one arithmetic protocol of the engine's three ring
 types, FieldElement here, CurvePolynomial (over a monomial denominator)

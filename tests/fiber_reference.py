@@ -1,5 +1,5 @@
 """The fiber census in GF(p^m) itself, one field operation at a time: the
-reference for the Kummer-presentation census of syzcover.census.
+reference for the GF(p^2) theta-coefficient census of syzcover.census.
 
 The c are the nonzero elements of ker(Frob^2 - 2) and the ratios d/c are
 ker(Frob^2 - 1) minus ker(Frob - 1), each found by Gaussian elimination
@@ -9,7 +9,7 @@ into the same field, so the two can be compared point for point.
 
 import itertools
 
-from syzcover.census import FiberPoint, fiber_field_degree, kummer_presentation
+from syzcover.census import FiberPoint, fiber_field_degree, frobenius_twist
 from syzcover.gf import FieldElement, make_extension_field
 
 
@@ -104,11 +104,11 @@ def reference_reverify(points):
 
 
 class Embedding:
-    """GF(p^2)[theta]/(theta^o - gamma) inside GF(p^m).
+    """GF(p^2) theta inside GF(p^m), theta^(p-1) = eta = frobenius_twist(p).
 
     iota sends t to the first root, in index order, of GF(p^2)'s modulus in
     ker(Frob^2 - 1), and theta is the first element of ker(Frob^2 - 2) with
-    theta^o = iota(gamma).
+    theta^(p-1) = iota(eta).
     """
 
     def __init__(self, p):
@@ -119,11 +119,11 @@ class Embedding:
             linear_kernel(field, lambda x: x.p_power().p_power() - x), key=lambda e: e.index)
         c0, c1, _one = small.modulus
         self.root = next(r for r in subfield if r * r + c1 * r + c0 == field.zero)
-        o, gamma, _eta = kummer_presentation(p)
+        eta = self.iota(frobenius_twist(p))
         kernel = sorted(
             linear_kernel(field, lambda x: x.p_power().p_power() - 2 * x),
             key=lambda e: e.index)
-        self.theta = next(t for t in kernel if t ** o == self.iota(gamma))
+        self.theta = next(t for t in kernel if t ** (p - 1) == eta)
 
     def iota(self, x):
         x0, x1 = x.coeffs

@@ -5,17 +5,17 @@ from syzcover import census as census_module
 from syzcover.census import (
     CensusResult,
     FiberPoint,
-    Presentation,
     component_stats,
     determinant_classes,
     enumerate_fiber,
     eta_field_degree,
     fiber_field_degree,
+    frobenius_twist,
     hurwitz_consistent,
-    kummer_presentation,
     reverify_census,
     verify_fiber_point,
 )
+from syzcover.curve import norm_root
 from syzcover.gf import (
     GF,
     FieldElement,
@@ -24,7 +24,7 @@ from syzcover.gf import (
     make_extension_field,
     solve_power_equation,
 )
-from syzcover.report import run_verification
+from syzcover.report import render_json, run_verification
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -93,16 +93,14 @@ def test_orders_match_the_criterion_scans():
         assert eta_field_degree(p) == _eta_criterion_scan(p) == census_module._order(-2, p)
 
 
-@pytest.mark.parametrize("p", PRIMES + (17, 19, 23))
-def test_kummer_presentation(p):
-    """gamma is the first element of GF(p^2) whose (p^2-1)/o-th power is 2,
-    eta its (p-1)/o-th power, and theta^(p^2) = 2 theta: eta^(p+1) = 2."""
-    o, gamma, eta = kummer_presentation(p)
+@pytest.mark.parametrize("p", PRIMES + (17, 19, 23, 101, 1009, 100003, 1000003))
+def test_frobenius_twist_is_the_first_norm_root_of_two(p):
+    """eta = root(2, 0) of GF(p^2), so theta^(p-1) = eta gives theta^(p^2) =
+    eta^(p+1) theta = 2 theta."""
     field = make_extension_field(p, 2)
-    assert 2 * o == fiber_field_degree(p) and pow(2, o, p) == 1
-    assert gamma.field is field
-    assert [g for g in field.elements() if g ** ((p * p - 1) // o) == 2][0] == gamma
-    assert eta == gamma ** ((p - 1) // o)
+    eta = frobenius_twist(p)
+    assert eta.field is field
+    assert eta == norm_root(field)(2, 0)
     assert eta ** (p + 1) == 2
 
 
@@ -150,7 +148,7 @@ def test_census_equals_walk_reference(p):
 
 def test_corrupted_frobenius_matrix_fails_census():
     """Every one-entry corruption of GF(p^2)'s cached Frobenius matrix, which
-    the Kummer Frobenius applies to theta-coefficients, fails fiber_census by
+    the twisted Frobenius applies to theta-coefficients, fails fiber_census by
     the matrix's own certification.  The raw equations catch every one at
     p = 3 and 5 as well; at p = 7 they miss entry (1, 0), and entry (0, 1)
     is caught by Frob(ad - bc) = -2 (ad - bc) alone."""
@@ -246,23 +244,23 @@ def test_quotient_structure(p):
 def test_determinant_classes(p):
     """ad - bc takes exactly p-1 values, each on a full component's worth;
     a key y is the theta^2-coefficient, and (y theta^2)^(p-1) is
-    y^(p-1) gamma^(2(p-1)/o)."""
+    y^(p-1) eta^2."""
     census = enumerate_fiber(p)
     F = census.points[0].c.field
-    o, gamma, _eta = kummer_presentation(p)
+    eta = frobenius_twist(p)
     classes = determinant_classes(census)
     assert len(classes) == p - 1
     degree = p * (p * p - 1)
     assert all(len(v) == degree for v in classes.values())
     for coeffs in classes:
         delta = F.element(coeffs)
-        assert delta ** (p - 1) * gamma ** (2 * (p - 1) // o) == F(-2)
+        assert delta ** (p - 1) * eta * eta == F(-2)
 
 
 def _determinant_key(pt):
     """The theta^2-coefficient of ad - bc, eta (c^p d - c d^p), by plain powers."""
     p = pt.c.field.p
-    eta = kummer_presentation(p).eta
+    eta = frobenius_twist(p)
     return (eta * (pt.c ** p * pt.d - pt.c * pt.d ** p)).coeffs
 
 
@@ -298,7 +296,7 @@ def _with_points(census, points):
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_bulk_census_matches_reference(p):
-    """The Kummer census embeds onto the GF(p^m) linear-kernel census, and
+    """The theta-coefficient census embeds onto the GF(p^m) linear-kernel census, and
     each of its classes maps into one class of the reference."""
     census = enumerate_fiber(p)
     embedding = Embedding(p)
@@ -438,42 +436,40 @@ def test_duplicate_point_fails_census(monkeypatch, p):
         "fail", "a fiber point is listed twice")
 
 
-def _with_presentation(monkeypatch, p, gamma, eta):
-    o = kummer_presentation(p).order
-    monkeypatch.setattr(census_module, "kummer_presentation", lambda q: Presentation(o, gamma, eta))
-
-
-def _norm_one_unit(p):
-    """The first u of GF(p^2) with u^(p+1) = 1, u != 1 and u != -1."""
-    field = make_extension_field(p, 2)
-    return next(u for u in field.elements() if u ** (p + 1) == 1 and u not in (1, p - 1))
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_every_twist_gives_the_same_fiber_report(monkeypatch, p):
+    """Any eta of norm 2 is a valid twist: each of the p + 1 roots of
+    x^(p+1) = 2 gives the same fiber report, byte for byte."""
+    expected = render_json(run_verification(p, ("fiber",)))
+    root = norm_root(make_extension_field(p, 2))
+    for j in range(p + 1):
+        monkeypatch.setattr(census_module, "frobenius_twist", lambda q, eta=root(2, j): eta)
+        assert render_json(run_verification(p, ("fiber",))) == expected, j
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11))
-def test_wrong_presentation_fails_census(monkeypatch, p):
-    """A gamma whose (p^2-1)/o-th power is another o-th root of unity (with its
-    own eta or the true one), and eta times a unit of norm 1 all fail
-    fiber_census.  The raw equations catch exactly the etas with
-    eta^(p+1) != 2; eta times a unit of norm 1 passes them all."""
-    o, gamma, eta = kummer_presentation(p)
-    field = gamma.field
-    e = (p * p - 1) // o
-    wrong = next(g for g in field.elements() if g and g ** e != 2)
+def test_twist_off_norm_two_fails_census(monkeypatch, p):
+    """An eta of any other norm c, the roots of x^(p+1) = c for c != 2,
+    fails fiber_census by the basis certificate Frob^2 = 2, also with the
+    cap raised to admit p = 11."""
     cap = p ** fiber_field_degree(p)
-    for bad_gamma, bad_eta in (
-        (wrong, wrong ** ((p - 1) // o)),
-        (wrong, eta),
-        (gamma, eta * _norm_one_unit(p)),
-    ):
-        with monkeypatch.context() as patch:
-            _with_presentation(patch, p, bad_gamma, bad_eta)
-            out = run_verification(p, checks=("fiber",), max_field_size=cap)
-            verified, _classes = reverify_census(enumerate_fiber(p, cap))
-        assert verified is (bad_eta ** (p + 1) == 2)
-        status, detail = {c.name: (c.status, c.detail) for c in out.checks}["fiber_census"]
-        assert status == "fail", (p, bad_gamma, bad_eta)
-        assert "Kummer presentation not certified" in detail
+    root = norm_root(make_extension_field(p, 2))
+    for c in range(1, p):
+        if c == 2:
+            continue
+        monkeypatch.setattr(census_module, "frobenius_twist", lambda q, eta=root(c, 0): eta)
+        out = run_verification(p, checks=("fiber",), max_field_size=cap)
+        status = {r.name: (r.status, r.detail) for r in out.checks}["fiber_census"]
+        assert status == ("fail", "point re-verification failed"), c
+    monkeypatch.undo()
     assert run_verification(p, checks=("fiber",), max_field_size=cap).overall == "pass"
+
+
+@pytest.mark.parametrize("p", (11, 13, 101, 1009, 100003))
+def test_empty_census_verifies_above_the_cap(p):
+    census = enumerate_fiber(p)
+    assert census.skipped and census.points == ()
+    assert reverify_census(census) == (True, {})
 
 
 def _count_field_ops(monkeypatch):
@@ -502,11 +498,11 @@ def test_reverify_census_work(monkeypatch, p):
     """At most 5 Frobenius applications and 7 field products of GF(p^2) per
     call, whatever p and however many points: the certificate is checked
     once on a basis, and each point costs int arithmetic only.  GF(p^2)'s
-    Frobenius matrix and the presentation are built before the count, so
-    the bound holds when the test runs alone."""
+    Frobenius matrix and the twist eta are built before the count, so the
+    bound holds when the test runs alone."""
     census = enumerate_fiber(p, p ** fiber_field_degree(p))
     make_extension_field(p, 2).frobenius_columns()
-    kummer_presentation(p)
+    frobenius_twist(p)
     counts = _count_field_ops(monkeypatch)
     verified, _classes = reverify_census(census)
     assert verified
@@ -514,6 +510,26 @@ def test_reverify_census_work(monkeypatch, p):
     assert len({pt.c.coeffs for pt in census.points}) == p * p - 1
     assert counts["frobenius"] <= 5
     assert counts["products"] <= 7
+
+
+@pytest.mark.parametrize("p", (13, 101, 1000003))
+def test_frobenius_twist_work(monkeypatch, p):
+    """eta from an empty cache costs at most 20 pows and 40 bit_length(p)
+    products of GF(p^2), whatever ord_p(2) is (p - 1 at each p here).
+    GF(p^2)'s Frobenius matrix is built before the count."""
+    make_extension_field(p, 2).frobenius_columns()
+    frobenius_twist.cache_clear()
+    counts = _count_field_ops(monkeypatch)
+    counts["pows"], pow_ = 0, FieldElement.__pow__
+
+    def counted_pow(self, e):
+        counts["pows"] += 1
+        return pow_(self, e)
+
+    monkeypatch.setattr(FieldElement, "__pow__", counted_pow)
+    frobenius_twist(p)
+    assert counts["pows"] <= 20
+    assert counts["products"] <= 40 * p.bit_length()
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -570,7 +586,7 @@ def test_census_cap_override():
 
 def test_census_above_the_default_cap():
     """p = 11 with the cap raised: a real census of GF(11^20), held as
-    GF(11^2)[theta]/(theta^10 - gamma)."""
+    theta-coefficients in GF(11^2) with theta^10 = eta."""
     out = run_verification(11, checks=("fiber",), max_field_size=11 ** 20)
     status = {c.name: (c.status, c.detail) for c in out.checks}
     assert status["fiber_census"] == ("pass", (

@@ -18,14 +18,13 @@ the stdout of
 the goldens that run the oracle's point sampler and the w = 0 search above
 p = 13 (over GF(P^2); 503 is 3 mod 4 and 1009 is 1 mod 4).
 p2003_lemmas-cover_seed0.json, p10007_lemmas-cover_seed0.json and
-p100003_lemmas-cover_seed0.json are the same run at seed 0; the CI golden
-loop compares the one at 100003 (about 0.1 s), no test here does.
+p100003_lemmas-cover_seed0.json are the same run at seed 0.
 p1000003_fiber_seed0.json and p1000003_seed0.json are the stdout of
 
     syzcover verify --prime 1000003 --checks fiber
     syzcover verify --prime 1000003
 
-which the CI golden loop compares.
+These three large-p runs take about 0.1 s each.
 
 symbolic_pP_seed0.json, for P = 101, 151 and 251 (the symbolic bench primes)
 and for P = 503 and 1009, is the stdout of
@@ -84,10 +83,17 @@ def test_p101_oracle_cli_report_matches_golden():
     assert out == _golden("p101_lemmas-cover_seed0.json")
 
 
-@pytest.mark.parametrize("p", (503, 1009, 2003, 10007))
+@pytest.mark.parametrize("p", (503, 1009, 2003, 10007, 100003))
 def test_large_prime_oracle_cli_report_matches_golden(p):
     out = _stdout("-m", "syzcover", "verify", "--prime", str(p), "--checks", "lemmas,cover")
     assert out == _golden(f"p{p}_lemmas-cover_seed0.json")
+
+
+@pytest.mark.parametrize(
+    "name, checks", (("p1000003_fiber", ("--checks", "fiber")), ("p1000003", ())), ids=("fiber", "all"))
+def test_p1000003_cli_report_matches_golden(name, checks):
+    out = _stdout("-m", "syzcover", "verify", "--prime", "1000003", *checks)
+    assert out == _golden(f"{name}_seed0.json")
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))

@@ -99,7 +99,7 @@ def test_unknown_attribute_raises_attribute_error():
 
 def test_verify_builds_no_field_above_degree_two():
     """A full `verify --prime 7` and a raised-cap census at p = 11 build only
-    GF(p) and GF(p^2): the census field is held in its Kummer presentation."""
+    GF(p) and GF(p^2): the census holds its points as theta-coefficients."""
     fields = _fresh(
         "import os, sys; from syzcover import cli, gf; "
         "from syzcover.report import run_verification; "
