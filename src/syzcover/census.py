@@ -135,7 +135,9 @@ def _reverify(p: int, points) -> tuple:
     holds for every point once it holds for k.  Each point's key, the
     theta^2-coefficient of ad - bc, is then int arithmetic on its
     coefficients, and only D != 0 remains per point: it rules out c = 0,
-    d = 0 and d/c in F_p.  Points are filed in point order.
+    d = 0 and d/c in F_p.  Points are filed in point order, and the key
+    (c0 d1 - c1 d0) k is formed once for each value of c0 d1 - c1 d0 that
+    occurs, so the cost does not grow with p.
     """
     field = make_extension_field(p, 2)
     eta = frobenius_twist(p)
@@ -146,11 +148,13 @@ def _reverify(p: int, points) -> tuple:
         (f1.p_power() * eta, ft.p_power() * eta) == (2 * one, 2 * t)
         and k.p_power() * (eta * eta) == -2 * k
     )
-    keys = [tuple(delta * x % p for x in k.coeffs) for delta in range(p)]
-    classes = {}
+    keys, classes = {}, {}
     for pt in points:
         (c0, c1), (d0, d1) = pt.c.coeffs, pt.d.coeffs
-        classes.setdefault(keys[(c0 * d1 - c1 * d0) % p], []).append(pt)
+        delta = (c0 * d1 - c1 * d0) % p
+        if delta not in keys:
+            keys[delta] = (k * delta).coeffs
+        classes.setdefault(keys[delta], []).append(pt)
     return ok and (0, 0) not in classes, classes
 
 

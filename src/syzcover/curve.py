@@ -173,39 +173,20 @@ class CurvePolynomial(RingElement):
         return degs.pop() if degs else -1
 
     def evaluate(self, point: CurvePoint) -> FieldElement:
-        """Value at a CurvePoint of this curve; a point of another curve
-        raises ValueError, and one where the denominator vanishes raises
+        """Value at a CurvePoint of this curve: the sum of
+        u0^i v0^j w0^k c over the terms, times u0^-du w0^-dw, with every
+        power read from the point's memo.  A point of another curve raises
+        ValueError, and one where the denominator vanishes raises
         ZeroDivisionError.
-
-        Each term reads its coordinate powers from the point's memo, and a
-        term in which a zero coordinate has a positive exponent is skipped;
-        the zero normal form, which has no terms, gives the field's zero.
-        A term starts from its coefficient and is multiplied only by the
-        powers that are not one (the memo holds every such power as the
-        field's own `one`), and a coefficient 1 is not multiplied at all.
-        The numerator's value is then multiplied by the memoized powers of
-        1/u0 and 1/w0 (each inverse taken once per point) that are not one.
         """
         if point.ctx != self.ctx:
             raise ValueError("point was checked on a different curve")
-        zu, zv, zw = point.zeros
-        if self.du and zu or self.dw and zw:
-            raise ZeroDivisionError("denominator vanishes at this point")
-        field = point.coords[0].field
-        acc, one = field.zero, field.one
         pows = point.powers
+        acc = point.coords[0].field.zero
         for (i, j, k), c in self.terms.items():
-            if i and zu or j and zv or k and zw:
-                continue
-            val = None if c == 1 else c
-            for x in (pows[0, i], pows[1, j], pows[2, k]):
-                if x is not one:
-                    val = x if val is None else x * val
-            acc = acc + (one if val is None else val)
+            acc = acc + pows[0, i] * pows[1, j] * pows[2, k] * c
         if self.du or self.dw:
-            for x in (pows[0, -self.du], pows[2, -self.dw]):
-                if x is not one:
-                    acc = x * acc
+            acc = acc * pows[0, -self.du] * pows[2, -self.dw]
         return acc
 
     def __eq__(self, other):
@@ -305,9 +286,9 @@ class _Powers(dict):
     """(axis, e) -> coordinate ** e at one point, for axis 0, 1, 2 = u0, v0, w0.
 
     Holds the coordinates themselves as e = 1.  A miss is filled by ** and
-    kept; a negative e raises the coordinate's inverse, which is taken once
-    (ZeroDivisionError for a zero coordinate).  A power equal to one is
-    kept as the field's own `one`, so that evaluation can skip it by identity.
+    kept (a negative e on a zero coordinate raises ZeroDivisionError).  A
+    coordinate equal to one is its own power: u0 = 1 at every w = 0 point,
+    where 1 ** -du would otherwise cost a full square-and-multiply.
     """
 
     __slots__ = ()
@@ -315,16 +296,7 @@ class _Powers(dict):
     def __missing__(self, key):
         axis, e = key
         base = self[axis, 1]
-        one = base.field.one
-        if base is one:
-            value = one
-        elif e == -1:
-            value = base.inverse()
-        elif e < 0:
-            value = self[axis, -1] ** -e
-        else:
-            value = base ** e
-        self[key] = value = one if value == one else value
+        self[key] = value = base if base == base.field.one else base ** e
         return value
 
 
@@ -333,13 +305,12 @@ class CurvePoint:
 
     The check runs once, here; evaluation at a CurvePoint of the same
     context trusts it.  Raises ValueError for a wrong characteristic or a
-    point off the curve.  The point keeps what every evaluation at it
-    needs: the flags of its zero coordinates and a memo of the
-    coordinates' powers (powers[axis, e], e < 0 for powers of 1/u0, 1/v0
-    and 1/w0), so each power is computed at most once per point.
+    point off the curve.  The point keeps a memo of its coordinates'
+    powers (powers[axis, e], e < 0 for powers of 1/u0, 1/v0 and 1/w0), so
+    each power is computed at most once per point.
     """
 
-    __slots__ = ("ctx", "coords", "zeros", "powers")
+    __slots__ = ("ctx", "coords", "powers")
 
     def __init__(self, ctx: CurveContext, coords):
         u0, v0, w0 = coords
@@ -353,11 +324,7 @@ class CurvePoint:
             )
         self.ctx = ctx
         self.coords = (u0, v0, w0)
-        self.zeros = (u0.is_zero(), v0.is_zero(), w0.is_zero())
-        one = u0.field.one
-        self.powers = _Powers(
-            {(axis, 1): one if x == one else x for axis, x in enumerate(self.coords)}
-        )
+        self.powers = _Powers({(axis, 1): x for axis, x in enumerate(self.coords)})
 
     def __iter__(self):
         return iter(self.coords)

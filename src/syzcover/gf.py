@@ -10,13 +10,13 @@ An int operand of * scales the coefficient tuple mod p.  Two elements of
 GF(p^2) multiply in closed form on their int pairs, with t^2 = r0 + r1 t
 stored once per field; every other product, in a prime field (m = 1) too,
 is the remainder of the polynomial product by the modulus, the same
-_pmul/_pmod that Ben-Or's test uses.
+_pmul/_pmod that Ben-Or's test uses.  x ** e takes e mod p^m - 1 by
+square-and-multiply, so x ** -1 is the inverse of a unit.
 
 Frobenius x -> x^p is F_p-linear, so it is applied as an m x m matrix over
-F_p, built and certified once per field.  Inverses use it too: x^-1 is the
-product of x's other conjugates over the norm of x, an int mod p.  The
-pipeline builds no field of degree above 2: the oracle works in GF(p^2),
-and the census holds its points as theta-coefficients in GF(p^2).
+F_p, built and certified once per field.  The pipeline builds no field
+of degree above 2: the oracle works in GF(p^2), and the census holds its
+points as theta-coefficients in GF(p^2).
 
 RingElement is the one arithmetic protocol of the engine's three ring
 types, FieldElement here, CurvePolynomial (over a monomial denominator)
@@ -353,25 +353,6 @@ class FieldElement(RingElement):
             return FieldElement(f, ((a0 * b0 + r0 * h) % p, (a0 * b1 + a1 * b0 + r1 * h) % p))
         rem = _pmod(_pmul(a, b, p), f.modulus, p)
         return FieldElement(f, tuple(rem) + (0,) * (m - len(rem)))
-
-    def inverse(self) -> FieldElement:
-        """x^-1 = (x^p x^(p^2) ... x^(p^(m-1))) / N(x), where N(x) = x^((p^m-1)/(p-1)).
-
-        The conjugates come from the certified Frobenius matrix and the norm
-        N(x), which lies in F_p, is inverted as an int mod p.  Raises
-        ArithmeticError if the norm is not a nonzero constant.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        f = self.field
-        conj, rest = self, f.one
-        for _ in range(f.m - 1):
-            conj = conj.p_power()
-            rest = rest * conj
-        norm = (self * rest).coeffs
-        if any(norm[1:]) or not norm[0]:
-            raise ArithmeticError(f"norm of {self!r} in {f!r} is not a nonzero constant")
-        return rest * pow(norm[0], f.p - 2, f.p)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):

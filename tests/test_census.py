@@ -231,7 +231,7 @@ def test_quotient_structure(p):
     n = p * p - 1
     fibers = {}
     for pt in census.points:
-        z = pt.d * pt.c.inverse()
+        z = pt.d * pt.c ** -1
         assert z ** n == F.one
         assert z ** (p - 1) != F.one
         fibers.setdefault(z.coeffs, 0)
@@ -510,6 +510,31 @@ def test_reverify_census_work(monkeypatch, p):
     assert len({pt.c.coeffs for pt in census.points}) == p * p - 1
     assert counts["frobenius"] <= 5
     assert counts["products"] <= 7
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 1000003))
+def test_reverify_makes_one_key_per_determinant_value(monkeypatch, p):
+    """_reverify scales k = D(1, t) by an int once per distinct value of
+    c0 d1 - c1 d0 among its points, besides the three int scalings of its
+    certificate; so with no points, as at p = 1000003 here, it makes no key
+    and does no work that grows with p."""
+    points = enumerate_fiber(p).points if p < 11 else ()
+    make_extension_field(p, 2).frobenius_columns()
+    frobenius_twist(p)
+    scalings, mul = [], FieldElement.__mul__
+
+    def counted(self, other):
+        if isinstance(other, int):
+            scalings.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    monkeypatch.setattr(FieldElement, "__rmul__", counted)
+    verified, classes = census_module._reverify(p, points)
+    deltas = {(pt.c.coeffs[0] * pt.d.coeffs[1] - pt.c.coeffs[1] * pt.d.coeffs[0]) % p for pt in points}
+    assert verified is True
+    assert len(classes) == len(deltas) == (p - 1 if points else 0)
+    assert len(scalings) == 3 + len(deltas)
 
 
 @pytest.mark.parametrize("p", (13, 101, 1000003))

@@ -17,7 +17,6 @@ from syzcover.curve import (
 from syzcover.formal import FormalPolynomial
 from syzcover.gf import GF, FieldElement, make_extension_field, power, prime_factors
 from syzcover.matrices import adjugate, det, mat, mat_mul
-from syzcover.oracle import PointOracle
 
 
 @pytest.fixture
@@ -268,153 +267,40 @@ def test_evaluate_on_curve_point(quartic):
     assert quartic.one().evaluate(pt) == F3.one
 
 
-def _verify_13():
-    from syzcover.report import run_verification
-
-    assert run_verification(13, ("lemmas", "cover")).overall == "pass"
-
-
-def _products_made_by(monkeypatch, method, nested_methods, run=_verify_13):
-    """Factor pairs of the FieldElement products that method (a (class, name)
-    pair) makes itself during run() (by default a passing
-    `run_verification(13, ("lemmas", "cover"))`), not counting those made
-    inside any of nested_methods."""
-    depth = {"outer": 0, "inner": 0}
-    factors = []
-
-    def nested(key, fn):
-        def wrapper(*args):
-            depth[key] += 1
-            try:
-                return fn(*args)
-            finally:
-                depth[key] -= 1
-
-        return wrapper
-
-    mul = FieldElement.__mul__
-
-    def counted(self, other):
-        if depth["outer"] and not depth["inner"]:
-            factors.append((self, other))
-        return mul(self, other)
-
-    cls, name = method
-    monkeypatch.setattr(cls, name, nested("outer", getattr(cls, name)))
-    for cls, name in nested_methods:
-        monkeypatch.setattr(cls, name, nested("inner", getattr(cls, name)))
-    monkeypatch.setattr(FieldElement, "__mul__", counted)
-    monkeypatch.setattr(FieldElement, "__rmul__", counted)
-    run()
-    return factors
-
-
-def test_evaluate_multiplies_by_no_factor_equal_to_one(monkeypatch):
-    """In `run_verification(13, ("lemmas", "cover"))`, no product that
-    CurvePolynomial.evaluate makes has a factor equal to one: a zero
-    exponent, a coordinate or power equal to one and a coefficient 1 are
-    all skipped.  Products inside a memo's `**` belong to the power and are
-    not counted here."""
-    factors = _products_made_by(
-        monkeypatch, (CurvePolynomial, "evaluate"), [(FieldElement, "__pow__")]
-    )
-    assert factors
-    assert [(x, y) for x, y in factors if x == 1 or y == 1] == []
-
-
-def test_fraction_evaluate_multiplies_by_no_factor_equal_to_one(monkeypatch):
-    """CurvePolynomial.evaluate over a denominator u^du w^dw multiplies by
-    no power of a coordinate or of its inverse that is one, and takes each
-    coordinate's inverse at most once per point.  Evaluated are the 8 H
-    entries at p = 13 at the oracle's points of the degree-14 curve, and the
-    chart-U ones also at the w = 0 points scaled by 2 and by t (the w = 0
-    check's own points have u0 = 1, where every such power is one).
-    Products inside a memo's `**` or inverse are not counted here."""
-    from syzcover.cover import _w0_points, build_cover_data
-
-    cd, field = build_cover_data(13), make_extension_field(13, 2)
-    ctx, h_u, h_w = cd.ctx, cd.H_U, cd.H_W
-    sampled = PointOracle(ctx).points
-    scaled = [
-        CurvePoint(ctx, tuple(lam * x for x in pt))
-        for lam in (field.from_index(2), field.from_index(13))
-        for pt in _w0_points(ctx, 14)
-    ]
-    assert all(h.du or h.dw for h in h_u[0] + h_u[1] + h_w[0] + h_w[1])
-    inverted, inverse = [], FieldElement.inverse
-
-    def counted_inverse(self):
-        inverted.append(self)
-        return inverse(self)
-
-    monkeypatch.setattr(FieldElement, "inverse", counted_inverse)
-    taken = []
-
-    def run():
-        for points, entries in ((sampled, h_u[0] + h_u[1] + h_w[0] + h_w[1]), (scaled, h_u[0] + h_u[1])):
-            for pt in points:
-                before = len(inverted)
-                for h in entries:
-                    h.evaluate(pt)
-                taken.append((pt, len(inverted) - before))
-
-    factors = _products_made_by(
-        monkeypatch,
-        (CurvePolynomial, "evaluate"),
-        [(FieldElement, "__pow__"), (FieldElement, "inverse")],
-        run,
-    )
-    # each product is (a memoized power) * (a coefficient, or the value so
-    # far, which is one at a few of the oracle's points); only the power and
-    # a coefficient 1 are skipped when they are one
-    assert [(x, y) for x, y in factors if x == 1 or isinstance(y, int) and y == 1] == []
-    assert sum(n for _, n in taken) > 0
-    for pt, n in taken:
-        assert n <= sum((axis, -1) in pt.powers for axis in range(3))
-    # the denominator's factors are the memo's own powers of 1/u0 and 1/w0
-    inverse_powers = {id(x) for pt, _ in taken for (_, e), x in pt.powers.items() if e < 0}
-    assert any(id(x) in inverse_powers for x, _ in factors)
-
-
-def test_evaluate_skips_terms_a_zero_coordinate_kills(monkeypatch, rng):
-    """At a point with a zero coordinate, a term in which that coordinate has
-    a positive exponent is skipped and makes no pow; across all 20
-    polynomials each distinct (coordinate, exponent) of a live term is
-    raised at most once per point; and the value is the sum over every term."""
+def test_point_memo_makes_one_pow_per_power_read(monkeypatch, rng):
+    """Polynomials and fractions evaluated twice at one CurvePoint make
+    exactly one ** per distinct (axis, e != 1) that their terms and
+    denominators read, and none on the second pass; a coordinate equal to
+    one (u0 at the w = 0 points) makes no ** at all."""
     from syzcover.cover import _w0_points
 
-    ctx = CurveContext(5)
-    F = make_extension_field(5, 2)
-    points = [*_w0_points(ctx, 4), CurvePoint(ctx, (F.one, F.zero, F.one))]
-    polys = [random_poly(ctx, rng, nterms=8) for _ in range(20)]
-    expected = []
-    for pt in points:
-        u0, v0, w0 = pt
-        live = set()
-        for f in polys:
-            value = F.zero
-            for (i, j, k), c in f.terms.items():
-                value = value + (u0 ** i) * (v0 ** j) * (w0 ** k) * c
-            expected.append(value)
-            for e in f.terms:
-                if not any(x and z.is_zero() for x, z in zip(e, (u0, v0, w0))):
-                    live.update(enumerate(e))
-        # at most one pow per distinct live (coordinate, exponent), none at a killed one
-        expected.append(Counter((pt.coords[axis].coeffs, e) for axis, e in live))
-    pows = []
-    power = FieldElement.__pow__
+    ctx, field = CurveContext(5), make_extension_field(5, 2)
+    polys = [random_poly(ctx, rng, nterms=8) for _ in range(10)]
+    fracs = [ctx.fraction(f + 1, rng.randrange(4), rng.randrange(4)) for f in polys]
+    assert any(f.du and not f.dw for f in fracs) and any(f.dw for f in fracs)
+    w0_points = _w0_points(ctx, 3)
+    assert all(pt.coords[0] == field.one for pt in w0_points)
+    points = [CurvePoint(ctx, pt) for pt in random_curve_points(field, 3, rng)] + w0_points
+    pows, power_ = [], FieldElement.__pow__
 
     def counted(self, e):
         pows.append((self.coeffs, e))
-        return power(self, e)
+        return power_(self, e)
 
     monkeypatch.setattr(FieldElement, "__pow__", counted)
-    values = iter(expected)
     for pt in points:
+        values = [f for f in polys + fracs if not (f.dw and pt.coords[2].is_zero())]
+        read = {(axis, e) for f in values for exps in f.terms for axis, e in enumerate(exps)}
+        read |= {key for f in values if f.du or f.dw for key in ((0, -f.du), (2, -f.dw))}
+        expected = Counter(
+            (pt.coords[axis].coeffs, e) for axis, e in read if e != 1 and pt.coords[axis] != field.one
+        )
         pows.clear()
-        for f in polys:
-            assert f.evaluate(pt) == next(values)
-        assert Counter(pows) <= next(values)
+        first = [f.evaluate(pt) for f in values]
+        assert Counter(pows) == expected
+        pows.clear()
+        assert [f.evaluate(pt) for f in values] == first
+        assert pows == []
 
 
 def test_evaluation_is_multiplicative(rng, quartic):
@@ -672,8 +558,8 @@ def test_memoized_evaluation_equals_the_direct_formula(p, m):
     )
     zeros = (ctx.zero(), ctx.fraction(0, 2, 3), FormalPolynomial(ctx, names, {}))
     for pt in _memo_test_points(ctx, field, rng):
-        (u0, _, w0), (zu, _, zw) = pt.coords, pt.zeros
-        assert pt.zeros == tuple(x.is_zero() for x in pt.coords)
+        u0, _, w0 = pt.coords
+        zu, zw = u0.is_zero(), w0.is_zero()
         assignment = {name: field.random_element(rng) for name in names}
         for _ in range(2):
             for f in polys:
@@ -745,6 +631,20 @@ def test_norm_root_gives_the_pow_scan_roots(p):
         assert sorted(root(c, j).index for j in range(p + 1)) == scan[c, 0], c
     assert sum(len(ks) for ks in scan.values()) == (p - 1) * (p + 1) == p * p - 1
     assert root(0, 0) == root(0, p) == field.zero
+
+
+def test_norm_root_gives_p_plus_1_distinct_roots_at_10007():
+    """At p = 10007, too large for the pow scan, root(c, j) for j < p + 1
+    are p + 1 distinct x with x ** (p + 1) == c, for c = 1 and for the
+    first non-square c."""
+    p = 10007
+    field = make_extension_field(p, 2)
+    root = norm_root(field)
+    non_square = next(c for c in range(2, p) if pow(c, p >> 1, p) == p - 1)
+    for c in (1, non_square):
+        roots = [root(c, j) for j in range(p + 1)]
+        assert len({x.coeffs for x in roots}) == p + 1, c
+        assert all(x ** (p + 1) == c for x in roots), c
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 13, 101, 1009, 2003, 10007, 100003, 1000003))

@@ -196,7 +196,7 @@ def test_field_axioms_on_random_triples(rng):
             assert a + b == b + a
             assert a * b == b * a
             if not a.is_zero():
-                assert a * a.inverse() == F.one
+                assert a * a ** -1 == F.one
 
 
 def test_unit_torsion_exhaustive_small_fields():
@@ -406,20 +406,15 @@ def test_ben_or_finds_the_reference_first_irreducible(monkeypatch, p, m):
     assert found == gf._find_irreducible(p, m)
 
 
-def _inverse_reference(x):
-    return x ** (x.field.order - 2)
-
-
 @pytest.mark.parametrize(
     "p, m", [(p, 2) for p in (3, 5, 7, 11, 13)] + [(3, 4), (5, 4)] + [(p, 1) for p in (3, 13)]
 )
 def test_inverse_equals_pow_on_every_unit(p, m):
+    """x ** -1 is the inverse of every unit x."""
     F = make_extension_field(p, m)
     for k in range(1, F.order):
         x = F.from_index(k)
-        inv = x.inverse()
-        assert inv == _inverse_reference(x), x
-        assert x * inv == F.one
+        assert x * x ** -1 == F.one, x
 
 
 @pytest.mark.parametrize("p, m", ((251, 2), (5, 8), (7, 6)))
@@ -427,30 +422,29 @@ def test_inverse_equals_pow_sampled(rng, p, m):
     F = make_extension_field(p, m)
     for _ in range(2000):
         x = F.from_index(rng.randrange(1, F.order))
-        assert x.inverse() == _inverse_reference(x)
+        assert x * x ** -1 == F.one
 
 
 @pytest.mark.parametrize("p, m", ((7, 1), (7, 2), (5, 8)))
 def test_inverse_of_zero_raises(p, m):
     F = make_extension_field(p, m)
     with pytest.raises(ZeroDivisionError):
-        F.zero.inverse()
-    with pytest.raises(ZeroDivisionError):
         F.zero ** -1
 
 
 @pytest.mark.parametrize("entry", (0, 1))
-def test_inverse_rejects_a_norm_that_is_not_a_unit_of_the_prime_field(entry):
-    """A corrupted Frobenius column makes N(t) leave F_p (entry 0) or vanish
-    (entry 1: Frob(t) becomes 0); either raises instead of returning a value."""
+def test_inverse_reads_no_frobenius_matrix(entry):
+    """With a corrupted Frobenius column (entry 0 moves N(t) out of F_p,
+    entry 1 makes Frob(t) = 0), t ** -1 is still t's inverse: a power
+    never reads the matrix."""
     F = make_extension_field(13, 2)
     columns = F.frobenius_columns()
     bad = list(columns[1])
     bad[entry] = (bad[entry] + 1) % 13
+    t = F.element((0, 1))
     try:
         F._frobenius = (columns[0], tuple(bad))
-        with pytest.raises(ArithmeticError, match="not a nonzero constant"):
-            F.element((0, 1)).inverse()
+        assert t * t ** -1 == F.one
     finally:
         F._frobenius = columns
 
