@@ -10,7 +10,9 @@ theta lies in the census field GF(p^m), m = 2 ord_p(2) (fiber_field_degree),
 and the solutions of c^(p^2) = 2c are GF(p^2) theta: a fiber point is held
 as its pair of theta-coefficients (x, y), y = z x with x a unit and z in
 GF(p^2) outside F_p, and ad - bc = D theta^2 with D = eta (x^p y - x y^p).
-No field of degree above 2 is built.
+No field of degree above 2 is built, and a point is the int row
+(x0, x1, y0, y1) of those coefficients on the basis {1, t}: the census
+reads nothing else, so it makes no field element per point.
 
 Re-verification checks the equations once per call, with the twisted
 Frobenius on a basis (they are F_p-linear and bilinear; see _reverify); on
@@ -42,15 +44,13 @@ from .oracle import CheckOutcome
 CENSUS_CAP = 1 << 22
 
 
-class FiberPoint(namedtuple("FiberPoint", "c d")):
-    """A solution (c theta, d theta), held as its theta-coefficients c, d in
-    GF(p^2); the other two coordinates are a = c^p, b = d^p."""
-
-    __slots__ = ()
-
-
 CensusResult = namedtuple(
     "CensusResult", "prime field_degree skipped points total reason", defaults=("",)
+)
+CensusResult.points.__doc__ = (
+    "The fiber points, each the row (c0, c1, d0, d1) of ints mod p: the solution "
+    "(c theta, d theta) with c = c0 + c1 t and d = d0 + d1 t in GF(p^2); the other "
+    "two coordinates are a = c^p, b = d^p.  Empty when skipped."
 )
 
 ReportStats = namedtuple(
@@ -108,8 +108,10 @@ def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
 
     Points come c by c over the units of GF(p^2) in index order, and for
     each c the products d = z*c over the z outside F_p (index >= p) in
-    index order.  p^min(m, cap.bit_length()) is compared with the cap, so
-    p^m is never formed for m >= cap.bit_length(), where p^m > 2^m > cap.
+    index order.  t*z is the one field product per z, and then
+    d = c0 z + c1 (t z) is int arithmetic on coefficients.
+    p^min(m, cap.bit_length()) is compared with the cap, so p^m is never
+    formed for m >= cap.bit_length(), where p^m > 2^m > cap.
     """
     _require_odd_prime(p)
     m = fiber_field_degree(p)
@@ -118,8 +120,18 @@ def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
             p, m, True, (), 0,
             f"census field GF({p}^{m}) is larger than the cap {cap}",
         )
-    units = list(make_extension_field(p, 2).elements())[1:]
-    points = tuple(FiberPoint(c, z * c) for c in units for z in units[p - 1:])
+    field = make_extension_field(p, 2)
+    t = field.element([0, 1])
+    ratios = [
+        (z0, z1, *(t * field.element([z0, z1])).coeffs) for z1 in range(1, p) for z0 in range(p)
+    ]
+    points = tuple(
+        (c0, c1, (c0 * z0 + c1 * w0) % p, (c0 * z1 + c1 * w1) % p)
+        for c1 in range(p)
+        for c0 in range(p)
+        if c0 or c1
+        for z0, z1, w0, w1 in ratios
+    )
     return CensusResult(p, m, False, points, len(points))
 
 
@@ -149,12 +161,12 @@ def _reverify(p: int, points) -> tuple:
         and k.p_power() * (eta * eta) == -2 * k
     )
     keys, classes = {}, {}
-    for pt in points:
-        (c0, c1), (d0, d1) = pt.c.coeffs, pt.d.coeffs
+    for row in points:
+        c0, c1, d0, d1 = row
         delta = (c0 * d1 - c1 * d0) % p
         if delta not in keys:
             keys[delta] = (k * delta).coeffs
-        classes.setdefault(keys[delta], []).append(pt)
+        classes.setdefault(keys[delta], []).append(row)
     return ok and (0, 0) not in classes, classes
 
 
@@ -163,9 +175,9 @@ def reverify_census(census: CensusResult) -> tuple:
     return _reverify(census.prime, census.points)
 
 
-def verify_fiber_point(pt: FiberPoint) -> bool:
-    """Re-check the three defining equations on the point itself."""
-    return _reverify(pt.c.field.p, (pt,))[0]
+def verify_fiber_point(p: int, row: tuple) -> bool:
+    """Re-check the three defining equations on the point row (c0, c1, d0, d1)."""
+    return _reverify(p, (row,))[0]
 
 
 def determinant_classes(census: CensusResult) -> dict:

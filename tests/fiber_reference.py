@@ -3,13 +3,14 @@ reference for the GF(p^2) theta-coefficient census of syzcover.census.
 
 The c are the nonzero elements of ker(Frob^2 - 2) and the ratios d/c are
 ker(Frob^2 - 1) minus ker(Frob - 1), each found by Gaussian elimination
-over F_p (linear_kernel).  Embedding maps the census's theta-coefficients
-into the same field, so the two can be compared point for point.
+over F_p (linear_kernel).  A point here is the pair (c, d) of GF(p^m)
+elements.  Embedding maps the census's rows of theta-coefficients into the
+same field, so the two can be compared point for point.
 """
 
 import itertools
 
-from syzcover.census import FiberPoint, fiber_field_degree, frobenius_twist
+from syzcover.census import fiber_field_degree, frobenius_twist
 from syzcover.gf import FieldElement, make_extension_field
 
 
@@ -54,6 +55,12 @@ def linear_kernel(field, fn) -> tuple:
     )
 
 
+def row_elements(p, row):
+    """The theta-coefficients (c, d) in GF(p^2) of the census row (c0, c1, d0, d1)."""
+    field = make_extension_field(p, 2)
+    return field.element(row[:2]), field.element(row[2:])
+
+
 def census_field(p):
     return make_extension_field(p, fiber_field_degree(p))
 
@@ -70,7 +77,7 @@ def reference_enumeration(p):
     ]
     admissible.sort(key=lambda e: e.index)
     return tuple(
-        FiberPoint(c, z * c)
+        (c, z * c)
         for c in sorted(c_solutions, key=lambda e: e.index)
         for z in admissible
     )
@@ -81,10 +88,9 @@ def _reference_c_image(c):
     return cp, not c.is_zero() and cp.p_power() == 2 * c
 
 
-def _reference_point_image(pt, cp):
-    d = pt.d
+def _reference_point_image(c, d, cp):
     dp = d.p_power()
-    det = cp * d - pt.c * dp
+    det = cp * d - c * dp
     return det, (not d.is_zero() and dp.p_power() == 2 * d
                  and not det.is_zero() and det.p_power() == -2 * det)
 
@@ -92,12 +98,13 @@ def _reference_point_image(pt, cp):
 def reference_reverify(points):
     """(every point verified, points grouped by ad - bc in point order), for
     points of GF(p^m), one field operation at a time."""
-    distinct = {pt.c.coeffs: pt.c for pt in points}
+    distinct = {c.coeffs: c for c, _d in points}
     images = {key: _reference_c_image(c) for key, c in distinct.items()}
     ok = all(c_ok for _cp, c_ok in images.values())
     classes = {}
     for pt in points:
-        det, d_ok = _reference_point_image(pt, images[pt.c.coeffs][0])
+        c, d = pt
+        det, d_ok = _reference_point_image(c, d, images[c.coeffs][0])
         ok = ok and d_ok
         classes.setdefault(det.coeffs, []).append(pt)
     return ok, classes
@@ -129,9 +136,10 @@ class Embedding:
         x0, x1 = x.coeffs
         return x0 * self.field.one + x1 * self.root
 
-    def point(self, pt):
-        """The point (c theta, d theta) of GF(p^m)."""
-        return FiberPoint(self.iota(pt.c) * self.theta, self.iota(pt.d) * self.theta)
+    def point(self, row):
+        """The point (c theta, d theta) of GF(p^m), for the census row of c and d."""
+        c, d = row_elements(self.field.p, row)
+        return self.iota(c) * self.theta, self.iota(d) * self.theta
 
     def key(self, key):
         """ad - bc in GF(p^m), from its theta^2-coefficient."""

@@ -138,8 +138,8 @@ def test_criterion_2_census_equals_formula():
         formula = (p * p - 1) * p * (p - 1)
         assert expected == formula
         assert census.total == formula, (p, census.total, formula)
-        for pt in census.points:
-            assert verify_fiber_point(pt)
+        for row in census.points:
+            assert verify_fiber_point(p, row)
         details.append(f"p={p}: {census.total}")
     _line(2, True, "; ".join(details) + "; all points re-verified")
 

@@ -1,10 +1,9 @@
 import pytest
-from fiber_reference import Embedding, reference_enumeration, reference_reverify
+from fiber_reference import Embedding, reference_enumeration, reference_reverify, row_elements
 
 from syzcover import census as census_module
 from syzcover.census import (
     CensusResult,
-    FiberPoint,
     component_stats,
     determinant_classes,
     enumerate_fiber,
@@ -134,7 +133,7 @@ def _walk_census_points(p):
     ratios = [root ** k for k in range(n)]
     admissible = [z for z in ratios if z ** (p - 1) != field.one]
     return tuple(
-        FiberPoint(c, z * c)
+        (c, z * c)
         for c in sorted(c_solutions, key=lambda e: e.index)
         for z in sorted(admissible, key=lambda e: e.index)
     )
@@ -143,7 +142,7 @@ def _walk_census_points(p):
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_census_equals_walk_reference(p):
     embed = Embedding(p).point
-    assert {embed(pt) for pt in enumerate_fiber(p).points} == set(_walk_census_points(p))
+    assert {embed(row) for row in enumerate_fiber(p).points} == set(_walk_census_points(p))
 
 
 def test_corrupted_frobenius_matrix_fails_census():
@@ -190,20 +189,20 @@ def test_census_p3_matches_full_double_scan():
             if (c * d ** 3 - c ** 3 * d) ** 2 == minus_two:
                 brute.add((c.coeffs, d.coeffs))
     embed = Embedding(3).point
-    assert {(embed(pt).c.coeffs, embed(pt).d.coeffs) for pt in census.points} == brute
+    assert {tuple(x.coeffs for x in embed(row)) for row in census.points} == brute
     assert len(brute) == 48
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_every_point_reverified(p):
     census = enumerate_fiber(p)
-    for pt in census.points:
-        assert verify_fiber_point(pt)
+    for row in census.points:
+        assert verify_fiber_point(p, row)
 
 
 def test_reverification_embeds_no_int(monkeypatch):
     # 2 * one, 2 * t and -2 * k scale coefficients; they build no field(k)
-    pt = enumerate_fiber(5).points[0]
+    row = enumerate_fiber(5).points[0]
     embedded = []
     call = GF.__call__
 
@@ -212,26 +211,27 @@ def test_reverification_embeds_no_int(monkeypatch):
         return call(self, value)
 
     monkeypatch.setattr(GF, "__call__", counted)
-    assert verify_fiber_point(pt)
+    assert verify_fiber_point(5, row)
     assert embedded == []
 
 
 def test_reverification_rejects_bad_point():
     census = enumerate_fiber(3)
     good = census.points[0]
-    bad = FiberPoint(good.c, good.c)  # d/c = 1 violates the cross equation
-    assert not verify_fiber_point(bad)
+    bad = good[:2] + good[:2]  # d/c = 1 violates the cross equation
+    assert not verify_fiber_point(3, bad)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_quotient_structure(p):
     """d = zeta*c with zeta in the (p^2-1)-torsion minus (p-1)-torsion."""
     census = enumerate_fiber(p)
-    F = census.points[0].c.field
+    F = make_extension_field(p, 2)
     n = p * p - 1
     fibers = {}
-    for pt in census.points:
-        z = pt.d * pt.c ** -1
+    for row in census.points:
+        c, d = row_elements(p, row)
+        z = d * c ** -1
         assert z ** n == F.one
         assert z ** (p - 1) != F.one
         fibers.setdefault(z.coeffs, 0)
@@ -246,7 +246,7 @@ def test_determinant_classes(p):
     a key y is the theta^2-coefficient, and (y theta^2)^(p-1) is
     y^(p-1) eta^2."""
     census = enumerate_fiber(p)
-    F = census.points[0].c.field
+    F = make_extension_field(p, 2)
     eta = frobenius_twist(p)
     classes = determinant_classes(census)
     assert len(classes) == p - 1
@@ -257,11 +257,10 @@ def test_determinant_classes(p):
         assert delta ** (p - 1) * eta * eta == F(-2)
 
 
-def _determinant_key(pt):
+def _determinant_key(p, row):
     """The theta^2-coefficient of ad - bc, eta (c^p d - c d^p), by plain powers."""
-    p = pt.c.field.p
-    eta = frobenius_twist(p)
-    return (eta * (pt.c ** p * pt.d - pt.c * pt.d ** p)).coeffs
+    c, d = row_elements(p, row)
+    return (frobenius_twist(p) * (c ** p * d - c * d ** p)).coeffs
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -271,10 +270,10 @@ def test_reverify_census_classes_and_verdict(p):
     census = enumerate_fiber(p)
     verified, classes = reverify_census(census)
     expected = {}
-    for pt in census.points:
-        expected.setdefault(_determinant_key(pt), []).append(pt)
+    for row in census.points:
+        expected.setdefault(_determinant_key(p, row), []).append(row)
     assert classes == expected
-    assert verified is all(verify_fiber_point(pt) for pt in census.points) is True
+    assert verified is all(verify_fiber_point(p, row) for row in census.points) is True
 
 
 def _same_outcome(census):
@@ -283,7 +282,7 @@ def _same_outcome(census):
     returns the verdict."""
     embedding = Embedding(census.prime)
     verified, classes = reverify_census(census)
-    expected_ok, expected = reference_reverify([embedding.point(pt) for pt in census.points])
+    expected_ok, expected = reference_reverify([embedding.point(row) for row in census.points])
     assert verified is expected_ok
     assert [embedding.key(key) for key in classes] == list(expected)
     assert [list(map(embedding.point, v)) for v in classes.values()] == list(expected.values())
@@ -300,7 +299,7 @@ def test_bulk_census_matches_reference(p):
     each of its classes maps into one class of the reference."""
     census = enumerate_fiber(p)
     embedding = Embedding(p)
-    images = [embedding.point(pt) for pt in census.points]
+    images = [embedding.point(row) for row in census.points]
     assert len(set(images)) == len(images)
     assert set(images) == set(reference_enumeration(p))
     assert _same_outcome(census) is True
@@ -331,14 +330,12 @@ def test_dense_census_determinants(p):
     other one): the keys from the 2 x 2 matrix must be the point-by-point
     theta^2-coefficients of ad - bc."""
     census = enumerate_fiber(p)
-    field = census.points[0].c.field
-    top = field.element([p - 1] * field.m)
-    mixed = field.element([p - 1, 0])
-    points = [FiberPoint(top, top), FiberPoint(top, mixed), FiberPoint(mixed, top)] * 7
+    top, mixed = (p - 1, p - 1), (p - 1, 0)
+    points = [top + top, top + mixed, mixed + top] * 7
     _verified, classes = reverify_census(_with_points(census, points))
     expected = {}
-    for pt in points:
-        expected.setdefault(_determinant_key(pt), []).append(pt)
+    for row in points:
+        expected.setdefault(_determinant_key(p, row), []).append(row)
     assert list(classes.items()) == list(expected.items())
 
 
@@ -346,12 +343,11 @@ def test_empty_census_verifies():
     assert reverify_census(CensusResult(5, 8, False, (), 0)) == (True, {})
 
 
-def _bump(pt):
+def _bump(p, row):
     """The point with coefficient 0 of d raised by 1: d + theta, still on
     Frob^2(d) = 2d, so a fiber point again unless (d + 1)/c lies in F_p."""
-    coeffs = pt.d.coeffs
-    field = pt.d.field
-    return FiberPoint(pt.c, FieldElement(field, ((coeffs[0] + 1) % field.p,) + coeffs[1:]))
+    c0, c1, d0, d1 = row
+    return c0, c1, (d0 + 1) % p, d1
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -363,15 +359,16 @@ def test_mutated_point_fails_reverification(monkeypatch, p, where):
     census = enumerate_fiber(p)
     points = list(census.points)
     run = p * p - p  # points per c, in runs from enumerate_fiber
-    assert points[run - 1].c != points[run].c
+    assert points[run - 1][:2] != points[run][:2]
     k = {"first": 0, "last": -1, "run_end": run - 1, "run_start": run}.get(where, len(points) // 3)
-    pt = points[k]
+    row = points[k]
+    c0, c1 = row[:2]
     if where == "zero":
-        points[k] = FiberPoint(pt.c, pt.c.field.zero)
+        points[k] = (c0, c1, 0, 0)
     elif where == "scalar":  # z = 2 in F_p: d's own equation holds, but ad - bc = 0
-        points[k] = FiberPoint(pt.c, 2 * pt.c)
+        points[k] = (c0, c1, 2 * c0 % p, 2 * c1 % p)
     else:
-        points[k] = _bump(pt)
+        points[k] = _bump(p, row)
     verified = _same_outcome(_with_points(census, points))
     assert verified is (where not in ("zero", "scalar"))
     problem = "a fiber point is listed twice" if verified else "point re-verification failed"
@@ -396,11 +393,11 @@ def test_corrupted_shared_c_fails_census(monkeypatch, p):
     F_p, every moved point duplicates a point of the run of c + 1 = 2."""
 
     def corrupt(points):
-        c = points[0].c
-        moved = c + 1
-        shared = [pt for pt in points if pt.c is c]
+        c = points[0][:2]
+        moved = ((c[0] + 1) % p, c[1])
+        shared = [row for row in points if row[:2] == c]
         assert len(shared) == p * p - p
-        return [FiberPoint(moved, pt.d) if pt.c is c else pt for pt in points]
+        return [moved + row[2:] if row[:2] == c else row for row in points]
 
     assert _fiber_census_status(monkeypatch, p, corrupt) == (
         "fail", "a fiber point is listed twice")
@@ -413,8 +410,7 @@ def test_corrupted_single_d_fails_census(monkeypatch, p):
 
     def corrupt(points):
         k = len(points) // 2
-        pt = points[k]
-        return points[:k] + (FiberPoint(pt.c, pt.d + 1),) + points[k + 1:]
+        return points[:k] + (_bump(p, points[k]),) + points[k + 1:]
 
     problem = "point re-verification failed" if p == 5 else "a fiber point is listed twice"
     assert _fiber_census_status(monkeypatch, p, corrupt) == ("fail", problem)
@@ -430,7 +426,7 @@ def test_duplicate_point_fails_census(monkeypatch, p):
         verified, classes = reverify_census(enumerate_fiber(p))
         assert verified
         first, second = next(iter(classes.values()))[:2]
-        return tuple(first if pt == second else pt for pt in points)
+        return tuple(first if row == second else row for row in points)
 
     assert _fiber_census_status(monkeypatch, p, corrupt) == (
         "fail", "a fiber point is listed twice")
@@ -507,7 +503,7 @@ def test_reverify_census_work(monkeypatch, p):
     verified, _classes = reverify_census(census)
     assert verified
     assert census.total == component_stats(p).total_fiber
-    assert len({pt.c.coeffs for pt in census.points}) == p * p - 1
+    assert len({row[:2] for row in census.points}) == p * p - 1
     assert counts["frobenius"] <= 5
     assert counts["products"] <= 7
 
@@ -531,7 +527,7 @@ def test_reverify_makes_one_key_per_determinant_value(monkeypatch, p):
     monkeypatch.setattr(FieldElement, "__mul__", counted)
     monkeypatch.setattr(FieldElement, "__rmul__", counted)
     verified, classes = census_module._reverify(p, points)
-    deltas = {(pt.c.coeffs[0] * pt.d.coeffs[1] - pt.c.coeffs[1] * pt.d.coeffs[0]) % p for pt in points}
+    deltas = {(c0 * d1 - c1 * d0) % p for c0, c1, d0, d1 in points}
     assert verified is True
     assert len(classes) == len(deltas) == (p - 1 if points else 0)
     assert len(scalings) == 3 + len(deltas)
@@ -559,11 +555,13 @@ def test_frobenius_twist_work(monkeypatch, p):
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_enumerate_fiber_work(monkeypatch, p):
-    """One GF(p^2) product per point, d = z*c, and no Frobenius application."""
+    """One GF(p^2) product per ratio z outside F_p, t*z, so p^2 - p per
+    census; each d = c0 z + c1 (t z) is int arithmetic.  No Frobenius
+    application."""
     counts = _count_field_ops(monkeypatch)
     census = enumerate_fiber(p)
     assert census.total == (p * p - 1) * (p * p - p)
-    assert counts == {"frobenius": 0, "products": census.total}
+    assert counts == {"frobenius": 0, "products": p * p - p}
 
 
 @pytest.mark.parametrize("p", (11, 13))
@@ -622,8 +620,20 @@ def test_census_above_the_default_cap():
     assert out.overall == "pass"
 
 
-def test_census_field_is_one_object_per_field_whatever_the_cap():
-    assert enumerate_fiber(5, 1 << 24).points[0].c.field is make_extension_field(5, 2)
+def test_census_field_is_one_object_per_field_whatever_the_cap(monkeypatch):
+    """With the cap raised the census still takes GF(p^2) from the field
+    cache and builds no field of its own; its rows hold ints only."""
+    make_extension_field(5, 2)
+    built, init = [], GF.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(GF, "__init__", counted)
+    points = enumerate_fiber(5, 1 << 24).points
+    assert built == []
+    assert {type(x) for row in points for x in row} == {int}
 
 
 @pytest.mark.parametrize(

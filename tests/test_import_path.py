@@ -43,14 +43,16 @@ def test_cli_import_loads_no_heavy_module():
 
 
 def test_cli_runs_load_no_option_parser():
-    """A verify run, a usage error and `-h` through `cli.main` load neither
-    argparse nor the gettext and locale modules it imports."""
+    """A JSON and a text verify run, a usage error and `-h` through
+    `cli.main` load neither argparse nor the gettext and locale modules it
+    imports, nor json: report.to_json writes the JSON report."""
     out = _fresh(
         "import os, sys; from syzcover import cli; "
         "assert cli.main(['verify', '--prime', '3', '--checks', 'lemmas', '--output', os.devnull]) == 0; "
+        "assert cli.main(['verify', '--prime', '3', '--format', 'text', '--output', os.devnull]) == 0; "
         "assert cli.main(['verify', '--prime', 'x']) == 2; "
         "assert cli.main(['-h']) == 0; "
-        f"print(' '.join(m for m in ('argparse', 'gettext', 'locale', *{HEAVY!r}) if m in sys.modules))"
+        f"print(' '.join(m for m in ('argparse', 'gettext', 'locale', 'json', *{HEAVY!r}) if m in sys.modules))"
     )
     assert out.splitlines()[-1].split() == []
 
