@@ -19,14 +19,21 @@ Frobenius on a basis (they are F_p-linear and bilinear; see _reverify); on
 {theta, t theta} Frob^2 = 2 is exactly N(eta) = 2.  Per point only
 ad - bc != 0 remains, and the class key, the theta^2-coefficient of ad - bc
 whose values give the component structure, is int arithmetic on the
-point's coefficients.  The enumeration runs only when the census field has
-at most cap elements (by default CENSUS_CAP, which admits p <= 7).
+point's coefficients.
+
+That certificate also gives the count at every prime: x^(p^2) - 2x has at
+most p^2 roots and GF(p^2) theta supplies them, so the fiber points are
+the F_p-bases (c, d) of that plane, |GL2(F_p)| = (p^2-1)p(p-1) of them, and
+D(c, d) = (c0 d1 - c1 d0) D(1, t) splits them into p - 1 classes of
+|SL2(F_p)| points.  The enumeration is a cross-check on that count, run
+while the fiber has at most ENUMERATION_CAP points (p <= 7).
 
 component_stats gives the closed-form invariants (counts, degrees,
 genera) that a report carries as its stats at every prime.  fiber_checks
-yields the outcomes of the three fiber checks, which hold the census to
-the same formulas and certify the Frobenius matrix of GF(p^2) it is
-computed with; above the cap the first two carry a skip reason.
+yields the outcomes of the three fiber checks, which hold the certificate,
+and below the cap the census, to the same formulas, and certify the
+Frobenius matrix of GF(p^2) and the value of H_U at (1 : 0 : 1) that the
+census equations assume.
 """
 
 from __future__ import annotations
@@ -38,19 +45,18 @@ from .curve import norm_root
 from .gf import is_prime, make_extension_field, prime_factors
 from .oracle import CheckOutcome
 
-# Largest census field by default: GF(5^8) and GF(7^6) fit, GF(11^20) does not.
-# A field-size proxy from when the census scanned the field; the census now
-# enumerates only the (p^2-1)p(p-1) fiber points.
-CENSUS_CAP = 1 << 22
+# Most fiber points enumerated as a cross-check: p = 7 has 2 016, p = 11 has 13 200.
+ENUMERATION_CAP = 10_000
+
+# H_U at (1 : 0 : 1), which turns F(A) = H_U A into the census equations.
+CENSUS_PREMISE = [[0, 2], [1, 0]]
 
 
-CensusResult = namedtuple(
-    "CensusResult", "prime field_degree skipped points total reason", defaults=("",)
-)
+CensusResult = namedtuple("CensusResult", "prime points total")
 CensusResult.points.__doc__ = (
     "The fiber points, each the row (c0, c1, d0, d1) of ints mod p: the solution "
     "(c theta, d theta) with c = c0 + c1 t and d = d0 + d1 t in GF(p^2); the other "
-    "two coordinates are a = c^p, b = d^p.  Empty when skipped."
+    "two coordinates are a = c^p, b = d^p."
 )
 
 ReportStats = namedtuple(
@@ -103,23 +109,15 @@ def frobenius_twist(p: int):
     return norm_root(make_extension_field(p, 2))(2, 0)
 
 
-def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
-    """All fiber points over (1 : 0 : 1), or a skip marker above the cap.
+def enumerate_fiber(p: int) -> CensusResult:
+    """All fiber points over (1 : 0 : 1).
 
     Points come c by c over the units of GF(p^2) in index order, and for
     each c the products d = z*c over the z outside F_p (index >= p) in
     index order.  t*z is the one field product per z, and then
     d = c0 z + c1 (t z) is int arithmetic on coefficients.
-    p^min(m, cap.bit_length()) is compared with the cap, so p^m is never
-    formed for m >= cap.bit_length(), where p^m > 2^m > cap.
     """
     _require_odd_prime(p)
-    m = fiber_field_degree(p)
-    if p ** min(m, cap.bit_length()) > cap:
-        return CensusResult(
-            p, m, True, (), 0,
-            f"census field GF({p}^{m}) is larger than the cap {cap}",
-        )
     field = make_extension_field(p, 2)
     t = field.element([0, 1])
     ratios = [
@@ -132,7 +130,7 @@ def enumerate_fiber(p: int, cap: int = CENSUS_CAP) -> CensusResult:
         if c0 or c1
         for z0, z1, w0, w1 in ratios
     )
-    return CensusResult(p, m, False, points, len(points))
+    return CensusResult(p, points, len(points))
 
 
 def _reverify(p: int, points) -> tuple:
@@ -144,7 +142,8 @@ def _reverify(p: int, points) -> tuple:
     D(c, d) theta^2 with D(c, d) = F(c) d - c F(d), F_p-bilinear and
     alternating, so D(c, d) = (c0 d1 - c1 d0) k with k = D(1, t); and
     Frob(D theta^2) = D^p eta^2 theta^2, so Frob(ad - bc) = -2 (ad - bc)
-    holds for every point once it holds for k.  Each point's key, the
+    holds for every point once it holds for k.  k != 0 is checked too, so
+    the certificate stands with no points.  Each point's key, the
     theta^2-coefficient of ad - bc, is then int arithmetic on its
     coefficients, and only D != 0 remains per point: it rules out c = 0,
     d = 0 and d/c in F_p.  Points are filed in point order, and the key
@@ -159,6 +158,7 @@ def _reverify(p: int, points) -> tuple:
     ok = (
         (f1.p_power() * eta, ft.p_power() * eta) == (2 * one, 2 * t)
         and k.p_power() * (eta * eta) == -2 * k
+        and not k.is_zero()
     )
     keys, classes = {}, {}
     for row in points:
@@ -211,40 +211,59 @@ def _unmet(*conditions) -> list:
     return [note for note, holds in conditions if not holds]
 
 
-def fiber_checks(p: int, cap: int, stats: ReportStats):
+def fiber_checks(p: int, stats: ReportStats, h_point):
     """Yield (name, CheckOutcome) for fiber_census, component_structure and
-    genus_hurwitz, in that order; the census is held to stats, and the
-    first two are skipped when the census field is larger than cap."""
-    census = enumerate_fiber(p, cap)
-    if census.skipped:
-        yield "fiber_census", CheckOutcome(skipped=census.reason)
-        yield "component_structure", CheckOutcome(skipped="no census to tabulate")
-    else:
-        field = make_extension_field(p, 2)
-        verified, classes = reverify_census(census)
+    genus_hurwitz, in that order.
+
+    The certificate of _reverify gives the count and the classes at every
+    prime; h_point, H_U evaluated at (1 : 0 : 1) over GF(p), must be the
+    CENSUS_PREMISE the census equations are read from.  While the fiber has
+    at most ENUMERATION_CAP points the census is enumerated too, and its
+    total and classes are held to stats."""
+    field = make_extension_field(p, 2)
+    frobenius_ok = not field.frobenius_mismatches()
+    enumerated = stats.total_fiber <= ENUMERATION_CAP
+    census = enumerate_fiber(p) if enumerated else CensusResult(p, (), 0)
+    # eta is a norm root, which a wrong Frobenius matrix can make raise
+    verified, classes = reverify_census(census) if frobenius_ok else (False, {})
+    premises = (
+        ("Frobenius matrix not certified", frobenius_ok),
+        ("H_U(1 : 0 : 1) is not [[0, 2], [1, 0]]", h_point == CENSUS_PREMISE),
+    )
+    field_text = f"GF({p}^{stats.fiber_field_degree})"
+    if enumerated:
         yield "fiber_census", CheckOutcome(
-            f"{census.total} fiber points enumerated in GF({p}^{census.field_degree}), "
+            f"{census.total} fiber points enumerated in {field_text}, "
             f"equal to (p^2-1)p(p-1), every point re-verified",
             problems=_unmet(
-                ("Frobenius matrix not certified", not field.frobenius_mismatches()),
+                *premises,
                 ("census total off the formula", census.total == stats.total_fiber),
                 ("a fiber point is listed twice",
                  len(set(census.points)) == len(census.points)),
                 ("point re-verification failed", verified),
             ),
         )
-        theta2 = frobenius_twist(p) ** 2  # a key k stands for k theta^2; (theta^2)^(p-1) = eta^2
-        yield "component_structure", CheckOutcome(
-            f"ad-bc takes exactly {stats.components} values, each with (p-1)-th power -2, "
-            f"each on {stats.degree} points",
-            problems=_unmet(
-                ("wrong number of determinant values", len(classes) == stats.components),
-                ("a class size differs from the degree",
-                 all(len(v) == stats.degree for v in classes.values())),
-                ("a determinant value's (p-1)-th power is not -2",
-                 all(field.element(k) ** (p - 1) * theta2 == -2 for k in classes)),
-            ),
+        structure = _unmet(
+            ("wrong number of determinant values", len(classes) == stats.components),
+            ("a class size differs from the degree",
+             all(len(v) == stats.degree for v in classes.values())),
+            # a key k stands for k theta^2, and (theta^2)^(p-1) = eta^2
+            ("a determinant value's (p-1)-th power is not -2",
+             all(field.element(k) ** (p - 1) * frobenius_twist(p) ** 2 == -2 for k in classes)),
         )
+    else:
+        yield "fiber_census", CheckOutcome(
+            f"{stats.total_fiber} fiber points certified in {field_text}, "
+            f"equal to (p^2-1)p(p-1): the F_p-bases of GF(p^2) theta, "
+            f"not enumerated above {ENUMERATION_CAP} points",
+            problems=_unmet(*premises, ("point re-verification failed", verified)),
+        )
+        structure = _unmet(("determinant values not certified", verified))
+    yield "component_structure", CheckOutcome(
+        f"ad-bc takes exactly {stats.components} values, each with (p-1)-th power -2, "
+        f"each on {stats.degree} points",
+        problems=structure,
+    )
     yield "genus_hurwitz", CheckOutcome(
         f"2g-2 = {stats.degree}*(2*{stats.genus_base}-2) gives genus "
         f"{stats.genus_component}",

@@ -9,30 +9,27 @@ from __future__ import annotations
 
 import sys
 
-from .census import CENSUS_CAP
 from .report import emit_report, parse_selection, run_verification
 
 # verify's options and their defaults; `-p` is `--prime`.
-OPTIONS = {"prime": None, "primes": None, "checks": "all", "max-field-size": CENSUS_CAP,
-           "seed": 0, "format": "json", "output": None}
-INTEGER_OPTIONS = ("prime", "max-field-size", "seed")
+OPTIONS = {"prime": None, "primes": None, "checks": "all", "seed": 0, "format": "json",
+           "output": None}
+INTEGER_OPTIONS = ("prime", "seed")
 
-HELP = f"""\
+HELP = """\
 usage: syzcover verify (--prime P | --primes P,Q,...) [--checks GROUPS]
-         [--max-field-size N] [--seed S] [--format json|text] [--output PATH]
+         [--seed S] [--format json|text] [--output PATH]
 
   -p, --prime P        odd prime to verify
   --primes P,Q,...     comma-separated list of odd primes
   --checks GROUPS      comma-separated groups: lemmas, cover, fiber, or all (default)
-  --max-field-size N   skip the fiber census when its field has more elements than N
-                       (at least 1; default {CENSUS_CAP}, which enumerates p <= 7)
   --seed S             sampling seed (default 0)
   --format json|text   output format (default json)
   --output PATH        write the report here instead of stdout
   -h, --help           print this help and exit
 
-Exit codes: 0 when every executed check passes (a skipped census is not a
-failure), 1 when any check fails, 2 on invalid input.
+Exit codes: 0 when every executed check passes, 1 when any check fails,
+2 on invalid input.
 """
 
 
@@ -97,8 +94,7 @@ def main(argv=None) -> int:
         selection = parse_selection(args["checks"])
         if not selection:
             raise ValueError("--checks selects no check group")
-        seed, cap = args["seed"], args["max-field-size"]
-        reports = [run_verification(p, checks=selection, seed=seed, max_field_size=cap) for p in primes]
+        reports = [run_verification(p, checks=selection, seed=args["seed"]) for p in primes]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

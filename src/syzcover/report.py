@@ -7,12 +7,14 @@ byte-identically for a fixed (prime, seed, version).  Every check reaches
 its record through one path, run: a skip reason gives "skipped", else the
 symbolic verdict, then the oracle on the claims of a check that holds,
 gives "pass" or "fail".  The report's stats are the closed-form values of
-census.component_stats.
+census.component_stats.  The fiber checks read H_U at (1 : 0 : 1) from the
+run's cover data, built once for the cover and fiber groups.
 
 render_json writes the report with its own small writer, whose output is
 json.dumps(payload, indent=2) byte for byte: importing json compiles its
 scanner's regular expressions, about 2 ms of a cold `verify` that only
-prints a few kilobytes of str, int, list and dict.
+prints a few kilobytes of str, int, list and dict.  Only a string that is
+not printable ASCII, which no report holds, imports json to escape it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import random
 from collections import namedtuple
 
 from . import __version__
-from .census import CENSUS_CAP, ReportStats, component_stats, fiber_checks
+from .census import ReportStats, component_stats, fiber_checks
 from .cover import (
     build_cover_data,
     check_base_change,
@@ -34,6 +36,7 @@ from .cover import (
     check_transition,
     check_w0_specialization,
 )
+from .curve import CurvePoint
 from .gf import is_prime, make_extension_field
 from .oracle import CheckOutcome, OracleSuite
 from .syz import (
@@ -74,17 +77,10 @@ def parse_selection(text: str) -> tuple[str, ...]:
     return tuple(t for t in SELECTIONS if t in tokens)
 
 
-def run_verification(
-    p: int,
-    checks: str | tuple = "all",
-    seed: int = 0,
-    max_field_size: int = CENSUS_CAP,
-) -> CoverReport:
+def run_verification(p: int, checks: str | tuple = "all", seed: int = 0) -> CoverReport:
     """Execute the selected check groups for one prime."""
     if not isinstance(p, int) or not is_prime(p) or p < 3:
         raise ValueError(f"prime must be an odd prime >= 3, got {p}")
-    if max_field_size < 1:
-        raise ValueError(f"max field size must be >= 1, got {max_field_size}")
     selection = parse_selection(checks if isinstance(checks, str) else ",".join(checks))
 
     stats = component_stats(p)
@@ -103,7 +99,7 @@ def run_verification(
             detail = f"{detail}; {oracle_msg}"
         records.append(CheckRecord(name, "pass" if ok else "fail", detail))
 
-    if "lemmas" in selection or "cover" in selection:
+    if selection:
         catalog = build_catalog(p)
     if "lemmas" in selection:
         run("catalog_syzygies", check_catalog(catalog))
@@ -111,8 +107,9 @@ def run_verification(
         run("alpha_isomorphism", check_alpha(catalog))
         run("generator_independence", check_independence(catalog))
 
-    if "cover" in selection:
+    if "cover" in selection or "fiber" in selection:
         cd = build_cover_data(p, catalog)
+    if "cover" in selection:
         run("transition_matrix", check_transition(cd))
         run("base_change_matrices", check_base_change(cd))
         run("cocycle_compatibility", check_cocycle(cd))
@@ -128,7 +125,10 @@ def run_verification(
         )
 
     if "fiber" in selection:
-        for name, outcome in fiber_checks(p, max_field_size, stats):
+        prime_field = make_extension_field(p)
+        base = CurvePoint(cd.ctx, (prime_field.one, prime_field.zero, prime_field.one))
+        h_point = [[h.evaluate(base) for h in row] for row in cd.H_U]
+        for name, outcome in fiber_checks(p, stats, h_point):
             run(name, outcome)
 
     overall = "pass" if all(r.status != "fail" for r in records) else "fail"
@@ -141,31 +141,14 @@ def run_verification(
     )
 
 
-_ESCAPES = {
-    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t",
-}
-
-
-def _escape(ch: str) -> str:
-    """ch as json writes it with ensure_ascii: printable ASCII as itself,
-    the rest as \\uXXXX, and a character outside the BMP as a surrogate pair."""
-    if ch in _ESCAPES:
-        return _ESCAPES[ch]
-    n = ord(ch)
-    if 0x20 <= n < 0x7F:
-        return ch
-    if n > 0xFFFF:
-        n -= 0x10000
-        return "\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF)
-    return "\\u%04x" % n
-
-
 def _string(s: str) -> str:
-    """s as a JSON string; printable ASCII without quote or backslash, every
-    string a report holds today, is written as it is."""
+    """s as a JSON string: printable ASCII without quote or backslash, every
+    string a report holds today, as it is, and any other string by json."""
     if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
         return f'"{s}"'
-    return '"' + "".join(map(_escape, s)) + '"'
+    import json
+
+    return json.dumps(s)
 
 
 def to_json(value, indent: str = "") -> str:

@@ -2,6 +2,7 @@ import pytest
 from fiber_reference import Embedding, reference_enumeration, reference_reverify, row_elements
 
 from syzcover import census as census_module
+from syzcover import report as report_module
 from syzcover.census import (
     CensusResult,
     component_stats,
@@ -14,7 +15,8 @@ from syzcover.census import (
     reverify_census,
     verify_fiber_point,
 )
-from syzcover.curve import norm_root
+from syzcover.cover import build_cover_data
+from syzcover.curve import CurvePoint, norm_root
 from syzcover.gf import (
     GF,
     FieldElement,
@@ -119,7 +121,6 @@ def test_eta_degree_matches_power_equation_scans():
 @pytest.mark.parametrize("p,total", [(3, 48), (5, 480), (7, 2016)])
 def test_census_total_matches_formula(p, total):
     census = enumerate_fiber(p)
-    assert not census.skipped
     assert census.total == total == (p * p - 1) * p * (p - 1)
 
 
@@ -148,11 +149,14 @@ def test_census_equals_walk_reference(p):
 def test_corrupted_frobenius_matrix_fails_census():
     """Every one-entry corruption of GF(p^2)'s cached Frobenius matrix, which
     the twisted Frobenius applies to theta-coefficients, fails fiber_census by
-    the matrix's own certification.  The raw equations catch every one at
-    p = 3 and 5 as well; at p = 7 they miss entry (1, 0), and entry (0, 1)
-    is caught by Frob(ad - bc) = -2 (ad - bc) alone."""
+    the matrix's own certification, with the census enumerated (p <= 7) or
+    not (p = 11), and the run does not raise although eta, a norm root, is
+    not cached.  With eta made from the true matrix, the raw equations catch
+    every one at p = 3, 5 and 11 as well; at p = 7 they miss entry (1, 0),
+    and entry (0, 1) is caught by Frob(ad - bc) = -2 (ad - bc) alone."""
     missed = []
-    for p in (3, 5, 7):
+    for p in (3, 5, 7, 11):
+        frobenius_twist.cache_clear()
         field = make_extension_field(p, 2)
         columns = field.frobenius_columns()
         try:
@@ -166,8 +170,12 @@ def test_corrupted_frobenius_matrix_fails_census():
                     assert report.checks[0].status == "fail", (p, i, j)
                     assert "Frobenius matrix not certified" in report.checks[0].detail
                     assert report.overall == "fail", (p, i, j)
+                    field._frobenius = columns
+                    frobenius_twist(p)
+                    field._frobenius = tuple(tuple(col) for col in bad)
                     if reverify_census(enumerate_fiber(p))[0]:
                         missed.append((p, i, j))
+                    frobenius_twist.cache_clear()
         finally:
             field._frobenius = columns
         assert run_verification(p, checks=("fiber",)).overall == "pass"
@@ -290,7 +298,7 @@ def _same_outcome(census):
 
 
 def _with_points(census, points):
-    return CensusResult(census.prime, census.field_degree, False, tuple(points), len(points))
+    return CensusResult(census.prime, tuple(points), len(points))
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -307,7 +315,7 @@ def test_bulk_census_matches_reference(p):
 
 @pytest.mark.parametrize("p", (11, 13))
 def test_raised_cap_census_matches_component_stats(p):
-    census = enumerate_fiber(p, p ** fiber_field_degree(p))
+    census = enumerate_fiber(p)
     stats = component_stats(p)
     verified, classes = reverify_census(census)
     assert verified
@@ -340,7 +348,7 @@ def test_dense_census_determinants(p):
 
 
 def test_empty_census_verifies():
-    assert reverify_census(CensusResult(5, 8, False, (), 0)) == (True, {})
+    assert reverify_census(CensusResult(5, (), 0)) == (True, {})
 
 
 def _bump(p, row):
@@ -379,9 +387,9 @@ def _fiber_census_status(monkeypatch, p, corrupt):
     """The fiber_census record of a run on a census whose points corrupt() altered;
     reverify_census agrees with the reference on them."""
     census = enumerate_fiber(p)
-    bad = CensusResult(p, census.field_degree, False, tuple(corrupt(census.points)), census.total)
+    bad = CensusResult(p, tuple(corrupt(census.points)), census.total)
     _same_outcome(bad)
-    monkeypatch.setattr(census_module, "enumerate_fiber", lambda p, cap: bad)
+    monkeypatch.setattr(census_module, "enumerate_fiber", lambda p: bad)
     out = run_verification(p, checks=("fiber",))
     return {c.name: (c.status, c.detail) for c in out.checks}["fiber_census"]
 
@@ -443,29 +451,48 @@ def test_every_twist_gives_the_same_fiber_report(monkeypatch, p):
         assert render_json(run_verification(p, ("fiber",))) == expected, j
 
 
-@pytest.mark.parametrize("p", (3, 5, 7, 11))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 101))
 def test_twist_off_norm_two_fails_census(monkeypatch, p):
     """An eta of any other norm c, the roots of x^(p+1) = c for c != 2,
-    fails fiber_census by the basis certificate Frob^2 = 2, also with the
-    cap raised to admit p = 11."""
-    cap = p ** fiber_field_degree(p)
+    fails fiber_census by the basis certificate Frob^2 = 2, with the census
+    enumerated (p <= 7) or not (p >= 11)."""
     root = norm_root(make_extension_field(p, 2))
     for c in range(1, p):
         if c == 2:
             continue
         monkeypatch.setattr(census_module, "frobenius_twist", lambda q, eta=root(c, 0): eta)
-        out = run_verification(p, checks=("fiber",), max_field_size=cap)
+        out = run_verification(p, checks=("fiber",))
         status = {r.name: (r.status, r.detail) for r in out.checks}["fiber_census"]
         assert status == ("fail", "point re-verification failed"), c
     monkeypatch.undo()
-    assert run_verification(p, checks=("fiber",), max_field_size=cap).overall == "pass"
+    assert run_verification(p, checks=("fiber",)).overall == "pass"
 
 
 @pytest.mark.parametrize("p", (11, 13, 101, 1009, 100003))
 def test_empty_census_verifies_above_the_cap(p):
-    census = enumerate_fiber(p)
-    assert census.skipped and census.points == ()
-    assert reverify_census(census) == (True, {})
+    """The census fiber_checks re-verifies above ENUMERATION_CAP, no point:
+    the certificate alone, k != 0 included, holds."""
+    assert reverify_census(CensusResult(p, (), 0)) == (True, {})
+
+
+def test_certificate_without_points_requires_k_nonzero(monkeypatch):
+    """With no point to file under the key (0, 0), only k = D(1, t) != 0
+    rejects a degenerate Frobenius: with the identity matrix for Frob on
+    GF(7^2) and eta = 3 (3^2 = 2), Frob^2 = 2 holds on {theta, t theta}, and
+    Frob(k) eta^2 = -2k holds for k = 0.  With the true matrix, 3 is a
+    valid twist (its norm 3^8 is 2)."""
+    field = make_extension_field(7, 2)
+    columns = field.frobenius_columns()
+    eta, t = field(3), field.element([0, 1])
+    monkeypatch.setattr(census_module, "frobenius_twist", lambda q: eta)
+    try:
+        field._frobenius = ((1, 0), (0, 1))
+        assert (t.p_power() * eta).p_power() * eta == 2 * t
+        assert eta * t - t.p_power() * eta == 0  # k = F(1) t - F(t)
+        assert census_module._reverify(7, ()) == (False, {})
+    finally:
+        field._frobenius = columns
+    assert census_module._reverify(7, ()) == (True, {})
 
 
 def _count_field_ops(monkeypatch):
@@ -496,7 +523,7 @@ def test_reverify_census_work(monkeypatch, p):
     once on a basis, and each point costs int arithmetic only.  GF(p^2)'s
     Frobenius matrix and the twist eta are built before the count, so the
     bound holds when the test runs alone."""
-    census = enumerate_fiber(p, p ** fiber_field_degree(p))
+    census = enumerate_fiber(p)
     make_extension_field(p, 2).frobenius_columns()
     frobenius_twist(p)
     counts = _count_field_ops(monkeypatch)
@@ -564,66 +591,81 @@ def test_enumerate_fiber_work(monkeypatch, p):
     assert counts == {"frobenius": 0, "products": p * p - p}
 
 
+CERTIFIED = (
+    "{total} fiber points certified in GF({p}^{m}), equal to (p^2-1)p(p-1): "
+    "the F_p-bases of GF(p^2) theta, not enumerated above {cap} points"
+)
+
+
+def _certified_text(p, cap=10000):
+    stats = component_stats(p)
+    return CERTIFIED.format(total=stats.total_fiber, p=p, m=stats.fiber_field_degree, cap=cap)
+
+
 @pytest.mark.parametrize("p", (11, 13))
-def test_census_skipped_above_cap(p):
-    census = enumerate_fiber(p)
-    assert census.skipped
-    assert census.points == ()
-    assert census.reason == f"census field GF({p}^{census.field_degree}) is larger than the cap 4194304"
+def test_census_skipped_above_cap(monkeypatch, p):
+    """Above ENUMERATION_CAP points the fiber checks enumerate nothing, and
+    the certificate gives the count."""
 
+    def refuse(p):
+        raise AssertionError("census enumerated above the cap")
 
-@pytest.mark.parametrize("p", (3, 5, 7, 11))
-def test_census_cap_decision_equals_the_field_order_comparison(p):
-    """Also at the caps 2^m - 1 and 2^m, where cap.bit_length() is m and
-    m + 1: the census compares p^min(m, cap.bit_length()) with the cap."""
-    m = fiber_field_degree(p)
-    order = p ** m
-    for cap in (order - 1, order, order + 1, 2 ** m - 1, 2 ** m):
-        assert enumerate_fiber(p, cap).skipped == (order > cap), cap
-
-
-@pytest.mark.parametrize("p, m", ((757, 1512), (907, 1812)))
-def test_fiber_checks_skip_where_the_field_order_has_too_many_digits(p, m):
-    """p^m has more than 4300 digits here, more than Python turns into a
-    string; the skip text names GF(p^m) and the cap only."""
-    records = run_verification(p, ("fiber",)).checks
-    assert [(r.name, r.status, r.detail) for r in records[:2]] == [
-        ("fiber_census", "skipped", f"census field GF({p}^{m}) is larger than the cap 4194304"),
-        ("component_structure", "skipped", "no census to tabulate"),
-    ]
-    assert records[2].name == "genus_hurwitz" and records[2].status == "pass"
+    monkeypatch.setattr(census_module, "enumerate_fiber", refuse)
+    stats = component_stats(p)
+    assert stats.total_fiber > census_module.ENUMERATION_CAP
+    outcomes = dict(census_module.fiber_checks(p, stats, census_module.CENSUS_PREMISE))
+    assert outcomes["fiber_census"].detail == _certified_text(p)
+    assert all(outcome.ok for outcome in outcomes.values())
 
 
 def test_census_skip_at_a_large_prime_names_the_degree_and_the_cap():
-    """At p = 1000003, where 2 has order p - 1, the census skips with the
-    field GF(p^(2(p-1))) and the default cap named, and no p^m formed."""
-    assert enumerate_fiber(1000003) == CensusResult(
-        1000003, 2000004, True, (), 0,
-        "census field GF(1000003^2000004) is larger than the cap 4194304")
+    """At p = 1000003, where 2 has order p - 1, the certified count names the
+    field GF(p^(2(p-1))) and the cap, and no p^m is formed."""
+    record = run_verification(1000003, ("fiber",)).checks[0]
+    assert (record.name, record.status) == ("fiber_census", "pass")
+    assert record.detail == (
+        "1000011000044000076000048 fiber points certified in GF(1000003^2000004), "
+        "equal to (p^2-1)p(p-1): the F_p-bases of GF(p^2) theta, "
+        "not enumerated above 10000 points")
 
 
-def test_census_cap_override():
-    small = enumerate_fiber(5, 1000)
-    assert small.skipped
+def test_census_cap_override(monkeypatch):
+    """The cap counts points: lowered to 1000 it still enumerates p = 5 (480
+    points) and certifies p = 7 (2016) without enumerating; both pass."""
+    monkeypatch.setattr(census_module, "ENUMERATION_CAP", 1000)
+    five, seven = (run_verification(p, ("fiber",)) for p in (5, 7))
+    assert five.checks[0].detail.startswith("480 fiber points enumerated in GF(5^8)")
+    assert seven.checks[0].detail == _certified_text(7, cap=1000)
+    assert five.overall == seven.overall == "pass"
 
 
 def test_census_above_the_default_cap():
-    """p = 11 with the cap raised: a real census of GF(11^20), held as
-    theta-coefficients in GF(11^2) with theta^10 = eta."""
-    out = run_verification(11, checks=("fiber",), max_field_size=11 ** 20)
+    """p = 11 is above the cap: the certificate gives 13200 points of GF(11^20),
+    held as theta-coefficients in GF(11^2) with theta^10 = eta, in 10 classes."""
+    out = run_verification(11, checks=("fiber",))
     status = {c.name: (c.status, c.detail) for c in out.checks}
     assert status["fiber_census"] == ("pass", (
-        "13200 fiber points enumerated in GF(11^20), equal to (p^2-1)p(p-1), "
-        "every point re-verified"))
+        "13200 fiber points certified in GF(11^20), equal to (p^2-1)p(p-1): "
+        "the F_p-bases of GF(p^2) theta, not enumerated above 10000 points"))
     assert status["component_structure"] == ("pass", (
         "ad-bc takes exactly 10 values, each with (p-1)-th power -2, each on 1320 points"))
     assert out.overall == "pass"
 
 
+@pytest.mark.parametrize("p", (11, 13, 47, 101, 251, 503, 757))
+def test_fiber_checks_pass_above_the_cap(p):
+    """The certified fiber checks pass, with the certified texts; at 757,
+    p^m has more digits than Python turns into a string."""
+    records = run_verification(p, ("fiber",)).checks
+    assert [(r.name, r.status) for r in records] == [
+        ("fiber_census", "pass"), ("component_structure", "pass"), ("genus_hurwitz", "pass")]
+    assert records[0].detail == _certified_text(p)
+
+
 def test_census_field_is_one_object_per_field_whatever_the_cap(monkeypatch):
-    """With the cap raised the census still takes GF(p^2) from the field
-    cache and builds no field of its own; its rows hold ints only."""
-    make_extension_field(5, 2)
+    """Above the cap too the census takes GF(p^2) from the field cache and
+    builds no field of its own; its rows hold ints only."""
+    make_extension_field(11, 2)
     built, init = [], GF.__init__
 
     def counted(self, *args):
@@ -631,9 +673,46 @@ def test_census_field_is_one_object_per_field_whatever_the_cap(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(GF, "__init__", counted)
-    points = enumerate_fiber(5, 1 << 24).points
+    points = enumerate_fiber(11).points
     assert built == []
     assert {type(x) for row in points for x in row} == {int}
+
+
+def _h_u_at_census_point(p):
+    cd = build_cover_data(p)
+    field = make_extension_field(p)
+    base = CurvePoint(cd.ctx, (field.one, field.zero, field.one))
+    return [[h.evaluate(base) for h in row] for row in cd.H_U]
+
+
+@pytest.mark.parametrize("p", (3, 5, 13, 1000003))
+def test_h_u_at_the_census_point_is_the_premise(p):
+    """H_U(1 : 0 : 1) = [[0, 2], [1, 0]]: F(A) = H_U A there reads a = c^p,
+    b = d^p, c^(p^2) = 2c, d^(p^2) = 2d, the census equations."""
+    assert _h_u_at_census_point(p) == census_module.CENSUS_PREMISE == [[0, 2], [1, 0]]
+
+
+@pytest.mark.parametrize("p", (3, 5, 13))
+def test_mutated_h_u_fails_fiber_census(monkeypatch, p):
+    """An H_U whose value at (1 : 0 : 1) is off the premise, one entry moved
+    by a constant, fails fiber_census in a fiber run and in a full run."""
+    build = report_module.build_cover_data
+    for i, j in ((0, 1), (1, 0), (1, 1)):
+
+        def mutated(p, catalog=None, i=i, j=j):
+            cd = build(p, catalog)
+            H = [list(row) for row in cd.H_U]
+            H[i][j] = H[i][j] + 1
+            return cd._replace(H_U=tuple(map(tuple, H)))
+
+        monkeypatch.setattr(report_module, "build_cover_data", mutated)
+        for checks in (("fiber",), "all"):
+            out = run_verification(p, checks)
+            status = {r.name: (r.status, r.detail) for r in out.checks}["fiber_census"]
+            assert status == ("fail", "H_U(1 : 0 : 1) is not [[0, 2], [1, 0]]"), (i, j, checks)
+            assert out.overall == "fail"
+    monkeypatch.undo()
+    assert run_verification(p, ("fiber",)).overall == "pass"
 
 
 @pytest.mark.parametrize(
@@ -670,8 +749,8 @@ def test_census_one_point_short_fails_the_fiber_checks(monkeypatch):
     """A census off the formula fails fiber_census and component_structure;
     the report still carries the formula's stats and the run does not raise."""
     census = enumerate_fiber(3)
-    short = CensusResult(3, 4, False, census.points[:-1], census.total - 1)
-    monkeypatch.setattr(census_module, "enumerate_fiber", lambda p, cap: short)
+    short = CensusResult(3, census.points[:-1], census.total - 1)
+    monkeypatch.setattr(census_module, "enumerate_fiber", lambda p: short)
     out = run_verification(3, checks=("fiber",))
     status = {c.name: (c.status, c.detail) for c in out.checks}
     assert status["fiber_census"][0] == "fail"
@@ -689,14 +768,18 @@ def test_rejects_non_prime():
         enumerate_fiber(2)
 
 
-@pytest.mark.parametrize("p, cap", ((3, 81), (5, 1 << 22), (3, 80), (11, 1 << 22)))
-def test_fiber_checks_yield_the_three_checks_in_order(p, cap):
-    """Below the cap (GF(3^4) at 81 and GF(5^8)) every outcome carries a
-    verdict, and above it (at 80 and for GF(11^20)) the first two carry the
-    census's skip reason; all of them hold."""
-    census = enumerate_fiber(p, cap)
-    outcomes = list(census_module.fiber_checks(p, cap, component_stats(p)))
+@pytest.mark.parametrize(
+    "p, cap", ((3, 81), (5, 1 << 22), (3, 80), (11, 1 << 22), (3, 48), (3, 47), (11, 10000))
+)
+def test_fiber_checks_yield_the_three_checks_in_order(monkeypatch, p, cap):
+    """With the enumeration cap at cap, the census is enumerated exactly when
+    the fiber has at most cap points (48 at p = 3, 13200 at p = 11), and
+    either way every outcome carries a verdict and no claim, and all hold."""
+    monkeypatch.setattr(census_module, "ENUMERATION_CAP", cap)
+    stats = component_stats(p)
+    outcomes = list(census_module.fiber_checks(p, stats, census_module.CENSUS_PREMISE))
     assert [name for name, _ in outcomes] == ["fiber_census", "component_structure", "genus_hurwitz"]
-    reasons = [census.reason, "no census to tabulate"] if census.skipped else ["", ""]
-    assert [outcome.skipped for _, outcome in outcomes] == [*reasons, ""]
+    assert [outcome.skipped for _, outcome in outcomes] == ["", "", ""]
     assert all(outcome.ok and not outcome.claims for _, outcome in outcomes)
+    enumerated = f"{stats.total_fiber} fiber points enumerated in "
+    assert outcomes[0][1].detail.startswith(enumerated) is (stats.total_fiber <= cap)

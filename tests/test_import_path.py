@@ -100,13 +100,15 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_verify_builds_no_field_above_degree_two():
-    """A full `verify --prime 7` and a raised-cap census at p = 11 build only
-    GF(p) and GF(p^2): the census holds its points as theta-coefficients."""
+    """A full `verify --prime 7`, a full `verify --prime 11` and the census
+    enumerated at p = 11 build only GF(p) and GF(p^2): the census holds its
+    points as theta-coefficients."""
     fields = _fresh(
         "import os, sys; from syzcover import cli, gf; "
-        "from syzcover.report import run_verification; "
+        "from syzcover.census import enumerate_fiber, reverify_census; "
         "assert cli.main(['verify', '--prime', '7', '--output', os.devnull]) == 0; "
-        "assert run_verification(11, ('fiber',), max_field_size=11**20).overall == 'pass'; "
+        "assert cli.main(['verify', '--prime', '11', '--output', os.devnull]) == 0; "
+        "assert reverify_census(enumerate_fiber(11))[0]; "
         "print(' '.join(f'{p}^{m}' for p, m in sorted(gf._FIELDS)))"
     ).split()
     assert {"7^2", "11^2"} <= set(fields)

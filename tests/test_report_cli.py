@@ -12,7 +12,6 @@ from report_reference import parse_json
 
 import syzcover.cli as cli
 from syzcover import curve, oracle, report
-from syzcover.census import CENSUS_CAP
 from syzcover.gf import make_extension_field
 from syzcover.oracle import CheckOutcome, OracleSuite, PointOracle, nonzero_claim
 from syzcover.report import (
@@ -79,15 +78,6 @@ def test_empty_selection_reports_stats_only():
     assert report.stats.genus_component == 1081
 
 
-def test_census_skip_is_not_failure():
-    report = run_verification(11, checks="fiber")
-    statuses = {c.name: c.status for c in report.checks}
-    assert statuses["fiber_census"] == "skipped"
-    assert statuses["genus_hurwitz"] == "pass"
-    assert report.overall == "pass"
-    assert report.stats.total_fiber == 13200  # formula value still reported
-
-
 def test_skipped_outcome_reaches_no_oracle(monkeypatch):
     """A CheckOutcome with a skip reason is recorded as skipped with that
     reason through run, like pass and fail: its claim, which holds, goes to
@@ -100,21 +90,24 @@ def test_skipped_outcome_reaches_no_oracle(monkeypatch):
     outcome = CheckOutcome("held", claims=[claim], skipped="over the cap")
     assert outcome.ok
     monkeypatch.setattr(OracleSuite, "check_all", refuse)
-    monkeypatch.setattr(report, "fiber_checks", lambda p, cap, stats: [("capped", outcome)])
+    monkeypatch.setattr(report, "fiber_checks", lambda p, stats, h_point: [("capped", outcome)])
     out = run_verification(3, checks=("fiber",))
     assert out.checks == (CheckRecord("capped", "skipped", "over the cap"),)
     assert out.overall == "pass"
 
 
-def test_fiber_and_stats_only_runs_build_no_catalog(monkeypatch):
+def test_stats_only_run_builds_no_catalog(monkeypatch):
+    """A run with no check group builds nothing; every group builds the
+    catalog, the fiber group for the cover data it reads H_U from."""
+
     def refuse(p):
         raise AssertionError("generator catalog built for a run that never reads it")
 
     monkeypatch.setattr(report, "build_catalog", refuse)
-    assert run_verification(5, checks=("fiber",)).overall == "pass"
     assert run_verification(5, checks=()).overall == "pass"
-    with pytest.raises(AssertionError, match="generator catalog"):
-        run_verification(5, checks=("cover",))
+    for group in ("lemmas", "cover", "fiber"):
+        with pytest.raises(AssertionError, match="generator catalog"):
+            run_verification(5, checks=(group,))
 
 
 def test_json_round_trip(report_p3):
@@ -232,8 +225,8 @@ def test_cli_accepted_spellings_match_the_canonical_one(capsys):
             (*lemmas_p3, "--se", "1"),
             (*lemmas_p3, "--seed", "0", "--seed", "1"),
         ],
-        ("verify", "--prime", "5", "--checks", "fiber", "--max-field-size", "1000"): [
-            ("verify", "--prime", "5", "--checks", "fiber", "--max", "1000"),
+        ("verify", "--prime", "5", "--checks", "fiber"): [
+            ("verify", "--prime", "5", "--ch", "fiber"),
         ],
     }
     for canonical, variants in spellings.items():
@@ -249,7 +242,6 @@ def test_cli_help_names_every_option(capsys):
         code, out, err = _main(capsys, *argv)
         assert (code, out, err) == (0, cli.HELP, ""), argv
     assert all(f"--{name}" in cli.HELP for name in cli.OPTIONS)
-    assert str(CENSUS_CAP) in cli.HELP
 
 
 def test_cli_output_file(tmp_path):
@@ -355,26 +347,11 @@ def test_entry_exit_codes_in_a_fresh_interpreter(entry):
     assert json.loads(stdout)["checks"][0]["detail"] == "forced failure"
 
 
-def test_cli_max_field_size_forces_skip():
-    res = _run_cli(
-        "verify", "--prime", "5", "--checks", "fiber", "--max-field-size", "1000"
-    )
-    assert res.returncode == 0
-    data = json.loads(res.stdout)
-    statuses = {c["name"]: c["status"] for c in data["checks"]}
-    assert statuses["fiber_census"] == "skipped"
-
-
-@pytest.mark.parametrize("size", (0, -5))
-def test_nonpositive_max_field_size_is_an_input_error(size):
-    with pytest.raises(ValueError, match="max field size"):
-        run_verification(3, checks=("fiber",), max_field_size=size)
-    res = _run_cli(
-        "verify", "--prime", "3", "--checks", "fiber", "--max-field-size", str(size)
-    )
-    assert res.returncode == 2
-    assert res.stdout == ""
-    assert res.stderr.startswith("error: ")
+def test_max_field_size_is_an_unknown_option(capsys):
+    """The census has no field-size cap, so the option it once took is unknown."""
+    assert _main(capsys, "verify", "--prime", "5", "--max-field-size", "9") == (
+        2, "", "error: unknown option '--max-field-size'\n")
+    assert "max-field-size" not in cli.HELP
 
 
 def test_tuple_selection_rejects_unknown_group():
@@ -469,8 +446,8 @@ def test_cli_output_into_missing_directory_exit_two(tmp_path):
 
 
 def test_cli_prime_47_passes():
-    # the smallest prime whose GF(p^2) cone, |F|^2 pairs, exceeds CENSUS_CAP: the
-    # oracle once scanned that cone under the cap; it now samples without a scan
+    # the smallest prime whose GF(p^2) cone, |F|^2 pairs, exceeds 2^22: the
+    # oracle once scanned that cone under such a cap; it now samples without a scan
     res = _run_cli("verify", "--prime", "47", "--checks", "lemmas,cover")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["overall"] == "pass"
